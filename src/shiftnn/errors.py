@@ -14,7 +14,7 @@ class NumericError(ShiftNNError):
 
 
 class DataError(ShiftNNError):
-    """Dataset ingestion failure (bad magic, truncation, label range)."""
+    """Unusable dataset: bad magic, truncation, label range, or no samples."""
 
 
 class PackingError(ShiftNNError):

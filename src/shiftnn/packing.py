@@ -35,6 +35,7 @@ from .quant import ExponentRange, QuantizedLayer
 
 MAGIC = b"P2WS"
 VERSION = 1
+MAX_K = 3  # largest k_i the 2-bit per-filter header holds
 
 
 def _layer_header(layer: QuantizedLayer) -> bytes:
@@ -84,8 +85,8 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
     out += MAGIC
     out += struct.pack("<BH", VERSION, len(layers))
     for idx, layer in enumerate(layers):
-        if int(layer.k_i.max(initial=0)) > 3:
-            raise PackingError(f"layer {idx}: k_i > 3 does not fit the 2-bit header")
+        if int(layer.k_i.max(initial=0)) > MAX_K:
+            raise PackingError(f"layer {idx}: k_i > {MAX_K} does not fit the 2-bit header")
         live = ~layer.term_zero
         if live.any():
             exps = layer.term_exp[live]

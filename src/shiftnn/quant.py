@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 DEFAULT_CODE_BITS = 4
 
@@ -265,6 +265,7 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     rounds the residual elementwise and keeps the term iff the residual's
     L2 norm strictly exceeds t[j]; only fired rounds subtract their term
     from the running residual.  Returns (QuantizedLayer, ResidualTrace).
+    Raises NumericError when any weight is NaN or infinite.
     """
     w = np.asarray(w)
     if k < 0:
@@ -283,16 +284,22 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     term_zero = np.ones((k, F, n), dtype=bool)
 
     r = flat.copy()
+    norms[0] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
+    bad = np.flatnonzero(~np.isfinite(norms[0]))
+    if bad.size:
+        # a NaN norm never exceeds a threshold, so the filter would look pruned
+        raise NumericError(
+            f"{bad.size} filter(s) hold non-finite weights, the first is filter {bad[0]}"
+        )
     for j in range(k):
         residuals[j] = r
-        norms[j] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
         code = round_pow2(r, rng)
         term_sign[j], term_exp[j], term_zero[j] = code.sign, code.exponent, code.zero
         fired[j] = norms[j] > t[j]
         decoded = code.decode(flat.dtype)
         r = np.where(fired[j][:, None], r - decoded, r)
+        norms[j + 1] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
     residuals[k] = r
-    norms[k] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
 
     trace = ResidualTrace(residuals, norms, fired, term_sign, term_exp, term_zero)
     return _compact(trace, filter_shape, rng), trace

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, DataError, NumericError
 from ..nn.losses import cross_entropy
 from ..nn.network import Network
 from ..nn.optim import AdamState, adam_step
+from ..packing import MAX_K
 from ..quant import ExponentRange, quantize_layer
 from .gradients import threshold_grad_from_trace
 from .regularizer import check_lambdas, layer_reg_grad, layer_reg_loss
@@ -52,6 +53,10 @@ class TrainSettings:
     def validate(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not 0 <= self.max_k <= MAX_K:
+            raise ConfigError(
+                f"max_k must be in [0, {MAX_K}] to fit the packed stream, got {self.max_k}"
+            )
         if self.mode != "float":
             check_lambdas(self.lambdas, self.max_k)
         if self.mode == "fixed":
@@ -328,6 +333,8 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None, obse
 
 def evaluate(net: Network, params, bn_state, x, y, batch_size=256) -> float:
     """Top-1 accuracy in eval mode (running batch-norm statistics)."""
+    if len(x) == 0:
+        raise DataError("evaluate needs at least one sample")
     correct = 0
     for lo in range(0, len(x), batch_size):
         logits, _ = net.forward(x[lo : lo + batch_size], params, bn_state, train=False)

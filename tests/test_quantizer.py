@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftnn.errors import ConfigError
+from shiftnn.errors import ConfigError, NumericError
 from shiftnn.quant import (
     ExponentRange,
     dequantize,
@@ -206,3 +206,13 @@ class TestSpecialCases:
         _, tr2 = quantize_layer(w, [-np.inf, -np.inf], 2, wide)
         assert np.array_equal(tr.residuals, tr2.residuals)
         assert tr.fired.all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weight_rejected(self, wide, bad):
+        # a NaN filter norm fails every gate, so it would otherwise pass as pruned
+        w = np.random.default_rng(29).normal(size=(4, 6))
+        w[2, 3] = bad
+        with pytest.raises(NumericError, match="filter 2"):
+            quantize_layer(w, [0.0, 0.0], 2, wide)
+        with pytest.raises(NumericError):
+            quantize_layer(w, [], 0, wide)
