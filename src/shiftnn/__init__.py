@@ -4,26 +4,16 @@ __version__ = "0.1.0"
 
 from .quant import (
     ExponentRange,
-    Pow2Tensor,
-    QuantizedFilter,
     QuantizedLayer,
     ResidualTrace,
-    dequantize,
-    effective_k,
-    quantize_filter,
     quantize_layer,
     round_pow2,
 )
 
 __all__ = [
     "ExponentRange",
-    "Pow2Tensor",
-    "QuantizedFilter",
     "QuantizedLayer",
     "ResidualTrace",
-    "dequantize",
-    "effective_k",
-    "quantize_filter",
     "quantize_layer",
     "round_pow2",
     "__version__",

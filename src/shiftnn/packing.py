@@ -14,10 +14,12 @@ Stream layout (all multi-byte integers little-endian):
         payload bits, MSB-first within each byte:
             F * 2-bit k_i
             per filter, its k_i terms in firing order; each term holds one
-            code per element in C order.  A code is 1 sign bit (0=+ / 1=-)
-            followed by (code_bits - 1) value bits: 0 is the zero code
-            (sign bit must be 0), value c >= 1 means exponent e_max-(c-1).
+            code_bits-wide code per element in C order.
         payload padded with 0 bits to the next byte boundary.
+
+The codes are QuantizedLayer.codes written as they are; ExponentRange.decode
+is the one definition of what a code means.  Only e_max is stored, so a
+layer's range must be ExponentRange.widest(e_max, code_bits).
 
 The bytes before the first payload bit of each layer (global header and
 the per-layer tables) are "fixed headers"; storage accounting excludes
@@ -26,11 +28,12 @@ them.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .errors import PackingError
+from .errors import ConfigError, PackingError
 from .quant import ExponentRange, QuantizedLayer
 
 MAGIC = b"P2WS"
@@ -62,19 +65,15 @@ def payload_bits(layer: QuantizedLayer) -> int:
 
 def _kept_codes(layer: QuantizedLayer) -> np.ndarray:
     """Codes of kept terms in filter-major, term-major, element-major order."""
-    rng = layer.rng
-    value = np.where(layer.term_zero, 0, 1 + (rng.e_max - layer.term_exp))
-    sign_bit = np.where(layer.term_zero, 0, (layer.term_sign < 0).astype(np.int32))
-    code = (sign_bit << (rng.code_bits - 1)) | value  # (k, F, n)
     keep = np.arange(layer.max_k)[:, None] < layer.k_i[None, :]
     # transpose to filter-major order before selecting kept term slots
-    return code.transpose(1, 0, 2)[keep.T]  # (total_terms, n)
+    return layer.codes.transpose(1, 0, 2)[keep.T]  # (total_terms, n)
 
 
 def _to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Flat MSB-first bit expansion of an integer array."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((values.reshape(-1, 1).astype(np.int64) >> shifts) & 1).astype(np.uint8).ravel()
+    """Flat MSB-first bit expansion of values that fit `width` <= 8 bits."""
+    bits = np.unpackbits(values.astype(np.uint8).reshape(-1, 1), axis=1)
+    return bits[:, 8 - width :].ravel()
 
 
 def pack_model(layers: list[QuantizedLayer]) -> bytes:
@@ -85,47 +84,56 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
     out += MAGIC
     out += struct.pack("<BH", VERSION, len(layers))
     for idx, layer in enumerate(layers):
+        rng = layer.rng
+        if rng != ExponentRange.widest(rng.e_max, rng.code_bits):
+            # the stream stores e_max only, so unpacking assumes the widest range
+            raise PackingError(f"layer {idx}: range {rng} is not the widest for its e_max")
         if int(layer.k_i.max(initial=0)) > MAX_K:
             raise PackingError(f"layer {idx}: k_i > {MAX_K} does not fit the 2-bit header")
-        live = ~layer.term_zero
-        if live.any():
-            exps = layer.term_exp[live]
-            if int(exps.min()) < layer.rng.e_min or int(exps.max()) > layer.rng.e_max:
-                raise PackingError(
-                    f"layer {idx}: exponent outside [{layer.rng.e_min}, {layer.rng.e_max}]"
-                )
+        codes = _kept_codes(layer)
+        bad = (codes >= 1 << rng.code_bits) | (codes == 1 << (rng.code_bits - 1))
+        if bad.any():
+            raise PackingError(
+                f"layer {idx}: {int(bad.sum())} term code(s) outside the "
+                f"{rng.code_bits}-bit code set, the first is {codes[bad][0]}"
+            )
         out += _layer_header(layer)
-        bits = np.concatenate(
-            [
-                _to_bits(layer.k_i.astype(np.int64), 2),
-                _to_bits(_kept_codes(layer), layer.rng.code_bits),
-            ]
-        )
+        bits = np.concatenate([_to_bits(layer.k_i, 2), _to_bits(codes, rng.code_bits)])
         out += np.packbits(bits).tobytes()  # packbits zero-pads the final byte
     return bytes(out)
 
 
+def _read(fmt: str, data: bytes, pos: int, what: str):
+    """Unpack `fmt` at byte pos; returns (fields, next pos)."""
+    end = pos + struct.calcsize(fmt)
+    if end > len(data):
+        raise PackingError(f"truncated {what} at byte {pos}")
+    return struct.unpack_from(fmt, data, pos), end
+
+
 def unpack_model(data: bytes) -> list[QuantizedLayer]:
-    """Parse a packed stream back into quantized layers."""
+    """Parse a packed stream back into quantized layers.
+
+    Raises PackingError, and only PackingError, on any malformed stream.
+    """
     if data[: len(MAGIC)] != MAGIC:
         raise PackingError(f"bad magic {data[:len(MAGIC)]!r} at byte 0")
-    pos = len(MAGIC)
-    version, count = struct.unpack_from("<BH", data, pos)
+    (version, count), pos = _read("<BH", data, len(MAGIC), "stream header")
     if version != VERSION:
         raise PackingError(f"unsupported stream version {version} (expected {VERSION})")
-    pos += 3
     layers = []
-    for _ in range(count):
-        if pos + 5 > len(data):
-            raise PackingError(f"truncated layer table at byte {pos}")
-        F, ndim = struct.unpack_from("<IB", data, pos)
-        pos += 5
-        dims = struct.unpack_from(f"<{ndim}I", data, pos)
-        pos += 4 * ndim
-        e_max, code_bits = struct.unpack_from("<hB", data, pos)
-        pos += 3
-        rng = ExponentRange.widest(e_max, code_bits)
-        n = int(np.prod(dims)) if dims else 1
+    for idx in range(count):
+        (F, ndim), pos = _read("<IB", data, pos, f"layer {idx} table")
+        dims, pos = _read(f"<{ndim}I", data, pos, f"layer {idx} dims")
+        (e_max, code_bits), pos = _read("<hB", data, pos, f"layer {idx} range")
+        try:
+            rng = ExponentRange.widest(e_max, code_bits)
+        except ConfigError as exc:
+            raise PackingError(f"layer {idx}: bad range at byte {pos - 3}: {exc}") from exc
+        n = math.prod(dims)
+        # with no kept terms the size is unbounded by the stream, yet numpy must index it
+        if MAX_K * max(F, 1) * n > np.iinfo(np.intp).max:
+            raise PackingError(f"layer {idx}: {F} filters of {n} weights are too large")
 
         head_bytes = (2 * F + 7) // 8
         if pos + head_bytes > len(data):
@@ -143,27 +151,20 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
         )[2 * F : 2 * F + total_terms * n * code_bits]
         pos += payload_len
 
-        width = np.arange(code_bits - 1, -1, -1, dtype=np.int64)
-        codes = (bits.reshape(-1, code_bits).astype(np.int64) << width).sum(axis=1)
-        codes = codes.reshape(total_terms, n)
-        sign_bit = codes >> (code_bits - 1)
-        value = codes & ((1 << (code_bits - 1)) - 1)
-        bad = (value == 0) & (sign_bit == 1)
-        if bad.any():
-            term, elem = np.argwhere(bad)[0]
+        # each code_bits-wide row packs left-aligned into one byte
+        codes = np.packbits(bits.reshape(-1, code_bits), axis=1)[:, 0] >> (8 - code_bits)
+        bad = np.flatnonzero(codes == 1 << (code_bits - 1))
+        if bad.size:
+            term, elem = divmod(int(bad[0]), n)
             raise PackingError(
                 f"non-canonical zero code (sign bit set) at term {term} element {elem}"
             )
 
-        k_max = max(int(k_i.max(initial=0)), 1)
-        sign = np.ones((k_max, F, n), dtype=np.int8)
-        exp = np.full((k_max, F, n), rng.e_min, dtype=np.int32)
-        zero = np.ones((k_max, F, n), dtype=bool)
-        keep = (np.arange(k_max)[:, None] < k_i[None, :]).T  # (F, k_max)
-        sign.transpose(1, 0, 2)[keep] = np.where(sign_bit == 1, -1, 1).astype(np.int8)
-        exp.transpose(1, 0, 2)[keep] = np.where(value == 0, rng.e_min, e_max - (value - 1))
-        zero.transpose(1, 0, 2)[keep] = value == 0
-        layers.append(QuantizedLayer(tuple(dims), rng, k_i, sign, exp, zero))
+        k_max = int(k_i.max(initial=0))
+        layer_codes = np.zeros((k_max, F, n), dtype=np.uint8)
+        keep = np.arange(k_max)[:, None] < k_i[None, :]
+        layer_codes.transpose(1, 0, 2)[keep.T] = codes.reshape(total_terms, n)
+        layers.append(QuantizedLayer(dims, rng, k_i, layer_codes))
     if pos != len(data):
         raise PackingError(f"{len(data) - pos} trailing bytes after byte {pos}")
     return layers

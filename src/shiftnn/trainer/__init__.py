@@ -1,5 +1,4 @@
 from .gradients import (
-    ste_weight_grad,
     surrogate_trace,
     threshold_grad,
     threshold_grad_from_trace,
@@ -17,7 +16,7 @@ from .loop import (
     train_model,
     write_metrics_csv,
 )
-from .regularizer import layer_reg_grad, layer_reg_loss, model_reg_loss
+from .regularizer import layer_reg_grad, layer_reg_loss
 from .sweep import SweepCell, cell_to_point, run_cell, sweep_lambda
 
 __all__ = [
@@ -31,10 +30,8 @@ __all__ = [
     "k_statistics",
     "layer_reg_grad",
     "layer_reg_loss",
-    "model_reg_loss",
     "quantize_weights",
     "run_cell",
-    "ste_weight_grad",
     "surrogate_trace",
     "sweep_lambda",
     "threshold_grad",

@@ -14,11 +14,6 @@ import numpy as np
 from ..quant import ExponentRange, ResidualTrace, round_pow2
 
 
-def ste_weight_grad(grad):
-    """d w^q / d w := 1, so the upstream gradient passes through."""
-    return grad
-
-
 def sigmoid(x):
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -28,7 +23,7 @@ def sigmoid(x):
     return out
 
 
-def threshold_grad(residuals, norms, values, upstream, t, tau, k_i=None):
+def threshold_grad(residuals, norms, values, upstream, t, tau):
     """d(upstream . Q) / dt via the relaxed-gate recursion.
 
     residuals/norms/values are per-round arrays shaped (k, F, n), (k, F)
@@ -41,9 +36,8 @@ def threshold_grad(residuals, norms, values, upstream, t, tau, k_i=None):
         sigmoid'((||r_l|| - t_l)/tau) / tau * (d||r_l||/dt_j - 1(l=j)) * R(r_l)
       + sigmoid((||r_l|| - t_l)/tau) * dr_l/dt_j
     where dr_l/dt_j is minus the accumulated gradient of the partial sum
-    and the rounding passes gradients straight through.  If k_i is given
-    (per-filter fired counts), rounds at or beyond k_i are skipped: the
-    literal truncated form.  Returns a float64 vector of length k.
+    and the rounding passes gradients straight through.  Returns a
+    float64 vector of length k.
     """
     k, F, n = values.shape
     t = np.asarray(t, dtype=np.float64).reshape(-1)[:k]
@@ -66,19 +60,16 @@ def threshold_grad(residuals, norms, values, upstream, t, tau, k_i=None):
             dnorm = -(rhat[l] * P).sum(axis=1)
             delta = 1.0 if l == j else 0.0
             contrib = dsig[l][:, None] * (dnorm - delta)[:, None] * vals[l] - sig[l][:, None] * P
-            if k_i is not None:
-                contrib[l >= k_i] = 0.0
             P = P + contrib
         out[j] = (upstream * P).sum()
     return out
 
 
-def threshold_grad_from_trace(trace: ResidualTrace, upstream, t, tau, k_i=None):
+def threshold_grad_from_trace(trace: ResidualTrace, upstream, t, tau):
     """Production form: relaxed gradient evaluated on the hard forward trace."""
     k = trace.k
-    return threshold_grad(
-        trace.residuals[:k], trace.norms[:k], trace.term_values(), upstream, t, tau, k_i=k_i
-    )
+    values = trace.rng.decode(trace.codes)
+    return threshold_grad(trace.residuals[:k], trace.norms[:k], values, upstream, t, tau)
 
 
 def surrogate_trace(w, t, tau, k, rng: ExponentRange, frozen=None):
@@ -107,7 +98,7 @@ def surrogate_trace(w, t, tau, k, rng: ExponentRange, frozen=None):
         residuals[l] = r
         norms[l] = np.sqrt((r * r).sum(axis=1))
         if frozen is None:
-            v = round_pow2(r, rng).decode()
+            v = rng.decode(round_pow2(r, rng))
             offsets[l] = v - r
         else:
             offsets[l] = frozen[l]

@@ -45,9 +45,7 @@ class TrainSettings:
     fixed_k: int | None = None
     threshold_init: float = 0.0
     per_layer_thresholds: bool = False
-    round_sum: str = "all"  # "all" or "fired": rounds included in the t gradient
     code_bits: int = 4
-    log_timing: bool = True
     dump_dir: str | None = None
 
     def validate(self):
@@ -62,8 +60,7 @@ class TrainSettings:
         if self.mode == "fixed":
             if self.fixed_k is None or not 0 <= self.fixed_k <= self.max_k:
                 raise ConfigError(f"fixed mode needs fixed_k in [0, {self.max_k}]")
-        if self.round_sum not in ("all", "fired"):
-            raise ConfigError(f"round_sum must be 'all' or 'fired', got {self.round_sum!r}")
+        ExponentRange.widest(0, self.code_bits)  # raises ConfigError on a bad code width
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise ConfigError("epochs, batch_size and lr must be positive")
         return self
@@ -200,14 +197,16 @@ def lr_at(settings: TrainSettings, epoch: int) -> float:
     return lr
 
 
-def _dump_state(ts: TrainState, reason: str) -> str:
+def _dump_state(ts: TrainState, reason: str) -> NumericError:
+    """Save the master weights, thresholds, step and reason; return the error to raise."""
     dump_dir = ts.settings.dump_dir or tempfile.gettempdir()
     path = os.path.join(dump_dir, f"shiftnn_dump_step{ts.step}.npz")
     payload = {k: v for k, v in ts.params.items()}
     payload["__thresholds"] = ts.thresholds
     payload["__step"] = np.array(ts.step)
+    payload["__reason"] = np.array(reason)
     np.savez(path, **payload)
-    return path
+    return NumericError(f"{reason} at step {ts.step}; state dumped to {path}")
 
 
 def train_batch(ts: TrainState, xb, yb, observer=None):
@@ -222,7 +221,10 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
     if observer is not None:
         observer(ts.step, qparams, qinfo)
 
-    logits, cache = net.forward(xb, qparams, ts.bn_state, train=True)
+    try:
+        logits, cache = net.forward(xb, qparams, ts.bn_state, train=True)
+    except NumericError as exc:
+        raise _dump_state(ts, str(exc)) from exc
     ce, dlogits = cross_entropy(logits, yb)
 
     reg = 0.0
@@ -237,10 +239,7 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
             ).reshape(w.shape)
     total = ce + reg
     if not np.isfinite(total):
-        path = _dump_state(ts, "non-finite loss")
-        raise NumericError(
-            f"non-finite loss at step {ts.step} (ce={ce}, reg={reg}); state dumped to {path}"
-        )
+        raise _dump_state(ts, f"non-finite loss (ce={ce}, reg={reg})")
 
     _, grads = net.backward(cache, dlogits, qparams)
 
@@ -258,10 +257,7 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
             qlayer, trace, rng = qinfo[name]
             upstream = grads[name].reshape(grads[name].shape[0], -1)
             g = ts.threshold_group(name)
-            k_i = trace.fired.sum(axis=0) if s.round_sum == "fired" else None
-            tgrad[g] += threshold_grad_from_trace(
-                trace, upstream, ts.thresholds[g], s.tau, k_i=k_i
-            )
+            tgrad[g] += threshold_grad_from_trace(trace, upstream, ts.thresholds[g], s.tau)
 
     if s.clip_norm and s.clip_norm > 0:
         sq = 0.0
@@ -317,7 +313,7 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None, obse
         test_acc = evaluate(ts.net, eval_params, ts.bn_state, test_x, test_y, s.batch_size)
     else:
         test_acc = float("nan")
-    wall = time.perf_counter() - start if s.log_timing else 0.0
+    wall = time.perf_counter() - start
     return EpochMetrics(
         epoch=ts.epoch,
         loss_ce=sum_ce / n,

@@ -58,8 +58,3 @@ def layer_reg_grad(w, lambdas, rng: ExponentRange) -> np.ndarray:
         unit[norms == 0] = 0.0
         flat += lam[j] * unit
     return grad.astype(w.dtype, copy=False)
-
-
-def model_reg_loss(weights: dict, lambdas, ranges: dict) -> float:
-    """Total penalty over named weight tensors with per-layer ranges."""
-    return sum(layer_reg_loss(w, lambdas, ranges[name]) for name, w in weights.items())

@@ -1,0 +1,124 @@
+import numpy as np
+import pytest
+
+from shiftnn import packing
+from shiftnn.costmodel import ParetoPoint, cost_report, op_counts, pareto_front
+from shiftnn.errors import ConfigError
+from shiftnn.nn import LayerSpec, Network, NetworkConfig, SkipSpec
+from shiftnn.quant import ExponentRange, QuantizedLayer
+
+
+def small_net():
+    """Two convs on a 1x4x4 input, a 1x1 projection skip, and a dense head.
+
+    L0  conv 1->2, k3, pad 1, bias          -> (2, 4, 4)
+    L1  leaky-relu                          -> (2, 4, 4)
+    L2  conv 2->3, k3, stride 2, pad 1      -> (3, 2, 2), plus S0(node 1)
+    S0  projection conv 2->3, k1, stride 2  -> (3, 2, 2)
+    L4  dense 12->5, bias                   -> (5,)
+    """
+    conv = {"kernel": 3, "pad": 1}
+    layers = [
+        LayerSpec("conv2d", {"in_channels": 1, "out_channels": 2, **conv}),
+        LayerSpec("leaky-relu"),
+        LayerSpec("conv2d", {"in_channels": 2, "out_channels": 3, "stride": 2, "bias": False, **conv}),
+        LayerSpec("flatten"),
+        LayerSpec("dense", {"in_features": 12, "out_features": 5}),
+    ]
+    return Network(NetworkConfig("small", "test", (1, 4, 4), 5, layers, [SkipSpec(1, 2)]))
+
+
+K_MAP = {"L0.W": [2, 0], "L2.W": [1, 3, 0], "L4.W": 1, "S0.W": 2}
+
+
+def qlayers_for(net, k_map):
+    """Layers with the given k_i whose kept terms are all zero codes."""
+    shapes = net.param_shapes()
+    out = {}
+    for name in net.weight_names:
+        F, *filter_shape = shapes[name]
+        k_i = np.broadcast_to(np.asarray(k_map[name], dtype=np.int8), (F,)).copy()
+        codes = np.zeros((3, F, int(np.prod(filter_shape))), dtype=np.uint8)
+        out[name] = QuantizedLayer(filter_shape, ExponentRange.widest(0), k_i, codes)
+    return out
+
+
+def test_weight_order_and_projection():
+    net = small_net()
+    assert net.weight_names == ["L0.W", "L2.W", "L4.W", "S0.W"]
+    assert net.projections[2] is not None
+
+
+def test_hand_counted_shift_adds():
+    net = small_net()
+    report = op_counts(net, K_MAP)
+    by_name = {c.name: (c.shifts, c.adds) for c in report.per_layer}
+    # L0: 16 positions x 9 taps.  Filter 0 spends 2 shifts per tap, 1 add to
+    # join them, and 8 + 1 (bias) accumulate adds; filter 1 is pruned.
+    assert by_name["L0.W"] == (16 * 9 * 2, 16 * 9 * 1 + 16 * 9)
+    # L2: 4 positions x 18 taps, no bias; k_i = 1 and 3, third filter pruned.
+    assert by_name["L2.W"] == (4 * 18 * 4, 4 * 18 * 2 + 2 * 4 * 17)
+    # L4: one position, 12 taps plus bias, one term in each of 5 filters.
+    assert by_name["L4.W"] == (12 * 5, 5 * 12)
+    # S0: 4 positions x 2 taps, no bias, two terms in each of 3 filters.
+    assert by_name["S0.W"] == (4 * 2 * 6, 4 * 2 * 3 + 3 * 4 * 1)
+    assert report.shift_count == 288 + 288 + 60 + 48
+    # plus one add per element of the (3, 2, 2) map the skip lands on
+    assert report.add_count == 288 + 280 + 60 + 36 + 12
+    assert report.multiply_count == report.dsp_proxy == 0
+    assert report.lut_proxy == report.shift_count
+
+
+def test_cost_report_reads_k_i_and_packed_storage():
+    net = small_net()
+    qlayers = qlayers_for(net, K_MAP)
+    report = cost_report(net, qlayers)
+    assert (report.shift_count, report.add_count) == (684, 676)
+    # per layer: 2 bits per filter plus 4 bits per kept code, padded to bytes
+    assert report.storage_bits == 80 + 296 + 256 + 56
+    assert report.storage_bits == packing.storage_bits([qlayers[n] for n in net.weight_names])
+
+
+def test_multiplier_baseline():
+    net = small_net()
+    report = cost_report(net)
+    # one multiply per MAC: L0 16*9*2, L2 4*18*3, L4 12*5, S0 4*2*3
+    assert report.multiply_count == report.dsp_proxy == 288 + 216 + 60 + 24
+    # V - 1 (+1 with bias) adds per output, plus the 12 shortcut adds
+    assert report.add_count == 16 * 2 * 9 + 4 * 3 * 17 + 5 * 12 + 4 * 3 * 1 + 12
+    assert report.shift_count == report.lut_proxy == 0
+    assert report.storage_bits == 32 * (18 + 54 + 60 + 6)
+
+
+def test_k_map_shape_checked():
+    net = small_net()
+    with pytest.raises(ConfigError, match="L0.W"):
+        op_counts(net, {**K_MAP, "L0.W": [1, 1, 1]})
+    with pytest.raises(ConfigError):
+        op_counts(net)
+
+
+def point(model_id, accuracy, storage_bits):
+    return ParetoPoint(model_id, 0.0, 0.0, 0, accuracy, storage_bits, 0, 0, 0, 1.0)
+
+
+def test_pareto_front_dominance_and_duplicates():
+    points = [
+        point("dominated-by-a", 0.8, 120),
+        point("a", 0.9, 100),
+        point("same-cost-worse", 0.8, 100),
+        point("same-acc-dearer", 0.9, 130),
+        point("best", 0.95, 150),
+        point("cheapest", 0.7, 50),
+        point("dup-of-a", 0.9, 100),
+        point("dup-of-best", 0.95, 150),
+    ]
+    front = [p.model_id for p in pareto_front(points)]
+    assert front == ["cheapest", "a", "dup-of-a", "best", "dup-of-best"]
+
+
+def test_pareto_front_rejects_empty_and_bad_accuracy():
+    with pytest.raises(ConfigError):
+        pareto_front([])
+    with pytest.raises(ConfigError):
+        point("bad", 1.5, 1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftnn.errors import PackingError
 from shiftnn.packing import (
@@ -92,11 +94,30 @@ def test_trailing_bytes_rejected():
 
 
 def test_out_of_range_exponent_rejected():
+    # every value of a 4-bit code names an exponent of the widest range, so
+    # an exponent below e_min needs a code that does not fit in 4 bits
     ql = random_model(4, n_layers=1)[0]
-    ql.term_exp = ql.term_exp.copy()
-    live = ~ql.term_zero
-    ql.term_exp[live] = ql.rng.e_max + 3
-    with pytest.raises(PackingError, match="exponent"):
+    kept = np.arange(ql.max_k)[:, None] < ql.k_i[None, :]
+    assert kept.any()
+    ql.codes = ql.codes.copy()
+    ql.codes[kept] = 1 << ql.rng.code_bits
+    with pytest.raises(PackingError, match="code"):
+        pack_model([ql])
+
+
+def test_non_canonical_zero_code_rejected():
+    ql = random_model(4, n_layers=1)[0]
+    ql.codes = ql.codes.copy()
+    ql.codes[0, np.argmax(ql.k_i)] = 1 << (ql.rng.code_bits - 1)  # minus zero
+    with pytest.raises(PackingError, match="code"):
+        pack_model([ql])
+
+
+def test_non_widest_range_rejected():
+    # the stream stores only e_max; this range would unpack with e_min = -6
+    w = np.array([[0.9, -0.3, 0.05]])
+    ql, _ = quantize_layer(w, [0.0], 1, ExponentRange(0, -3, 4))
+    with pytest.raises(PackingError, match="widest"):
         pack_model([ql])
 
 
@@ -114,3 +135,57 @@ def test_storage_bits_matches_payload_accounting():
     for layer in model:
         total += ((payload_bits(layer) + 7) // 8) * 8
     assert storage_bits(model) == total
+
+
+@st.composite
+def layers(draw):
+    """A random valid layer: k_i in 0..3, kept slots hold any canonical code."""
+    code_bits = draw(st.integers(3, 8))
+    rng = ExponentRange.widest(draw(st.integers(-40, 40)), code_bits)
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
+    F = draw(st.integers(0, 6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(np.prod(shape))
+    k_i = gen.integers(0, 4, size=F).astype(np.int8)
+    max_k = draw(st.integers(int(k_i.max(initial=0)), 3))
+    codes = gen.integers(0, 1 << code_bits, size=(max_k, F, n)).astype(np.uint8)
+    codes[codes == 1 << (code_bits - 1)] = 0  # no minus zero
+    codes[np.arange(max_k)[:, None] >= k_i[None, :]] = 0
+    return QuantizedLayer(shape, rng, k_i, codes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(layers(), max_size=3))
+def test_random_layers_roundtrip(model):
+    data = pack_model(model)
+    back = unpack_model(data)
+    assert len(back) == len(model)
+    for a, b in zip(model, back):
+        assert a == b
+        assert np.array_equal(a.dequantize(), b.dequantize())
+    assert pack_model(back) == data
+    assert storage_bits(model) == 8 * (len(data) - header_length(model))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(layers(), min_size=1, max_size=2))
+def test_every_truncation_raises_packing_error(model):
+    data = pack_model(model)
+    for cut in range(len(data)):
+        with pytest.raises(PackingError):
+            unpack_model(data[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(layers(), min_size=1, max_size=2), st.data())
+def test_bit_flip_raises_packing_error_or_parses(model, data):
+    stream = bytearray(pack_model(model))
+    bit = data.draw(st.integers(0, 8 * len(stream) - 1))
+    stream[bit // 8] ^= 0x80 >> (bit % 8)
+    try:
+        back = unpack_model(bytes(stream))
+    except PackingError:
+        return
+    # whatever parses is a model that packs again (padding bits aside)
+    again = unpack_model(pack_model(back))
+    assert len(again) == len(back) and all(a == b for a, b in zip(again, back))

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from shiftnn.errors import ConfigError, NumericError
-from shiftnn.quant import (
-    ExponentRange,
-    dequantize,
-    effective_k,
-    quantize_filter,
-    quantize_layer,
-    round_pow2,
-    ungated_residual_trace,
-)
+from shiftnn.quant import ExponentRange, quantize_layer, round_pow2, ungated_residual_trace
 
 WIDE = ExponentRange.widest(8)  # exponents [2, 8]... wide enough for unit inputs?
 
@@ -31,6 +23,21 @@ def wide():
     return ExponentRange(e_max=20, e_min=-40, code_bits=8)
 
 
+def rounded(x, rng):
+    """Decoded value of round_pow2 on one scalar."""
+    return float(rng.decode(round_pow2(np.float64(x), rng)))
+
+
+def quantize_one(w_i, t, k, rng):
+    """One filter as a one-filter layer: (QuantizedLayer, ResidualTrace)."""
+    return quantize_layer(np.asarray(w_i)[None], t, k, rng)
+
+
+def shift_count(w_i, t, k, rng) -> int:
+    """Fired gates of one filter: sum_j 1(||r_j|| > t_j)."""
+    return int(quantize_one(w_i, t, k, rng)[0].k_i[0])
+
+
 class TestExponentRange:
     def test_widest_window_is_full(self):
         r = ExponentRange.widest(0, code_bits=4)
@@ -45,6 +52,25 @@ class TestExponentRange:
         with pytest.raises(ConfigError):
             ExponentRange(e_max=0, e_min=0, code_bits=4)
 
+    @pytest.mark.parametrize("code_bits", [1, 9])
+    def test_rejects_code_width_outside_uint8(self, code_bits):
+        with pytest.raises(ConfigError, match="code_bits"):
+            ExponentRange(e_max=0, e_min=-1, code_bits=code_bits)
+
+    def test_decode_table(self):
+        # 1 sign bit above 3 value bits: 0 is zero, c >= 1 is 2**(e_max - c + 1)
+        r = ExponentRange.widest(2, code_bits=4)
+        want = [0.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
+        assert r.decode(np.arange(8)).tolist() == want
+        assert r.decode(np.arange(8, 16)).tolist() == [-v for v in want]
+        assert r.decode(np.array([[1, 9], [0, 3]]), np.float32).dtype == np.float32
+
+    def test_codes_are_stream_format(self):
+        r = ExponentRange.widest(0, code_bits=4)
+        codes = round_pow2(np.array([1.0, -1.0, 0.25, -2.0**-6, 0.0]), r)
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == [0b0001, 0b1001, 0b0011, 0b1111, 0b0000]
+
     def test_for_weights_uses_peak_magnitude(self):
         r = ExponentRange.for_weights(np.array([0.1, -0.9]))
         assert r.e_max == 0  # log2(0.9) ~ -0.15 rounds to 0
@@ -54,33 +80,32 @@ class TestExponentRange:
 
 class TestRoundPow2:
     def test_exact_power(self, wide):
-        assert round_pow2(np.float64(1.0), wide).item() == (1, 0, False)
+        assert rounded(1.0, wide) == 1.0
 
     def test_log_domain_rounding(self, wide):
         # log2(0.75) ~ -0.415 -> exponent 0, not -1
-        assert round_pow2(np.float64(0.75), wide).item() == (1, 0, False)
+        assert rounded(0.75, wide) == 1.0
         # log2(0.3) ~ -1.737 -> exponent -2
-        assert round_pow2(np.float64(-0.3), wide).item() == (-1, -2, False)
+        assert rounded(-0.3, wide) == -0.25
 
     def test_zero_and_underflow(self, wide):
-        assert round_pow2(np.float64(0.0), wide).item()[2] is True
+        assert round_pow2(np.float64(0.0), wide) == 0
         tiny = 2.0 ** (wide.e_min - 1) * 0.999
-        assert round_pow2(np.float64(tiny), wide).item()[2] is True
+        assert round_pow2(np.float64(tiny), wide) == 0
         at_threshold = 2.0 ** (wide.e_min - 1)
-        sign, exp, zero = round_pow2(np.float64(at_threshold), wide).item()
-        assert not zero and exp == wide.e_min
+        assert rounded(at_threshold, wide) == 2.0**wide.e_min
 
     def test_clamps_to_range(self):
         r = ExponentRange(e_max=2, e_min=-2, code_bits=4)
-        assert round_pow2(np.float64(100.0), r).item() == (1, 2, False)
+        assert rounded(100.0, r) == 4.0
         # log2(0.13) ~ -2.94 rounds to -3, clamped up to e_min
-        assert round_pow2(np.float64(0.13), r).item() == (1, -2, False)
+        assert rounded(0.13, r) == 0.25
         # below 2^(e_min - 1) = 0.125 the value underflows to the zero code
-        assert round_pow2(np.float64(0.11), r).item()[2] is True
+        assert round_pow2(np.float64(0.11), r) == 0
 
     def test_matches_oracle_on_random_scalars(self, wide):
         xs = np.random.default_rng(7).uniform(-4, 4, size=2000)
-        got = round_pow2(xs, wide).decode()
+        got = wide.decode(round_pow2(xs, wide))
         want = np.array([oracle_round(x, wide) for x in xs])
         assert np.array_equal(got, want)
 
@@ -88,37 +113,38 @@ class TestRoundPow2:
         # |x - R(x)| <= (sqrt(2)-1)|x| when no clamping occurs
         xs = np.random.default_rng(8).uniform(-8, 8, size=5000)
         xs = xs[np.abs(xs) > 2.0 ** (wide.e_min + 1)]
-        err = np.abs(xs - round_pow2(xs, wide).decode())
+        err = np.abs(xs - wide.decode(round_pow2(xs, wide)))
         assert (err <= (np.sqrt(2) - 1) * np.abs(xs) + 1e-15).all()
 
 
 class TestQuantizeFilter:
     def test_all_zero_filter(self, wide):
-        qf, _ = quantize_filter(np.zeros(5), [0.0, 0.0], 2, wide)
-        assert qf.k_i == 0
-        assert np.array_equal(qf.dequantize(shape=(5,)), np.zeros(5))
+        ql, _ = quantize_one(np.zeros(5), [0.0, 0.0], 2, wide)
+        assert ql.k_i[0] == 0
+        assert not ql.codes.any()
+        assert np.array_equal(ql.dequantize()[0], np.zeros(5))
 
     def test_hand_recursion_both_gates_fire(self, wide):
         # 0.75 -> +2^0, residual -0.25 -> -2^-2, exact afterwards
-        qf, trace = quantize_filter(np.array([0.75]), [0.0, 0.0], 2, wide)
-        assert qf.k_i == 2
-        assert qf.terms[0].item() == (1, 0, False)
-        assert qf.terms[1].item() == (-1, -2, False)
-        assert qf.dequantize()[0] == 0.75
+        ql, trace = quantize_one(np.array([0.75]), [0.0, 0.0], 2, wide)
+        assert ql.k_i[0] == 2
+        assert wide.decode(ql.codes[:, 0, 0]).tolist() == [1.0, -0.25]
+        assert ql.dequantize()[0, 0] == 0.75
         assert trace.norms[2] == 0.0
 
     def test_hand_recursion_second_gate_closed(self, wide):
         # residual norm 0.25 <= 0.3 closes the second gate
-        qf, _ = quantize_filter(np.array([0.75]), [0.0, 0.3], 2, wide)
-        assert qf.k_i == 1
-        assert qf.dequantize()[0] == 1.0
+        ql, _ = quantize_one(np.array([0.75]), [0.0, 0.3], 2, wide)
+        assert ql.k_i[0] == 1
+        assert ql.codes[1, 0, 0] == 0  # slots at or beyond k_i hold the zero code
+        assert ql.dequantize()[0, 0] == 1.0
 
     def test_independent_gates(self, wide):
         # first gate closed by a huge t0, second gate still evaluated on r0
-        qf, trace = quantize_filter(np.array([0.75]), [10.0, 0.0], 2, wide)
+        ql, trace = quantize_one(np.array([0.75]), [10.0, 0.0], 2, wide)
         assert list(trace.fired[:, 0]) == [False, True]
-        assert qf.k_i == 1
-        assert qf.dequantize()[0] == 1.0  # term is R(w), not R(w - R(w))
+        assert ql.k_i[0] == 1
+        assert ql.dequantize()[0, 0] == 1.0  # term is R(w), not R(w - R(w))
 
     def test_residual_contraction(self, wide):
         w = np.random.default_rng(3).normal(size=(16, 27)).astype(np.float64)
@@ -129,15 +155,15 @@ class TestQuantizeFilter:
 
 class TestEffectiveK:
     def test_infinite_thresholds_prune(self, wide):
-        assert effective_k(np.array([1.0, 2.0]), [np.inf, np.inf], 2, wide) == 0
+        assert shift_count(np.array([1.0, 2.0]), [np.inf, np.inf], 2, wide) == 0
 
     def test_zero_thresholds_spend_all_rounds(self, wide):
         w = np.array([0.3, 0.55])  # not exactly representable in <= 2 terms
-        assert effective_k(w, [0.0, 0.0], 2, wide) == 2
+        assert shift_count(w, [0.0, 0.0], 2, wide) == 2
 
     def test_exact_power_uses_one_round(self, wide):
         # residual after round 1 is exactly zero; strict inequality holds it closed
-        assert effective_k(np.array([0.5]), [0.0, 0.0], 2, wide) == 1
+        assert shift_count(np.array([0.5]), [0.0, 0.0], 2, wide) == 1
 
     def test_gate_monotonicity(self, wide):
         w = np.random.default_rng(5).normal(size=12)
@@ -146,17 +172,19 @@ class TestEffectiveK:
             t = rng.uniform(0, 3, size=2)
             bumped = t.copy()
             bumped[rng.integers(2)] += rng.uniform(0, 2)
-            assert effective_k(w, bumped, 2, wide) <= effective_k(w, t, 2, wide)
+            assert shift_count(w, bumped, 2, wide) <= shift_count(w, t, 2, wide)
 
 
 class TestDequantize:
     def test_empty_terms(self, wide):
-        qf, _ = quantize_filter(np.zeros(3), [np.inf, np.inf], 2, wide)
-        assert np.array_equal(qf.dequantize(shape=(3,)), np.zeros(3))
+        ql, _ = quantize_one(np.zeros(3), [np.inf, np.inf], 2, wide)
+        assert np.array_equal(ql.dequantize(), np.zeros((1, 3)))
+        empty, _ = quantize_layer(np.ones((2, 3)), [], 0, wide)
+        assert np.array_equal(empty.dequantize(), np.zeros((2, 3)))
 
     def test_direct_sum(self, wide):
-        qf, _ = quantize_filter(np.array([0.75]), [0.0, 0.0], 2, wide)
-        assert dequantize(qf)[0] == 2.0**0 - 2.0**-2
+        ql, _ = quantize_one(np.array([0.75]), [0.0, 0.0], 2, wide)
+        assert ql.dequantize()[0, 0] == 2.0**0 - 2.0**-2
 
     def test_roundtrip_on_greedy_representable(self, wide):
         # values built by the greedy rounding order itself quantize back exactly

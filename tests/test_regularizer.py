@@ -3,12 +3,7 @@ import pytest
 
 from shiftnn.errors import ConfigError
 from shiftnn.quant import ExponentRange
-from shiftnn.trainer.regularizer import (
-    check_lambdas,
-    layer_reg_grad,
-    layer_reg_loss,
-    model_reg_loss,
-)
+from shiftnn.trainer.regularizer import check_lambdas, layer_reg_grad, layer_reg_loss
 
 WIDE = ExponentRange(e_max=16, e_min=-40, code_bits=8)
 
@@ -84,11 +79,3 @@ def test_grad_matches_finite_differences_away_from_kinks():
         assert abs(num - analytic.reshape(-1)[i]) / denom < 1e-4
     assert checked >= 20
 
-
-def test_model_reg_loss_sums_layers():
-    gen = np.random.default_rng(3)
-    weights = {"a.W": gen.normal(size=(2, 3)), "b.W": gen.normal(size=(4, 5))}
-    ranges = {k: ExponentRange.for_weights(v) for k, v in weights.items()}
-    total = model_reg_loss(weights, [1e-3, 1e-3], ranges)
-    parts = sum(layer_reg_loss(v, [1e-3, 1e-3], ranges[k]) for k, v in weights.items())
-    assert abs(total - parts) < 1e-15

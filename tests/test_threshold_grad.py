@@ -1,21 +1,14 @@
 import numpy as np
 
-from shiftnn.quant import ExponentRange, quantize_filter, quantize_layer
+from shiftnn.quant import ExponentRange, quantize_layer
 from shiftnn.trainer.gradients import (
     sigmoid,
-    ste_weight_grad,
     surrogate_trace,
     threshold_grad,
     threshold_grad_from_trace,
 )
 
 WIDE = ExponentRange(e_max=16, e_min=-40, code_bits=8)
-
-
-def test_ste_is_identity():
-    g = np.random.default_rng(0).normal(size=(3, 4))
-    assert ste_weight_grad(g) is g
-    assert np.array_equal(ste_weight_grad(np.zeros(5)), np.zeros(5))
 
 
 def test_zero_upstream_gives_zero():
@@ -29,7 +22,7 @@ def test_k1_scalar_closed_form():
     # only the sigmoid' term survives: dQ1/dt0 = -(1/tau) * s'(( |w| - t0)/tau) * R(w)
     w = np.array([0.7])
     t0, tau = 0.2, 0.8
-    _, trace = quantize_filter(w, [t0], 1, WIDE)
+    _, trace = quantize_layer(w[None], [t0], 1, WIDE)
     g = threshold_grad_from_trace(trace, np.ones((1, 1)), [t0], tau=tau)
     z = (abs(w[0]) - t0) / tau
     s = 1.0 / (1.0 + np.exp(-z))
@@ -81,19 +74,6 @@ def test_matches_finite_differences_of_relaxed_surrogate():
             probes += 1
     assert probes >= 100
     assert worst < 1e-4, f"worst relative error {worst}"
-
-
-def test_truncated_variant_skips_closed_rounds():
-    gen = np.random.default_rng(4)
-    w = gen.normal(size=(4, 6))
-    _, trace = quantize_layer(w, [0.0, 10.0], 2, WIDE)  # second gate closed
-    upstream = gen.normal(size=(4, 6))
-    k_i = trace.fired.sum(axis=0)
-    full = threshold_grad_from_trace(trace, upstream, [0.0, 10.0], 1.0)
-    trunc = threshold_grad_from_trace(trace, upstream, [0.0, 10.0], 1.0, k_i=k_i)
-    # round 0 fired for every filter; round 1 is cut from the truncated sum
-    assert trunc[0] != 0.0
-    assert abs(trunc[1]) < abs(full[1]) or full[1] == 0.0
 
 
 def test_sigmoid_stable_at_extremes():
