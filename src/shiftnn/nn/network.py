@@ -201,12 +201,6 @@ class Network:
                     names.append(name)
         return names
 
-    def layer_for_weight(self, weight_name):
-        for layer in self._all_layers():
-            if isinstance(layer, (Conv2D, Dense)) and layer.weight_name == weight_name:
-                return layer
-        raise KeyError(weight_name)
-
     def check_params(self, params):
         for name, shape in self.param_shapes().items():
             if name not in params:

@@ -62,10 +62,11 @@ class ExponentRange:
 
     @classmethod
     def for_weights(cls, w: np.ndarray, code_bits: int = DEFAULT_CODE_BITS) -> "ExponentRange":
-        """Window whose top exponent is the rounded log2 of max |w|."""
-        peak = float(np.max(np.abs(w))) if w.size else 0.0
-        e_max = 0 if peak == 0.0 else int(math.floor(math.log2(peak) + 0.5))
-        return cls.widest(e_max, code_bits)
+        """Widest window whose top exponent is max |w| rounded as round_pow2 rounds."""
+        peak = np.max(np.abs(w), initial=0.0)
+        if not np.isfinite(peak):
+            raise NumericError("weights hold NaN or infinite values")
+        return cls.widest(int(nearest_exponent(peak)) if peak > 0 else 0, code_bits)
 
     def decode(self, codes, dtype=np.float64) -> np.ndarray:
         """Values of term codes: the one definition of the code format."""
@@ -76,19 +77,34 @@ class ExponentRange:
         return table[codes]
 
 
+_SQRT_HALF = np.float64(math.sqrt(0.5))  # rounds up: no float lies in (sqrt(1/2), _SQRT_HALF)
+
+
+def nearest_exponent(ax):
+    """Integer E nearest the base-2 exponent of each magnitude ax > 0, halves up.
+
+    With ax = m * 2**e and m in [0.5, 1), E = e - 1 + (m >= sqrt(1/2)):
+    E is the one integer with 2**(2E - 1) <= ax**2 < 2**(2E + 1).  The
+    comparison runs in float64, so it is exact for float32 input too.
+    """
+    m, e = np.frexp(ax)
+    return e - 1 + (m >= _SQRT_HALF)
+
+
 def round_pow2(x, rng: ExponentRange) -> np.ndarray:
     """Codes of each element rounded to the nearest signed power of 2.
 
-    Rounding is half-up on log2|x|; exponents clamp to [e_min, e_max];
-    magnitudes below 2**(e_min - 1) (including exact 0) give the zero code.
+    |x| rounds to 2**E with 2**(E - 1/2) <= |x| < 2**(E + 1/2), the
+    nearest power in the log domain (see nearest_exponent).  E clamps to
+    [e_min, e_max]; magnitudes below 2**(e_min - 1), exact 0 included,
+    give the zero code.
     """
     x = np.asarray(x)
-    ax = np.abs(x).astype(np.float64)
-    zero = ax < rng.underflow_threshold
-    with np.errstate(divide="ignore"):
-        e = np.floor(np.log2(np.where(zero, 1.0, ax)) + 0.5)
-    value = (rng.e_max + 1 - np.clip(e, rng.e_min, rng.e_max)).astype(np.uint8)
+    ax = np.abs(x)
+    e = np.clip(nearest_exponent(ax), rng.e_min, rng.e_max)
+    value = (rng.e_max + 1 - e).astype(np.uint8)
     sign = (x < 0).astype(np.uint8) << (rng.code_bits - 1)
+    zero = ax < np.float64(rng.underflow_threshold)  # float64: the threshold may underflow float32
     return np.where(zero, np.uint8(0), sign | value)
 
 

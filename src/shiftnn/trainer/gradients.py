@@ -32,36 +32,27 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
     (F, n).  Works on either the hard forward trace (production) or a
     soft surrogate trace (gradient checks).
 
-    Round l contributes
-        sigmoid'((||r_l|| - t_l)/tau) / tau * (d||r_l||/dt_j - 1(l=j)) * R(r_l)
-      + sigmoid((||r_l|| - t_l)/tau) * dr_l/dt_j
-    where dr_l/dt_j is minus the accumulated gradient of the partial sum
-    and the rounding passes gradients straight through.  Returns a
-    float64 vector of length k.
+    Round l maps r_l to r_{l+1} = r_l - g_l * R(r_l), with the gate
+    g_l = sigmoid((||r_l|| - t_l) / tau) and the rounding passed
+    straight through (slope 1).  Since Q = w - r_k, one reverse sweep
+    carries the adjoint a = dL/dr_{l+1}, starting from -upstream:
+        dL/dt_l = sum_f g'_l * (a . R(r_l))
+        a      <- (1 - g_l) * a - g'_l * (a . R(r_l)) * r_l / ||r_l||
+    where g'_l = sigmoid' / tau; a zero residual contributes no norm
+    term.  Returns a float64 vector of length k.
     """
     k, F, n = values.shape
     t = np.asarray(t, dtype=np.float64).reshape(-1)[:k]
-    upstream = upstream.reshape(F, n).astype(np.float64)
-    res = residuals.reshape(k, F, n).astype(np.float64)
-    norms = norms.reshape(k, F).astype(np.float64)
-    vals = values.reshape(k, F, n).astype(np.float64)
-
-    safe = np.where(norms > 0, norms, 1.0)
-    rhat = res / safe[:, :, None]
-    rhat[norms == 0] = 0.0
-    z = (norms - t[:, None]) / tau
-    sig = sigmoid(z)
-    dsig = sig * (1.0 - sig) / tau  # chain factor 1/tau applied once here
+    gate = sigmoid((norms - t[:, None]) / tau)
+    dgate = gate * (1.0 - gate) / tau  # chain factor 1/tau applied once here
 
     out = np.zeros(k, dtype=np.float64)
-    for j in range(k):
-        P = np.zeros((F, n), dtype=np.float64)
-        for l in range(k):
-            dnorm = -(rhat[l] * P).sum(axis=1)
-            delta = 1.0 if l == j else 0.0
-            contrib = dsig[l][:, None] * (dnorm - delta)[:, None] * vals[l] - sig[l][:, None] * P
-            P = P + contrib
-        out[j] = (upstream * P).sum()
+    a = -np.asarray(upstream, dtype=np.float64).reshape(F, n)
+    for l in range(k - 1, -1, -1):
+        dt = dgate[l] * np.einsum("fn,fn->f", a, values[l])  # dL/dt_l per filter
+        out[l] = dt.sum()
+        scale = np.divide(dt, norms[l], out=np.zeros(F), where=norms[l] > 0)
+        a = (1.0 - gate[l])[:, None] * a - scale[:, None] * residuals[l]
     return out
 
 

@@ -140,6 +140,7 @@ def initial_thresholds(net: Network, settings: TrainSettings) -> np.ndarray:
 
 def init_train_state(net, params, bn_state, settings: TrainSettings) -> TrainState:
     settings.validate()
+    net.check_params(params)
     weights = {k: params[k] for k in net.weight_names}
     biases = {k: params[k] for k in net.bias_names}
     thresholds = initial_thresholds(net, settings)
@@ -214,14 +215,13 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
     s = ts.settings
     net = ts.net
 
-    if s.mode == "float":
-        qparams, qinfo = ts.params, {}
-    else:
-        qparams, qinfo = quantize_weights(net, ts.params, ts.thresholds, s)
-    if observer is not None:
-        observer(ts.step, qparams, qinfo)
-
     try:
+        if s.mode == "float":
+            qparams, qinfo = ts.params, {}
+        else:
+            qparams, qinfo = quantize_weights(net, ts.params, ts.thresholds, s)
+        if observer is not None:
+            observer(ts.step, qparams, qinfo)
         logits, cache = net.forward(xb, qparams, ts.bn_state, train=True)
     except NumericError as exc:
         raise _dump_state(ts, str(exc)) from exc

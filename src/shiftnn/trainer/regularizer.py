@@ -43,18 +43,11 @@ def layer_reg_grad(w, lambdas, rng: ExponentRange) -> np.ndarray:
     """
     w = np.asarray(w)
     lam = check_lambdas(lambdas, len(np.atleast_1d(lambdas)))
-    grad = np.zeros_like(w, dtype=np.float64)
     if not lam.any():
-        return grad.astype(w.dtype, copy=False)
+        return np.zeros_like(w)
     k = len(lam)
     trace = ungated_residual_trace(w, k, rng)
-    flat = grad.reshape(w.shape[0], -1)
-    for j in range(k):
-        if lam[j] == 0.0:
-            continue
-        norms = trace.norms[j]
-        safe = np.where(norms > 0, norms, 1.0)
-        unit = trace.residuals[j] / safe[:, None]
-        unit[norms == 0] = 0.0
-        flat += lam[j] * unit
-    return grad.astype(w.dtype, copy=False)
+    norms = trace.norms[:k]
+    scale = np.divide(lam[:, None], norms, out=np.zeros_like(norms), where=norms > 0)
+    grad = np.einsum("jf,jfn->fn", scale, trace.residuals[:k])
+    return grad.reshape(w.shape).astype(w.dtype, copy=False)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,37 @@ from shiftnn.quant import ExponentRange, quantize_layer, round_pow2, ungated_res
 WIDE = ExponentRange.widest(8)  # exponents [2, 8]... wide enough for unit inputs?
 
 
+def exact_exponent(x):
+    """The integer E with 2**(2E - 1) <= x**2 < 2**(2E + 1), in exact arithmetic."""
+    sq = Fraction(float(x)) ** 2
+    e = math.floor(math.log2(abs(x)))  # a guess within one of the answer
+    while sq >= Fraction(2) ** (2 * e + 1):
+        e += 1
+    while sq < Fraction(2) ** (2 * e - 1):
+        e -= 1
+    return e
+
+
 def oracle_round(x, rng):
-    """Straight log-domain rounding, written independently of round_pow2."""
+    """Log-domain rounding by the exact rule, written independently of round_pow2."""
     if abs(x) < 2.0 ** (rng.e_min - 1):
         return 0.0
-    e = math.floor(math.log2(abs(x)) + 0.5)
-    e = min(max(e, rng.e_min), rng.e_max)
+    e = min(max(exact_exponent(x), rng.e_min), rng.e_max)
     return math.copysign(2.0**e, x)
+
+
+def boundary_neighbours(dtype, steps=3):
+    """The 2 * steps + 1 floats of dtype around each 2**e * sqrt(1/2), e in [-30, 11], both signs."""
+    out = []
+    for e in range(-30, 12):
+        x = np.ldexp(dtype(math.sqrt(0.5)), e)
+        for _ in range(steps):
+            x = np.nextafter(x, dtype(0))
+        for _ in range(2 * steps + 1):
+            out.append(x)
+            x = np.nextafter(x, dtype(np.inf))
+    out = np.array(out, dtype=dtype)
+    return np.concatenate([out, -out])
 
 
 @pytest.fixture
@@ -77,6 +102,23 @@ class TestExponentRange:
         r = ExponentRange.for_weights(np.array([3.0]))
         assert r.e_max == 2  # log2(3) ~ 1.58 rounds up
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_for_weights_rounds_peak_like_round_pow2(self, dtype):
+        gen = np.random.default_rng(31)
+        peaks = np.concatenate([boundary_neighbours(dtype), gen.uniform(-9, 9, 200).astype(dtype)])
+        for peak in peaks:
+            w = np.array([peak, peak / 3], dtype=dtype)
+            assert ExponentRange.for_weights(w).e_max == exact_exponent(peak)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_for_weights_rejects_nonfinite(self, bad):
+        with pytest.raises(NumericError):
+            ExponentRange.for_weights(np.array([1.0, bad]))
+
+    def test_for_weights_of_empty_or_zero_tensor(self):
+        assert ExponentRange.for_weights(np.zeros(0)).e_max == 0
+        assert ExponentRange.for_weights(np.zeros(3)).e_max == 0
+
 
 class TestRoundPow2:
     def test_exact_power(self, wide):
@@ -94,6 +136,10 @@ class TestRoundPow2:
         assert round_pow2(np.float64(tiny), wide) == 0
         at_threshold = 2.0 ** (wide.e_min - 1)
         assert rounded(at_threshold, wide) == 2.0**wide.e_min
+        # a threshold below float32's smallest subnormal still zeroes float32 input
+        deep = ExponentRange(e_max=-100, e_min=-160, code_bits=8)
+        tiny32 = np.array([0.0, -0.0, 2.0**-149], dtype=np.float32)
+        assert deep.decode(round_pow2(tiny32, deep)).tolist() == [0.0, 0.0, 2.0**-149]
 
     def test_clamps_to_range(self):
         r = ExponentRange(e_max=2, e_min=-2, code_bits=4)
@@ -107,6 +153,14 @@ class TestRoundPow2:
         xs = np.random.default_rng(7).uniform(-4, 4, size=2000)
         got = wide.decode(round_pow2(xs, wide))
         want = np.array([oracle_round(x, wide) for x in xs])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_exact_at_half_exponent_boundaries(self, wide, dtype):
+        # nearest floats to 2**e * sqrt(1/2), where a rounded logarithm can miss
+        xs = boundary_neighbours(dtype)
+        got = wide.decode(round_pow2(xs, wide))
+        want = np.array([oracle_round(float(x), wide) for x in xs])
         assert np.array_equal(got, want)
 
     def test_relative_error_bound(self, wide):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from shiftnn.quant import ExponentRange, quantize_layer
 from shiftnn.trainer.gradients import (
@@ -9,6 +10,72 @@ from shiftnn.trainer.gradients import (
 )
 
 WIDE = ExponentRange(e_max=16, e_min=-40, code_bits=8)
+
+
+def reference_threshold_grad(residuals, norms, values, upstream, t, tau):
+    """Forward-mode form: for each t_j, carry P = dQ/dt_j through all k rounds.
+
+    Round l adds sigmoid'_l / tau * (d||r_l||/dt_j - 1(l=j)) * R(r_l)
+    + sigmoid_l * dr_l/dt_j to P, where dr_l/dt_j = -P and the rounding
+    passes gradients straight through.  O(k^2) rounds of work.
+    """
+    k, F, n = values.shape
+    t = np.asarray(t, dtype=np.float64).reshape(-1)[:k]
+    upstream = upstream.reshape(F, n).astype(np.float64)
+    res = residuals.reshape(k, F, n).astype(np.float64)
+    norms = norms.reshape(k, F).astype(np.float64)
+    vals = values.reshape(k, F, n).astype(np.float64)
+
+    safe = np.where(norms > 0, norms, 1.0)
+    rhat = res / safe[:, :, None]
+    rhat[norms == 0] = 0.0
+    sig = sigmoid((norms - t[:, None]) / tau)
+    dsig = sig * (1.0 - sig) / tau
+
+    out = np.zeros(k, dtype=np.float64)
+    for j in range(k):
+        P = np.zeros((F, n), dtype=np.float64)
+        for l in range(k):
+            dnorm = -(rhat[l] * P).sum(axis=1)
+            delta = 1.0 if l == j else 0.0
+            contrib = dsig[l][:, None] * (dnorm - delta)[:, None] * vals[l] - sig[l][:, None] * P
+            P = P + contrib
+        out[j] = (upstream * P).sum()
+    return out
+
+
+def random_case(gen, k):
+    """Weights with one all-zero filter, thresholds with an occasional +-inf."""
+    F, n = int(gen.integers(2, 6)), int(gen.integers(1, 9))
+    w = gen.normal(size=(F, n)) * gen.uniform(0.3, 3)
+    w[gen.integers(F)] = 0.0
+    t = gen.normal(size=k) * gen.uniform(0.1, 2)
+    t[gen.uniform(size=k) < 0.2] = np.inf
+    t[gen.uniform(size=k) < 0.2] = -np.inf
+    return w, t, gen.normal(size=(F, n)), gen.uniform(0.2, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweep_matches_forward_mode_reference_on_hard_traces(k):
+    gen = np.random.default_rng(10 + k)
+    for _ in range(100):
+        w, t, upstream, tau = random_case(gen, k)
+        _, trace = quantize_layer(w, t, k, WIDE)
+        got = threshold_grad_from_trace(trace, upstream, t, tau)
+        values = WIDE.decode(trace.codes)
+        want = reference_threshold_grad(trace.residuals[:k], trace.norms[:k], values, upstream, t, tau)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sweep_matches_forward_mode_reference_on_soft_traces(k):
+    gen = np.random.default_rng(20 + k)
+    for _ in range(100):
+        w, t, upstream, tau = random_case(gen, k)
+        _, residuals, norms, values, _ = surrogate_trace(w, t, tau, k, WIDE)
+        got = threshold_grad(residuals, norms, values, upstream, t, tau)
+        want = reference_threshold_grad(residuals, norms, values, upstream, t, tau)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
 
 def test_zero_upstream_gives_zero():
@@ -53,7 +120,7 @@ def test_matches_finite_differences_of_relaxed_surrogate():
     for trial in range(60):
         F, n = int(gen.integers(1, 5)), int(gen.integers(1, 8))
         w = gen.normal(size=(F, n)) * gen.uniform(0.3, 3)
-        k = 2
+        k = int(gen.integers(1, 4))
         t = gen.normal(size=k) * gen.uniform(0.1, 2)
         upstream = gen.normal(size=(F, n))
 

@@ -39,3 +39,25 @@ def test_nan_batch_dumps_reason_and_step(tmp_path):
         assert str(dump["__reason"]) == "non-finite network output"
         assert int(dump["__step"]) == 7
         assert np.array_equal(dump["L0.W"], params["L0.W"])
+
+
+def test_nan_master_weight_dumps_reason_and_step(tmp_path):
+    net, params, state = tiny_net()
+    ts = init_train_state(net, params, state, TrainSettings(dump_dir=str(tmp_path)))
+    ts.step = 4
+    params["L2.W"][1, 5] = np.nan
+    x = np.zeros((2, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(NumericError, match="step 4"):
+        train_batch(ts, x, np.array([0, 1]))
+    (path,) = tmp_path.iterdir()
+    with np.load(path) as dump:
+        assert "NaN" in str(dump["__reason"])
+        assert int(dump["__step"]) == 4
+        assert np.isnan(dump["L2.W"][1, 5])
+
+
+def test_wrong_shape_parameter_rejected_up_front():
+    net, params, state = tiny_net()
+    params["L2.W"] = params["L2.W"][:, :-1]
+    with pytest.raises(ConfigError, match="L2.W"):
+        init_train_state(net, params, state, TrainSettings())
