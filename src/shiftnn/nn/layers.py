@@ -7,6 +7,8 @@ without touching the layer objects.  Activations are NCHW.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -171,37 +173,41 @@ class BatchNorm2D:
         b = params[f"{self.name}.beta"][None, :, None, None]
         if train:
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            xhat = x - mean[None, :, None, None]
+            # the same operations, in the same order, as x.var(axis=(0, 2, 3))
+            var = (xhat * xhat).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
             rm, rv = state[f"{self.name}.running_mean"], state[f"{self.name}.running_var"]
             rm += self.momentum * (mean.astype(rm.dtype) - rm)
             rv += self.momentum * (var.astype(rv.dtype) - rv)
         else:
             mean = state[f"{self.name}.running_mean"]
             var = state[f"{self.name}.running_var"]
+            xhat = x - mean[None, :, None, None]
         invstd = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * invstd[None, :, None, None]
-        y = g * xhat + b
+        xhat *= invstd[None, :, None, None]  # centred in place into xhat
+        y = g * xhat
+        y += b
         return y, (xhat, invstd.astype(x.dtype), train)
 
     def backward(self, dy, cache, params):
         xhat, invstd, train = cache
         g = params[f"{self.name}.gamma"]
-        dgamma = (dy * xhat).sum(axis=(0, 2, 3))
+        tmp = dy * xhat
+        dgamma = tmp.sum(axis=(0, 2, 3))
         dbeta = dy.sum(axis=(0, 2, 3))
-        dxhat = dy * g[None, :, None, None]
+        dx = dy * g[None, :, None, None]  # dL/dxhat until the last line
         if train:
+            # invstd/m * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), in place;
+            # the operand order is kept, so even NaN payloads match
             m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-            dx = (
-                invstd[None, :, None, None]
-                / m
-                * (
-                    m * dxhat
-                    - dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-                    - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None]
-                )
-            )
+            s1 = dx.sum(axis=(0, 2, 3))[None, :, None, None]
+            s2 = np.multiply(dx, xhat, out=tmp).sum(axis=(0, 2, 3))[None, :, None, None]
+            dx *= m
+            dx -= s1
+            dx -= np.multiply(xhat, s2, out=tmp)
+            np.multiply(invstd[None, :, None, None] / m, dx, out=dx)
         else:
-            dx = dxhat * invstd[None, :, None, None]
+            dx *= invstd[None, :, None, None]
         grads = {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
         return dx, grads
 
@@ -210,6 +216,8 @@ class LeakyReLU:
     kind = "leaky-relu"
 
     def __init__(self, name, slope=0.01):
+        if not (isinstance(slope, numbers.Real) and 0 < slope < 1):
+            raise ConfigError(f"{name}: leaky-relu slope must lie in (0, 1), got {slope!r}")
         self.name = name
         self.slope = slope
 
@@ -223,18 +231,26 @@ class LeakyReLU:
         return s
 
     def forward(self, x, params, state, train):
-        neg = x < 0
-        y = np.where(neg, np.asarray(self.slope, dtype=x.dtype) * x, x)
-        return y, neg
+        # For 0 < slope < 1, max(x, slope*x) is x where x >= 0 and slope*x where
+        # x < 0, bit for bit, with -0.0, an underflowing slope*x and +-inf.  Of two
+        # NaNs np.maximum returns the first, so a NaN x passes through unchanged.
+        y = np.multiply(np.asarray(self.slope, dtype=x.dtype), x)
+        np.maximum(x, y, out=y)
+        return y, x < 0
 
     def backward(self, dy, cache, params):
         neg = cache
-        dx = np.where(neg, np.asarray(self.slope, dtype=dy.dtype) * dy, dy)
+        dx = np.array([1, self.slope], dtype=dy.dtype).take(neg.view(np.uint8))
+        dx *= dy
         return dx, {}
 
 
 class MaxPool2D:
-    """Non-overlapping max pooling; gradients route to the first maximum."""
+    """Non-overlapping max pooling; gradients route to the first maximum.
+
+    Windows are scanned row-major and +0.0 ties with -0.0.  A window that
+    holds a NaN pools to its first NaN and routes its gradient there.
+    """
 
     kind = "maxpool"
 
@@ -256,25 +272,41 @@ class MaxPool2D:
             raise ConfigError(f"{self.name}: {H}x{W} not divisible by pool size {self.size}")
         return (C, H // self.size, W // self.size)
 
-    def forward(self, x, params, state, train):
-        N, C, H, W = x.shape
+    def _windows(self, a):
+        """The size**2 strided views a[:, :, i::size, j::size], in window order."""
         s = self.size
-        Ho, Wo = H // s, W // s
-        xr = x.reshape(N, C, Ho, s, Wo, s).transpose(0, 1, 2, 4, 3, 5).reshape(
-            N, C, Ho, Wo, s * s
-        )
-        idx = xr.argmax(axis=-1)
-        y = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-        return y, (idx, x.shape)
+        return [a[:, :, i::s, j::s] for i in range(s) for j in range(s)]
+
+    def forward(self, x, params, state, train):
+        views = self._windows(x)
+        # np.maximum returns its second operand on a tie (+0.0 against -0.0
+        # too), so a reduction in reverse window order keeps the first maximum.
+        y = np.maximum(views[-1], views[-2])
+        for v in views[-3::-1]:
+            np.maximum(y, v, out=y)
+        # Of two NaNs it returns the first operand, which is the later one here.
+        nan = np.isnan(y)
+        if nan.any():
+            for v in views[::-1]:
+                np.copyto(y, v, where=nan & np.isnan(v))
+        return y, (x, y)
 
     def backward(self, dy, cache, params):
-        idx, x_shape = cache
-        N, C, H, W = x_shape
-        s = self.size
-        Ho, Wo = H // s, W // s
-        dxr = np.zeros((N, C, Ho, Wo, s * s), dtype=dy.dtype)
-        np.put_along_axis(dxr, idx[..., None], dy[..., None], axis=-1)
-        dx = dxr.reshape(N, C, Ho, Wo, s, s).transpose(0, 1, 2, 4, 3, 5).reshape(N, C, H, W)
+        x, y = cache
+        # y holds the bits of its window's first maximum, so the first element
+        # with the same bits is the one to route dy to (this also finds NaNs).
+        # Each gradient is its bit pattern times the 0/1 hit mask: exactly dy or
+        # +0.0, with no 0*inf and no -0.0.
+        ybits, dybits = y.view(f"u{y.itemsize}"), dy.view(f"u{dy.itemsize}")
+        dx = np.empty(x.shape, dtype=dy.dtype)
+        xw, dxw = self._windows(x.view(ybits.dtype)), self._windows(dx.view(dybits.dtype))
+        todo = np.ones(y.shape, dtype=bool)
+        for v, d in zip(xw[:-1], dxw[:-1]):
+            hit = v == ybits
+            hit &= todo
+            todo ^= hit
+            np.multiply(dybits, hit, out=d)
+        np.multiply(dybits, todo, out=dxw[-1])  # no earlier hit: the last element
         return dx, {}
 
 

@@ -38,6 +38,12 @@ from .quant import ExponentRange, QuantizedLayer
 
 MAGIC = b"P2WS"
 VERSION = 1
+# unpack_model rejects a layer whose dense (max k_i, F, n) code array would
+# exceed this many uint8 codes (256 MiB), counting at least one term and one
+# filter: a fully pruned layer still dequantizes to F * n weights, and numpy
+# must index even an empty one.  A short stream can claim a layer far larger
+# than itself; the bound makes that a PackingError rather than a MemoryError.
+MAX_LAYER_CODES = 1 << 28
 MAX_K = 3  # largest k_i the 2-bit per-filter header holds
 
 
@@ -131,9 +137,6 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
         except ConfigError as exc:
             raise PackingError(f"layer {idx}: bad range at byte {pos - 3}: {exc}") from exc
         n = math.prod(dims)
-        # with no kept terms the size is unbounded by the stream, yet numpy must index it
-        if MAX_K * max(F, 1) * n > np.iinfo(np.intp).max:
-            raise PackingError(f"layer {idx}: {F} filters of {n} weights are too large")
 
         head_bytes = (2 * F + 7) // 8
         if pos + head_bytes > len(data):
@@ -142,6 +145,12 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
             np.frombuffer(data, dtype=np.uint8, count=head_bytes, offset=pos)
         )[: 2 * F]
         k_i = ((head_bits[0::2].astype(np.int64) << 1) | head_bits[1::2]).astype(np.int8)
+        k_max = int(k_i.max(initial=0))
+        if max(k_max, 1) * max(F, 1) * n > MAX_LAYER_CODES:
+            raise PackingError(
+                f"layer {idx}: {k_max} terms of {F} filters of {n} weights exceed "
+                f"{MAX_LAYER_CODES} codes"
+            )
         total_terms = int(k_i.astype(np.int64).sum())
         payload_len = (2 * F + total_terms * n * code_bits + 7) // 8
         if pos + payload_len > len(data):
@@ -160,7 +169,6 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
                 f"non-canonical zero code (sign bit set) at term {term} element {elem}"
             )
 
-        k_max = int(k_i.max(initial=0))
         layer_codes = np.zeros((k_max, F, n), dtype=np.uint8)
         keep = np.arange(k_max)[:, None] < k_i[None, :]
         layer_codes.transpose(1, 0, 2)[keep.T] = codes.reshape(total_terms, n)

@@ -61,6 +61,9 @@ class TrainSettings:
             if self.fixed_k is None or not 0 <= self.fixed_k <= self.max_k:
                 raise ConfigError(f"fixed mode needs fixed_k in [0, {self.max_k}]")
         ExponentRange.widest(0, self.code_bits)  # raises ConfigError on a bad code width
+        if not 0 < self.tau < np.inf:
+            # tau = 0 makes every threshold gradient NaN, which prunes every filter
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise ConfigError("epochs, batch_size and lr must be positive")
         return self

@@ -118,7 +118,8 @@ class TestForward:
         net = Network(two_conv_config(), dtype=np.float64)
         params = net.init_params(0)
         params["L8.W"][:] = np.inf
-        with pytest.raises(NumericError):
+        # inf weights against mixed-sign activations make inf - inf in the matmul
+        with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="invalid value"):
             net.forward(np.ones((1, 4, 8, 8)), params, net.init_state(), train=False)
 
 
@@ -268,6 +269,123 @@ class TestLayerProperties:
         layer = MaxPool2D("L0", size=2)
         with pytest.raises(ConfigError):
             layer.out_shape((3, 7, 8))
+
+
+def bits(a):
+    """The IEEE bit patterns of a float array, so that -0.0 and NaN payloads compare."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"u{a.itemsize}")
+
+
+class TestMaxPoolRouting:
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_constant_windows_route_to_first_element(self, s):
+        gen = np.random.default_rng(40)
+        # every window is constant, at a different level per window
+        x = np.repeat(np.repeat(gen.normal(size=(2, 3, 2, 3)), s, axis=2), s, axis=3)
+        layer = MaxPool2D("L0", size=s)
+        y, cache = layer.forward(x, {}, {}, True)
+        assert np.array_equal(y, x[:, :, ::s, ::s])
+        dy = gen.normal(size=y.shape)
+        dx, _ = layer.backward(dy, cache, {})
+        expected = np.zeros_like(x)
+        expected[:, :, ::s, ::s] = dy
+        assert np.array_equal(bits(dx), bits(expected))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zero_and_nan_windows(self, dtype):
+        nan = np.array(np.nan, dtype)
+        windows = [
+            ([[-0.0, 0.0], [0.0, 0.0]], 0),  # +0 == -0: the first one wins, as -0.0
+            ([[0.0, -0.0], [-0.0, -0.0]], 0),
+            ([[-1.0, 0.0], [-0.0, -0.0]], 1),
+            ([[1.0, 2.0], [2.0, 2.0]], 1),
+            ([[1.0, -nan], [nan, np.inf]], 1),  # the first NaN, with its sign bit
+            ([[1.0, nan], [-nan, 2.0]], 1),
+            ([[-np.inf, -np.inf], [-np.inf, -np.inf]], 0),
+            ([[-np.inf, 3.0], [3.0, 5.0]], 3),
+        ]
+        x = np.array([w for w, _ in windows], dtype)[:, None]
+        first = [i for _, i in windows]
+        layer = MaxPool2D("L0", size=2)
+        y, cache = layer.forward(x, {}, {}, True)
+        flat = x.reshape(len(windows), 4)
+        assert np.array_equal(bits(y.ravel()), bits(flat[np.arange(len(windows)), first]))
+        # an infinite or negative gradient lands on the first maximum only:
+        # the other elements get +0.0, not NaN (0*inf) or -0.0
+        dy = np.array([np.inf, -np.inf, -2.0, 3.0, -1.0, np.inf, 4.0, -0.0], dtype)
+        dx, _ = layer.backward(dy.reshape(y.shape), cache, {})
+        expected = np.zeros((len(windows), 4), dtype)
+        expected[np.arange(len(windows)), first] = dy
+        assert np.array_equal(bits(dx.reshape(len(windows), 4)), bits(expected))
+
+
+class TestLeakyReLUBits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.01, 0.3])
+    def test_matches_select_reference(self, dtype, slope):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array(
+            [-0.0, 0.0, -tiny, tiny, -3 * tiny, np.nan, -np.nan, np.inf, -np.inf, -2.5, 7.0],
+            dtype,
+        )
+        assert (np.asarray(slope, dtype) * x[2]) == 0  # slope*x underflows to -0.0
+        layer = LeakyReLU("L0", slope=slope)
+        y, cache = layer.forward(x, {}, {}, True)
+        neg = x < 0
+        assert np.array_equal(bits(y), bits(np.where(neg, np.asarray(slope, dtype) * x, x)))
+        dy = x[::-1].copy()  # the same special values as gradients
+        dx, _ = layer.backward(dy, cache, {})
+        assert np.array_equal(bits(dx), bits(np.where(neg, np.asarray(slope, dtype) * dy, dy)))
+
+    @pytest.mark.parametrize("slope", [0, 1, 2, -0.1, float("nan"), "0.1"])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        with pytest.raises(ConfigError, match="slope"):
+            LeakyReLU("L0", slope=slope)
+        cfg = two_conv_config()
+        cfg.layers[2].args["slope"] = slope
+        with pytest.raises(ConfigError, match="slope"):
+            Network(cfg)
+
+
+def reference_batchnorm(x, g, b, dy, eps):
+    """The textbook train-mode forward and backward, one expression each."""
+    c = (None, slice(None), None, None)
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean[c]) * invstd[c]
+    y = g[c] * xhat + b[c]
+    dxhat = dy * g[c]
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    s1, s2 = dxhat.sum(axis=(0, 2, 3)), (dxhat * xhat).sum(axis=(0, 2, 3))
+    dx = invstd[c] / m * (m * dxhat - s1[c] - xhat * s2[c])
+    return y, mean, var, dx, (dy * xhat).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
+
+
+class TestBatchNormBits:
+    @pytest.mark.parametrize("shape", [(8, 3, 6, 6), (64, 8, 28, 28), (3, 5, 1, 1)])
+    def test_train_mode_matches_reference_float32(self, shape):
+        gen = np.random.default_rng(50)
+        C = shape[1]
+        x = (gen.normal(size=shape) * 3 + 7).astype(np.float32)
+        dy = gen.normal(size=shape).astype(np.float32)
+        g = (gen.normal(size=C) + 1).astype(np.float32)
+        b = gen.normal(size=C).astype(np.float32)
+        layer = BatchNorm2D("L0", C)
+        state = layer.init_state(np.float32)
+        y, cache = layer.forward(x, {"L0.gamma": g, "L0.beta": b}, state, True)
+        dx, grads = layer.backward(dy, cache, {"L0.gamma": g, "L0.beta": b})
+        ry, mean, var, rdx, rdg, rdb = reference_batchnorm(x, g, b, dy, layer.eps)
+        assert np.array_equal(bits(y), bits(ry))
+        assert np.array_equal(bits(dx), bits(rdx))
+        assert np.array_equal(bits(grads["L0.gamma"]), bits(rdg))
+        assert np.array_equal(bits(grads["L0.beta"]), bits(rdb))
+        rm, rv = np.zeros(C, np.float32), np.ones(C, np.float32)
+        rm += layer.momentum * (mean - rm)
+        rv += layer.momentum * (var - rv)
+        assert np.array_equal(bits(state["L0.running_mean"]), bits(rm))
+        assert np.array_equal(bits(state["L0.running_var"]), bits(rv))
 
 
 class TestBuildNetwork:

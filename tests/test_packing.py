@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftnn import packing
 from shiftnn.errors import PackingError
 from shiftnn.packing import (
     header_length,
@@ -127,6 +130,35 @@ def test_oversized_k_rejected():
     ql, _ = quantize_layer(w, [-np.inf] * 4, 4, ExponentRange(rng.e_max, rng.e_min, 4))
     with pytest.raises(PackingError, match="k_i"):
         pack_model([ql])
+
+
+def test_layer_code_bound(monkeypatch):
+    # one k_i = 3 filter and one pruned filter of 4 weights: a dense (3, 2, 4) code array
+    codes = np.zeros((3, 2, 4), dtype=np.uint8)
+    codes[:, 0] = 1
+    ql = QuantizedLayer((4,), ExponentRange.widest(0), np.array([3, 0], np.int8), codes)
+    data = pack_model([ql])
+    monkeypatch.setattr(packing, "MAX_LAYER_CODES", 24)
+    assert unpack_model(data)[0] == ql
+    monkeypatch.setattr(packing, "MAX_LAYER_CODES", 23)
+    with pytest.raises(PackingError, match="exceed"):
+        unpack_model(data)
+    # a fully pruned layer still counts one term per weight
+    pruned = QuantizedLayer((4,), ql.rng, np.zeros(2, np.int8), codes[:0])
+    data = pack_model([pruned])
+    monkeypatch.setattr(packing, "MAX_LAYER_CODES", 8)
+    assert unpack_model(data)[0] == pruned
+    monkeypatch.setattr(packing, "MAX_LAYER_CODES", 7)
+    with pytest.raises(PackingError, match="exceed"):
+        unpack_model(data)
+
+
+def test_short_stream_cannot_claim_a_huge_layer():
+    # 24 bytes claiming one pruned filter of 2**40 weights
+    layer = struct.pack("<IB2IhB", 1, 2, 1 << 20, 1 << 20, 0, 4) + b"\x00"
+    data = b"P2WS" + struct.pack("<BH", 1, 1) + layer
+    with pytest.raises(PackingError, match="exceed"):
+        unpack_model(data)
 
 
 def test_storage_bits_matches_payload_accounting():

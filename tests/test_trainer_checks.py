@@ -18,6 +18,13 @@ class TestCodeBits:
             TrainSettings(code_bits=code_bits).validate()
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+def test_tau_must_be_positive_and_finite(tau):
+    # tau = 0 would turn every threshold into NaN and silently prune every filter
+    with pytest.raises(ConfigError, match="tau"):
+        TrainSettings(tau=tau).validate()
+
+
 def tiny_net():
     layers = [
         LayerSpec("conv2d", {"in_channels": 1, "out_channels": 2, "kernel": 3, "pad": 1}),
