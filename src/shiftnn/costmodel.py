@@ -5,8 +5,7 @@ codes, per-filter k_i headers, byte padding), or raw bits-per-weight for
 unquantized baselines; biases and batch-norm parameters are excluded
 throughout.  Operation counts cover the multiply replacements (shifts
 plus extra adds) and the accumulation adds of conv/dense layers; pooling
-and activations are not counted.  Multiplies map to the DSP proxy and
-shifts to the LUT proxy.
+and activations are not counted.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ class CostReport:
     shift_count: int
     add_count: int
     multiply_count: int
-    dsp_proxy: int
-    lut_proxy: int
     per_layer: list = field(default_factory=list)
 
     def to_dict(self):
@@ -48,8 +45,6 @@ class CostReport:
             "shift_count": self.shift_count,
             "add_count": self.add_count,
             "multiply_count": self.multiply_count,
-            "dsp_proxy": self.dsp_proxy,
-            "lut_proxy": self.lut_proxy,
             "per_layer": [vars(c) for c in self.per_layer],
         }
 
@@ -62,10 +57,6 @@ def quantizable_param_count(net: Network) -> int:
 def full_precision_storage_bits(net: Network, bits_per_weight: int = 32) -> int:
     """Weight-only storage of an unquantized model."""
     return quantizable_param_count(net) * bits_per_weight
-
-
-def quantized_storage_bits(qlayers: list) -> int:
-    return packing.storage_bits(qlayers)
 
 
 def _layer_geometry(net: Network):
@@ -136,8 +127,6 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
         shift_count=shifts,
         add_count=adds,
         multiply_count=mults,
-        dsp_proxy=mults,
-        lut_proxy=shifts,
         per_layer=per_layer,
     )
 
@@ -150,17 +139,14 @@ def cost_report(net: Network, qlayers_by_name: dict | None = None, bits_per_weig
         return report
     k_map = {name: q.k_i for name, q in qlayers_by_name.items()}
     report = op_counts(net, k_map=k_map)
-    report.storage_bits = quantized_storage_bits(
-        [qlayers_by_name[name] for name in net.weight_names]
-    )
+    report.storage_bits = packing.storage_bits([qlayers_by_name[name] for name in net.weight_names])
     return report
 
 
 @dataclass
 class ParetoPoint:
     model_id: str
-    lambda0: float
-    lambda1: float
+    lambdas: tuple  # (lambda_0, ..., lambda_{k-1}) of the regularizer
     seed: int
     accuracy: float
     storage_bits: int
@@ -172,34 +158,6 @@ class ParetoPoint:
     def __post_init__(self):
         if not 0.0 <= self.accuracy <= 1.0:
             raise ConfigError(f"accuracy must be in [0, 1], got {self.accuracy}")
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.model_id,
-                repr(self.lambda0),
-                repr(self.lambda1),
-                str(self.seed),
-                repr(self.accuracy),
-                str(self.storage_bits),
-                str(self.shifts),
-                str(self.adds),
-                str(self.multiplies),
-                repr(self.mean_k),
-            ]
-        )
-
-
-PARETO_CSV_HEADER = (
-    "model_id,lambda0,lambda1,seed,accuracy,storage_bits,shifts,adds,multiplies,mean_k"
-)
-
-
-def write_pareto_csv(path, points):
-    with open(path, "w") as fh:
-        fh.write(PARETO_CSV_HEADER + "\n")
-        for p in points:
-            fh.write(p.csv_row() + "\n")
 
 
 def pareto_front(points, cost_attr="storage_bits"):

@@ -14,12 +14,8 @@ class NumericError(ShiftNNError):
 
 
 class DataError(ShiftNNError):
-    """Unusable dataset: bad magic, truncation, label range, or no samples."""
+    """Unusable data: an evaluation set with no samples."""
 
 
 class PackingError(ShiftNNError):
     """Quantized weight stream encoding/decoding failure."""
-
-
-class ModelFileError(ShiftNNError):
-    """Model container parse or version failure."""

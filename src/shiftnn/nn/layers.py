@@ -14,6 +14,11 @@ import numpy as np
 from ..errors import ConfigError
 
 
+def _require_int(name, what, value, least):
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigError(f"{name}: {what} must be an integer >= {least}, got {value!r}")
+
+
 def im2col(x, kh, kw, stride, pad):
     """Channel-major patch matrix of shape (C*kh*kw, N*Ho*Wo), plus Ho, Wo.
 
@@ -56,8 +61,14 @@ class Conv2D:
     kind = "conv2d"
 
     def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0, bias=True):
-        if kernel < 1 or in_channels < 1 or out_channels < 1:
-            raise ConfigError(f"{name}: conv dims must be positive")
+        for what, value, least in (
+            ("in_channels", in_channels, 1),
+            ("out_channels", out_channels, 1),
+            ("kernel", kernel, 1),
+            ("stride", stride, 1),
+            ("pad", pad, 0),
+        ):
+            _require_int(name, what, value, least)
         self.name = name
         self.in_channels = in_channels
         self.out_channels = out_channels
@@ -143,6 +154,11 @@ class BatchNorm2D:
     kind = "batchnorm"
 
     def __init__(self, name, channels, momentum=0.1, eps=1e-5):
+        # eps = 0 turns a constant channel (zero variance) into NaN
+        if not (isinstance(eps, numbers.Real) and 0 < eps < np.inf):
+            raise ConfigError(f"{name}: batchnorm eps must be positive and finite, got {eps!r}")
+        if not (isinstance(momentum, numbers.Real) and 0 <= momentum <= 1):
+            raise ConfigError(f"{name}: batchnorm momentum must lie in [0, 1], got {momentum!r}")
         self.name = name
         self.channels = channels
         self.momentum = momentum
@@ -255,8 +271,7 @@ class MaxPool2D:
     kind = "maxpool"
 
     def __init__(self, name, size):
-        if size < 2:
-            raise ConfigError(f"{name}: pool size must be >= 2")
+        _require_int(name, "pool size", size, 2)
         self.name = name
         self.size = size
 

@@ -17,14 +17,6 @@ class LayerSpec:
     kind: str
     args: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"kind": self.kind, **self.args}
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        return cls(d.pop("kind"), d)
-
 
 @dataclass
 class SkipSpec:
@@ -37,13 +29,6 @@ class SkipSpec:
     src: int
     dst: int
 
-    def to_dict(self):
-        return {"src": self.src, "dst": self.dst}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(int(d["src"]), int(d["dst"]))
-
 
 @dataclass
 class NetworkConfig:
@@ -53,27 +38,6 @@ class NetworkConfig:
     classes: int
     layers: list
     skips: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "id": self.id,
-            "style": self.style,
-            "input_shape": list(self.input_shape),
-            "classes": self.classes,
-            "layers": [s.to_dict() for s in self.layers],
-            "skips": [s.to_dict() for s in self.skips],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            id=d["id"],
-            style=d["style"],
-            input_shape=tuple(d["input_shape"]),
-            classes=int(d["classes"]),
-            layers=[LayerSpec.from_dict(s) for s in d["layers"]],
-            skips=[SkipSpec.from_dict(s) for s in d.get("skips", [])],
-        )
 
 
 def _build_layer(i, spec: LayerSpec, in_shape):

@@ -1,8 +1,4 @@
-from .gradients import (
-    surrogate_trace,
-    threshold_grad,
-    threshold_grad_from_trace,
-)
+from .gradients import threshold_grad, threshold_grad_from_trace
 from .loop import (
     EpochMetrics,
     TrainSettings,
@@ -14,7 +10,6 @@ from .loop import (
     train_batch,
     train_epoch,
     train_model,
-    write_metrics_csv,
 )
 from .regularizer import layer_reg_grad, layer_reg_loss
 from .sweep import SweepCell, cell_to_point, run_cell, sweep_lambda
@@ -32,12 +27,10 @@ __all__ = [
     "layer_reg_loss",
     "quantize_weights",
     "run_cell",
-    "surrogate_trace",
     "sweep_lambda",
     "threshold_grad",
     "threshold_grad_from_trace",
     "train_batch",
     "train_epoch",
     "train_model",
-    "write_metrics_csv",
 ]

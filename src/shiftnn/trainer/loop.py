@@ -88,10 +88,6 @@ class TrainState:
             return 0
         return self.net.weight_names.index(weight_name)
 
-    @property
-    def trains_thresholds(self) -> bool:
-        return self.settings.mode == "flex"
-
 
 @dataclass
 class EpochMetrics:
@@ -104,29 +100,6 @@ class EpochMetrics:
     mean_k: float
     k_hist: list
     wall_time: float
-
-    @staticmethod
-    def csv_header(max_k: int) -> str:
-        buckets = ",".join(f"k{j}" for j in range(max_k + 1))
-        return (
-            "epoch,loss_ce,loss_reg,loss_total,train_acc,test_acc,mean_k,"
-            + buckets
-            + ",wall_time"
-        )
-
-    def csv_row(self) -> str:
-        cells = [
-            str(self.epoch),
-            repr(self.loss_ce),
-            repr(self.loss_reg),
-            repr(self.loss_total),
-            repr(self.train_acc),
-            repr(self.test_acc),
-            repr(self.mean_k),
-        ]
-        cells += [str(c) for c in self.k_hist]
-        cells.append(repr(self.wall_time))
-        return ",".join(cells)
 
 
 def initial_thresholds(net: Network, settings: TrainSettings) -> np.ndarray:
@@ -164,18 +137,22 @@ def quantize_weights(net: Network, params: dict, thresholds: np.ndarray, setting
     """Quantize every conv/dense weight tensor against the thresholds.
 
     Returns (qparams, qinfo) where qparams swaps each weight for its
-    dequantized value and qinfo maps weight name -> (qlayer, trace, rng).
+    dequantized value and qinfo maps weight name -> (qlayer, trace).
     Dense weights are grouped per output row, convs per output channel.
+    A NumericError names the weight tensor that raised it.
     """
     qparams = dict(params)
     qinfo = {}
     for g, name in enumerate(net.weight_names):
         w = params[name]
-        rng = ExponentRange.for_weights(w, settings.code_bits)
         t = thresholds[g if settings.per_layer_thresholds else 0]
-        qlayer, trace = quantize_layer(w, t, settings.max_k, rng)
+        try:
+            rng = ExponentRange.for_weights(w, settings.code_bits)
+            qlayer, trace = quantize_layer(w, t, settings.max_k, rng)
+        except NumericError as exc:
+            raise NumericError(f"{name}: {exc}") from exc
         qparams[name] = qlayer.dequantize(dtype=w.dtype).reshape(w.shape)
-        qinfo[name] = (qlayer, trace, rng)
+        qinfo[name] = (qlayer, trace)
     return qparams, qinfo
 
 
@@ -184,7 +161,7 @@ def k_statistics(qinfo: dict, max_k: int):
     counts = np.zeros(max_k + 1, dtype=np.int64)
     total = 0
     ks = 0
-    for qlayer, _, _ in qinfo.values():
+    for qlayer, _ in qinfo.values():
         hist = np.bincount(qlayer.k_i, minlength=max_k + 1)
         counts += hist[: max_k + 1]
         total += qlayer.num_filters
@@ -213,7 +190,7 @@ def _dump_state(ts: TrainState, reason: str) -> NumericError:
     return NumericError(f"{reason} at step {ts.step}; state dumped to {path}")
 
 
-def train_batch(ts: TrainState, xb, yb, observer=None):
+def train_batch(ts: TrainState, xb, yb):
     """One optimization step; returns (ce, reg, total, correct)."""
     s = ts.settings
     net = ts.net
@@ -223,8 +200,6 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
             qparams, qinfo = ts.params, {}
         else:
             qparams, qinfo = quantize_weights(net, ts.params, ts.thresholds, s)
-        if observer is not None:
-            observer(ts.step, qparams, qinfo)
         logits, cache = net.forward(xb, qparams, ts.bn_state, train=True)
     except NumericError as exc:
         raise _dump_state(ts, str(exc)) from exc
@@ -234,7 +209,7 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
     reg_grads = {}
     if s.mode != "float" and any(l != 0.0 for l in s.lambdas):
         for name in net.weight_names:
-            rng = qinfo[name][2]
+            rng = qinfo[name][0].rng
             w = ts.params[name]
             reg += layer_reg_loss(w.reshape(w.shape[0], -1), s.lambdas, rng)
             reg_grads[name] = layer_reg_grad(
@@ -255,9 +230,9 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
     bgrads = {name: grads[name] for name in net.bias_names}
 
     tgrad = np.zeros_like(ts.thresholds)
-    if s.mode != "float" and ts.trains_thresholds:
+    if s.mode == "flex":
         for name in net.weight_names:
-            qlayer, trace, rng = qinfo[name]
+            trace = qinfo[name][1]
             upstream = grads[name].reshape(grads[name].shape[0], -1)
             g = ts.threshold_group(name)
             tgrad[g] += threshold_grad_from_trace(trace, upstream, ts.thresholds[g], s.tau)
@@ -281,7 +256,7 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
     biases = {k: ts.params[k] for k in net.bias_names}
     adam_step(weights, wgrads, ts.adam_w, lr)
     adam_step(biases, bgrads, ts.adam_b, lr)
-    if ts.trains_thresholds:
+    if s.mode == "flex":
         adam_step({"t": ts.thresholds}, {"t": tgrad}, ts.adam_t, lr)
 
     correct = int((logits.argmax(axis=1) == yb).sum())
@@ -289,7 +264,7 @@ def train_batch(ts: TrainState, xb, yb, observer=None):
     return ce, reg, total, correct
 
 
-def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None, observer=None):
+def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
     """One full pass; returns EpochMetrics (test fields NaN when no test set)."""
     s = ts.settings
     start = time.perf_counter()
@@ -298,7 +273,7 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None, obse
     correct = 0
     for lo in range(0, len(order), s.batch_size):
         idx = order[lo : lo + s.batch_size]
-        ce, reg, total, ok = train_batch(ts, train_x[idx], train_y[idx], observer=observer)
+        ce, reg, total, ok = train_batch(ts, train_x[idx], train_y[idx])
         sum_ce += ce * len(idx)
         sum_reg += reg * len(idx)
         sum_total += total * len(idx)
@@ -341,16 +316,9 @@ def evaluate(net: Network, params, bn_state, x, y, batch_size=256) -> float:
     return correct / len(x)
 
 
-def train_model(ts: TrainState, train_x, train_y, test_x=None, test_y=None, observer=None):
+def train_model(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
     """Run settings.epochs epochs; returns the list of EpochMetrics."""
     history = []
     for _ in range(ts.settings.epochs):
-        history.append(train_epoch(ts, train_x, train_y, test_x, test_y, observer=observer))
+        history.append(train_epoch(ts, train_x, train_y, test_x, test_y))
     return history
-
-
-def write_metrics_csv(path, history, max_k):
-    with open(path, "w") as fh:
-        fh.write(EpochMetrics.csv_header(max_k) + "\n")
-        for m in history:
-            fh.write(m.csv_row() + "\n")

@@ -63,11 +63,9 @@ def sweep_lambda(net_config, base: TrainSettings, data, lambda_list, seeds):
 def cell_to_point(cell: SweepCell, model_id: str) -> ParetoPoint:
     if not cell.ok:
         raise ValueError(f"cell failed: {cell.error}")
-    lam = list(cell.lambdas) + [0.0, 0.0]
     return ParetoPoint(
         model_id=model_id,
-        lambda0=float(lam[0]),
-        lambda1=float(lam[1]),
+        lambdas=cell.lambdas,
         seed=cell.seed,
         accuracy=cell.accuracy,
         storage_bits=cell.cost.storage_bits,

@@ -65,8 +65,7 @@ def test_hand_counted_shift_adds():
     assert report.shift_count == 288 + 288 + 60 + 48
     # plus one add per element of the (3, 2, 2) map the skip lands on
     assert report.add_count == 288 + 280 + 60 + 36 + 12
-    assert report.multiply_count == report.dsp_proxy == 0
-    assert report.lut_proxy == report.shift_count
+    assert report.multiply_count == 0
 
 
 def test_cost_report_reads_k_i_and_packed_storage():
@@ -83,10 +82,10 @@ def test_multiplier_baseline():
     net = small_net()
     report = cost_report(net)
     # one multiply per MAC: L0 16*9*2, L2 4*18*3, L4 12*5, S0 4*2*3
-    assert report.multiply_count == report.dsp_proxy == 288 + 216 + 60 + 24
+    assert report.multiply_count == 288 + 216 + 60 + 24
     # V - 1 (+1 with bias) adds per output, plus the 12 shortcut adds
     assert report.add_count == 16 * 2 * 9 + 4 * 3 * 17 + 5 * 12 + 4 * 3 * 1 + 12
-    assert report.shift_count == report.lut_proxy == 0
+    assert report.shift_count == 0
     assert report.storage_bits == 32 * (18 + 54 + 60 + 6)
 
 
@@ -99,7 +98,7 @@ def test_k_map_shape_checked():
 
 
 def point(model_id, accuracy, storage_bits):
-    return ParetoPoint(model_id, 0.0, 0.0, 0, accuracy, storage_bits, 0, 0, 0, 1.0)
+    return ParetoPoint(model_id, (0.0, 0.0), 0, accuracy, storage_bits, 0, 0, 0, 1.0)
 
 
 def test_pareto_front_dominance_and_duplicates():

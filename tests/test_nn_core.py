@@ -416,6 +416,39 @@ class TestBuildNetwork:
         with pytest.raises(ConfigError):
             Network(cfg)
 
+    @pytest.mark.parametrize(
+        "index, key, value, match",
+        [
+            (0, "stride", 0, "stride"),  # was a ZeroDivisionError in out_shape
+            (0, "pad", -1, "pad"),  # built, then failed in np.pad at the first forward
+            (0, "kernel", 3.0, "kernel"),  # built float node shapes
+            (0, "kernel", 0, "kernel"),
+            (3, "size", 2.0, "pool size"),
+            (3, "size", 1, "pool size"),
+            (1, "eps", 0.0, "eps"),  # NaN on a constant channel
+            (1, "eps", -1e-5, "eps"),
+            (1, "eps", float("inf"), "eps"),
+            (1, "eps", float("nan"), "eps"),
+            (1, "momentum", 2, "momentum"),
+            (1, "momentum", -0.1, "momentum"),
+            (1, "momentum", float("nan"), "momentum"),
+        ],
+    )
+    def test_bad_layer_args_rejected_at_build(self, index, key, value, match):
+        cfg = two_conv_config()
+        cfg.layers[index].args[key] = value
+        with pytest.raises(ConfigError, match=match):
+            Network(cfg)
+
+    @pytest.mark.parametrize(
+        "index, key, value",
+        [(1, "momentum", 0.0), (1, "momentum", 1), (3, "size", np.int64(2)), (0, "stride", np.int32(1))],
+    )
+    def test_edge_layer_args_accepted(self, index, key, value):
+        cfg = two_conv_config()
+        cfg.layers[index].args[key] = value
+        Network(cfg)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):

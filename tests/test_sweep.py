@@ -1,0 +1,139 @@
+"""End to end through the trainer: train_model, train_epoch, EpochMetrics,
+run_cell, sweep_lambda and cell_to_point on mnist2 with synthetic data.
+
+Every run trains one epoch of 128 class-prototype images at B=64 and
+max_k=2, then prices the quantized model with the cost model.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from shiftnn.costmodel import pareto_front
+from shiftnn.nn import build_network, get_preset
+from shiftnn.trainer import (
+    TrainSettings,
+    cell_to_point,
+    init_train_state,
+    quantize_weights,
+    run_cell,
+    sweep_lambda,
+    train_model,
+)
+
+MNIST2 = get_preset("mnist2")
+BASE = TrainSettings(epochs=1, batch_size=64, lr=3e-3, max_k=2, lambdas=(0.0, 0.0), seed=5)
+# mnist2's filters: 8 and 16 in its two convs, 10 in its dense layer; at a
+# fixed k each spends k shifts per weight per output position
+SHIFTS_PER_K = 290_080
+FILTERS = 8 + 16 + 10
+
+
+def prototype_data(seed=0, n=128, noise=1.5):
+    gen = np.random.default_rng(seed)
+    protos = gen.standard_normal((10, 1, 28, 28))
+    y = gen.integers(0, 10, 2 * n)
+    x = (protos[y] + noise * gen.standard_normal((len(y), 1, 28, 28))).astype(np.float32)
+    return x[:n], y[:n], x[n:], y[n:]
+
+
+DATA = prototype_data()
+
+
+def train_one_epoch(settings, data=DATA, with_test=False):
+    net, params, state = build_network(MNIST2, settings.seed)
+    ts = init_train_state(net, params, state, settings)
+    start = ts.thresholds.copy()
+    test = data[2:] if with_test else ()
+    (metrics,) = train_model(ts, *data[:2], *test)
+    return ts, start, metrics
+
+
+@pytest.fixture(scope="module")
+def fixed_cells():
+    cells = {}
+    for k in (1, 2):
+        cells[k] = run_cell(MNIST2, replace(BASE, mode="fixed", fixed_k=k), DATA)
+    return cells
+
+
+@pytest.fixture(scope="module")
+def flex_cell():
+    settings = replace(BASE, per_layer_thresholds=True, threshold_init=0.25)
+    return run_cell(MNIST2, settings, DATA)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fixed_mode_gives_every_filter_fixed_k(fixed_cells, k):
+    ts, _, metrics = train_one_epoch(replace(BASE, mode="fixed", fixed_k=k))
+    _, qinfo = quantize_weights(ts.net, ts.params, ts.thresholds, ts.settings)
+    for qlayer, _ in qinfo.values():
+        assert (qlayer.k_i == k).all()
+    assert metrics.k_hist[k] == FILTERS
+    cell = fixed_cells[k]
+    assert cell.ok, cell.error
+    assert cell.mean_k == k
+    for layer in cell.cost.per_layer:
+        assert layer.shifts == layer.positions * layer.volume * layer.filters * k
+
+
+def test_fixed_k2_costs_twice_the_shifts_of_k1(fixed_cells):
+    assert fixed_cells[1].cost.shift_count == SHIFTS_PER_K
+    assert fixed_cells[2].cost.shift_count == 2 * SHIFTS_PER_K
+
+
+def test_flex_shifts_lie_strictly_between_fixed_k1_and_k2(fixed_cells, flex_cell):
+    assert flex_cell.ok, flex_cell.error
+    shifts = flex_cell.cost.shift_count
+    assert fixed_cells[1].cost.shift_count < shifts < fixed_cells[2].cost.shift_count
+    assert 1.0 < flex_cell.mean_k < 2.0
+
+
+def test_float_mode_leaves_thresholds_untouched():
+    ts, start, metrics = train_one_epoch(replace(BASE, mode="float", threshold_init=0.3))
+    assert np.array_equal(ts.thresholds, start)
+    assert ts.step == 2 and ts.epoch == 1
+    assert math.isnan(metrics.mean_k)
+
+
+def test_flex_mode_moves_thresholds():
+    ts, start, _ = train_one_epoch(replace(BASE, threshold_init=0.25))
+    assert not np.array_equal(ts.thresholds, start)
+
+
+def test_epoch_metrics():
+    settings = replace(BASE, lambdas=(1e-3, 1e-2))
+    _, _, metrics = train_one_epoch(settings)
+    assert metrics.epoch == 1
+    assert metrics.loss_reg > 0
+    assert metrics.loss_total == pytest.approx(metrics.loss_ce + metrics.loss_reg, rel=1e-12)
+    assert math.isnan(metrics.test_acc)
+    assert 0.0 <= metrics.train_acc <= 1.0
+    assert len(metrics.k_hist) == settings.max_k + 1
+    assert sum(metrics.k_hist) == FILTERS
+    _, _, with_test = train_one_epoch(settings, with_test=True)
+    assert 0.0 <= with_test.test_acc <= 1.0
+
+
+def test_failing_cell_is_recorded_not_raised():
+    wrong = (DATA[0][:, :, :27], *DATA[1:])
+    (cell,) = sweep_lambda(MNIST2, BASE, wrong, [(0.0, 0.0)], [1])
+    assert not cell.ok
+    assert "input shape" in cell.error
+    assert cell.accuracy is None and cell.cost is None
+    with pytest.raises(ValueError, match="cell failed"):
+        cell_to_point(cell, "bad")
+
+
+def test_points_keep_every_lambda():
+    # a max_k=3 sweep: the two cells differ only in lambda_2
+    base = replace(BASE, max_k=3, mode="fixed", fixed_k=1)
+    grid = [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-3)]
+    cells = sweep_lambda(MNIST2, base, DATA, grid, [1])
+    points = [cell_to_point(c, f"m{i}") for i, c in enumerate(cells)]
+    assert [p.lambdas for p in points] == grid
+    assert points[0] != points[1]
+    assert [p.seed for p in points] == [1, 1]
+    assert pareto_front(points)

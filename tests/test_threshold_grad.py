@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from shiftnn.quant import ExponentRange, quantize_layer
-from shiftnn.trainer.gradients import (
-    sigmoid,
-    surrogate_trace,
-    threshold_grad,
-    threshold_grad_from_trace,
-)
+from shiftnn.quant import ExponentRange, quantize_layer, round_pow2
+from shiftnn.trainer.gradients import sigmoid, threshold_grad, threshold_grad_from_trace
 
 WIDE = ExponentRange(e_max=16, e_min=-40, code_bits=8)
 
@@ -42,6 +37,44 @@ def reference_threshold_grad(residuals, norms, values, upstream, t, tau):
             P = P + contrib
         out[j] = (upstream * P).sum()
     return out
+
+
+def surrogate_trace(w, t, tau, k, rng: ExponentRange, frozen=None):
+    """Fully relaxed quantizer: every gate is a sigmoid, forward included.
+
+    Used for gradient checks.  With frozen=None the rounding is applied
+    normally and the per-round offsets R(r_l) - r_l are returned; passing
+    those offsets back in re-evaluates the same function with the
+    rounding linearized around the base point (values r_l + c_l), which
+    is the function whose exact gradient the straight-through convention
+    computes.
+
+    Returns (q, residuals, norms, values, offsets), arrays per round.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    F = w.shape[0]
+    r = w.reshape(F, -1).copy()
+    n = r.shape[1]
+    t = np.asarray(t, dtype=np.float64).reshape(-1)[:k]
+    residuals = np.zeros((k, F, n))
+    norms = np.zeros((k, F))
+    values = np.zeros((k, F, n))
+    offsets = np.zeros((k, F, n))
+    q = np.zeros((F, n))
+    for l in range(k):
+        residuals[l] = r
+        norms[l] = np.sqrt((r * r).sum(axis=1))
+        if frozen is None:
+            v = rng.decode(round_pow2(r, rng))
+            offsets[l] = v - r
+        else:
+            offsets[l] = frozen[l]
+            v = r + frozen[l]
+        values[l] = v
+        g = sigmoid((norms[l] - t[l]) / tau)
+        q = q + g[:, None] * v
+        r = r - g[:, None] * v
+    return q.reshape(w.shape), residuals, norms, values, offsets
 
 
 def random_case(gen, k):

@@ -63,6 +63,18 @@ def test_nan_master_weight_dumps_reason_and_step(tmp_path):
         assert np.isnan(dump["L2.W"][1, 5])
 
 
+def test_nan_weight_error_names_its_tensor(tmp_path):
+    net, params, state = tiny_net()
+    ts = init_train_state(net, params, state, TrainSettings(dump_dir=str(tmp_path)))
+    params["L2.W"][2, 0] = np.nan  # the second weight tensor, not the first
+    x = np.zeros((2, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(NumericError, match="L2.W"):
+        train_batch(ts, x, np.array([0, 1]))
+    (path,) = tmp_path.iterdir()
+    with np.load(path) as dump:
+        assert str(dump["__reason"]).startswith("L2.W: ")
+
+
 def test_wrong_shape_parameter_rejected_up_front():
     net, params, state = tiny_net()
     params["L2.W"] = params["L2.W"][:, :-1]
