@@ -13,8 +13,8 @@ class NumericError(ShiftNNError):
     """Non-finite values produced where finite values are required."""
 
 
-class DataError(ShiftNNError):
-    """Unusable data: an evaluation set with no samples."""
+class DataError(ShiftNNError, ValueError):
+    """Unusable data: an empty evaluation set, or labels out of range or of the wrong shape."""
 
 
 class PackingError(ShiftNNError):

@@ -351,6 +351,8 @@ class Dense:
     kind = "dense"
 
     def __init__(self, name, in_features, out_features, bias=True):
+        _require_int(name, "in_features", in_features, 1)
+        _require_int(name, "out_features", out_features, 1)
         self.name = name
         self.in_features = in_features
         self.out_features = out_features

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import DataError
+
 
 def cross_entropy(logits, labels):
     """Mean negative log softmax at the true class.
@@ -15,9 +17,9 @@ def cross_entropy(logits, labels):
     labels = np.asarray(labels)
     n, c = logits.shape
     if labels.shape != (n,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
+        raise DataError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
-        raise ValueError(f"label out of range [0, {c})")
+        raise DataError(f"label out of range [0, {c})")
     z = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(z)
     sumexp = expz.sum(axis=1, keepdims=True)

@@ -76,10 +76,35 @@ def _kept_codes(layer: QuantizedLayer) -> np.ndarray:
     return layer.codes.transpose(1, 0, 2)[keep.T]  # (total_terms, n)
 
 
-def _to_bits(values: np.ndarray, width: int) -> np.ndarray:
-    """Flat MSB-first bit expansion of values that fit `width` <= 8 bits."""
-    bits = np.unpackbits(values.astype(np.uint8).reshape(-1, 1), axis=1)
-    return bits[:, 8 - width :].ravel()
+def _pack_fields(values: np.ndarray, width: int) -> np.ndarray:
+    """Values below 2**width as width-bit fields, MSB-first, zero-padded to a byte.
+
+    Neighbours merge pairwise until 8 fields form one uint64 word of
+    8 * width bits, which is written as `width` big-endian bytes.
+    """
+    count = values.size
+    v = np.zeros(-(-count // 8) * 8, dtype=np.uint8)
+    v[:count] = values.reshape(-1)
+    v = (v[0::2].astype(np.uint16) << width) | v[1::2]
+    v = (v[0::2].astype(np.uint32) << 2 * width) | v[1::2]
+    v = (v[0::2].astype(np.uint64) << 4 * width) | v[1::2]
+    words = v.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :]
+    return words.reshape(-1)[: -(-count * width // 8)]
+
+
+def _unpack_fields(data: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The first `count` width-bit fields of `data`, as _pack_fields lays them out."""
+    words = np.zeros((-(-count // 8), 8), dtype=np.uint8)
+    padded = np.zeros(words.shape[0] * width, dtype=np.uint8)
+    padded[: data.size] = data
+    words[:, 8 - width :] = padded.reshape(-1, width)
+    v = words.view(">u8").reshape(-1).astype(np.uint64)
+    for dtype, w in ((np.uint32, 4 * width), (np.uint16, 2 * width), (np.uint8, width)):
+        halves = np.empty(2 * v.size, dtype=dtype)
+        halves[0::2] = v >> w
+        halves[1::2] = v & ((1 << w) - 1)
+        v = halves
+    return v[:count]
 
 
 def pack_model(layers: list[QuantizedLayer]) -> bytes:
@@ -94,8 +119,8 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
         if rng != ExponentRange.widest(rng.e_max, rng.code_bits):
             # the stream stores e_max only, so unpacking assumes the widest range
             raise PackingError(f"layer {idx}: range {rng} is not the widest for its e_max")
-        if int(layer.k_i.max(initial=0)) > MAX_K:
-            raise PackingError(f"layer {idx}: k_i > {MAX_K} does not fit the 2-bit header")
+        if not 0 <= int(layer.k_i.min(initial=0)) <= int(layer.k_i.max(initial=0)) <= MAX_K:
+            raise PackingError(f"layer {idx}: k_i outside [0, {MAX_K}] does not fit 2 bits")
         codes = _kept_codes(layer)
         bad = (codes >= 1 << rng.code_bits) | (codes == 1 << (rng.code_bits - 1))
         if bad.any():
@@ -104,8 +129,17 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
                 f"{rng.code_bits}-bit code set, the first is {codes[bad][0]}"
             )
         out += _layer_header(layer)
-        bits = np.concatenate([_to_bits(layer.k_i, 2), _to_bits(codes, rng.code_bits)])
-        out += np.packbits(bits).tobytes()  # packbits zero-pads the final byte
+        head = _pack_fields(layer.k_i, 2)
+        body = _pack_fields(codes, rng.code_bits)
+        shift = 2 * layer.num_filters % 8
+        payload = np.zeros((payload_bits(layer) + 7) // 8, dtype=np.uint8)
+        payload[: head.size] = head
+        if shift:  # the k_i table ends mid-byte: the code bytes move right by `shift` bits
+            payload[head.size - 1 : head.size - 1 + body.size] |= body >> shift
+            payload[head.size :] |= body[: payload.size - head.size] << (8 - shift)
+        else:
+            payload[head.size :] = body
+        out += payload.tobytes()
     return bytes(out)
 
 
@@ -141,10 +175,8 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
         head_bytes = (2 * F + 7) // 8
         if pos + head_bytes > len(data):
             raise PackingError(f"truncated k_i table at byte {pos}")
-        head_bits = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8, count=head_bytes, offset=pos)
-        )[: 2 * F]
-        k_i = ((head_bits[0::2].astype(np.int64) << 1) | head_bits[1::2]).astype(np.int8)
+        head = np.frombuffer(data, dtype=np.uint8, count=head_bytes, offset=pos)
+        k_i = _unpack_fields(head, 2, F).view(np.int8)
         k_max = int(k_i.max(initial=0))
         if max(k_max, 1) * max(F, 1) * n > MAX_LAYER_CODES:
             raise PackingError(
@@ -152,16 +184,21 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
                 f"{MAX_LAYER_CODES} codes"
             )
         total_terms = int(k_i.astype(np.int64).sum())
-        payload_len = (2 * F + total_terms * n * code_bits + 7) // 8
+        body_bits = total_terms * n * code_bits
+        payload_len = (2 * F + body_bits + 7) // 8
         if pos + payload_len > len(data):
             raise PackingError(f"truncated term codes at byte {pos + head_bytes}")
-        bits = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8, count=payload_len, offset=pos)
-        )[2 * F : 2 * F + total_terms * n * code_bits]
+        payload = np.frombuffer(data, dtype=np.uint8, count=payload_len, offset=pos)
         pos += payload_len
 
-        # each code_bits-wide row packs left-aligned into one byte
-        codes = np.packbits(bits.reshape(-1, code_bits), axis=1)[:, 0] >> (8 - code_bits)
+        shift = 2 * F % 8
+        if shift:  # the codes start `shift` bits into the last k_i byte
+            body = payload[head_bytes - 1 : head_bytes - 1 + (body_bits + 7) // 8] << shift
+            tail = payload[head_bytes:]  # one byte shorter than body, or as long
+            body[: tail.size] |= tail >> (8 - shift)
+        else:
+            body = payload[head_bytes:]
+        codes = _unpack_fields(body, code_bits, total_terms * n)
         bad = np.flatnonzero(codes == 1 << (code_bits - 1))
         if bad.size:
             term, elem = divmod(int(bad[0]), n)

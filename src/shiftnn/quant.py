@@ -50,11 +50,6 @@ class ExponentRange:
     def num_exponents(self) -> int:
         return self.e_max - self.e_min + 1
 
-    @property
-    def underflow_threshold(self) -> float:
-        # magnitudes below this round to the zero code
-        return math.ldexp(1.0, self.e_min - 1)
-
     @classmethod
     def widest(cls, e_max: int, code_bits: int = DEFAULT_CODE_BITS) -> "ExponentRange":
         """Largest window ending at e_max that the code width allows."""
@@ -66,7 +61,8 @@ class ExponentRange:
         peak = np.max(np.abs(w), initial=0.0)
         if not np.isfinite(peak):
             raise NumericError("weights hold NaN or infinite values")
-        return cls.widest(int(nearest_exponent(peak)) if peak > 0 else 0, code_bits)
+        e_max = int(nearest_exponent(peak, *_ANY_EXPONENT)) if peak > 0 else 0
+        return cls.widest(e_max, code_bits)
 
     def decode(self, codes, dtype=np.float64) -> np.ndarray:
         """Values of term codes: the one definition of the code format."""
@@ -74,21 +70,64 @@ class ExponentRange:
         magnitude = np.ldexp(1.0, self.e_max + 1 - np.arange(half))
         magnitude[0] = 0.0
         table = np.concatenate([magnitude, -magnitude]).astype(dtype)
-        return table[codes]
+        return table.take(codes)
 
 
-_SQRT_HALF = np.float64(math.sqrt(0.5))  # rounds up: no float lies in (sqrt(1/2), _SQRT_HALF)
+class _FloatBits:
+    """Layout of float32 or float64 bit patterns, as nearest_exponent reads them."""
+
+    def __init__(self, dtype):
+        info = np.finfo(dtype)
+        self.ints = np.dtype(f"i{info.bits // 8}").type  # |x| bit patterns are >= 0
+        self.mb, self.emin, self.emax = info.nmant, info.minexp, info.maxexp
+        self.tiny, self.prescale = info.tiny, info.dtype.type(2.0**info.nmant)
+        # 1.f >= sqrt 2 exactly when the mantissa bits f >= f0 = ceil(2**mb (sqrt 2 - 1)),
+        # the mantissa of the smallest float >= fl64(sqrt 2)
+        f0 = math.isqrt(1 << (2 * self.mb + 1)) + 1 - (1 << self.mb)
+        self.offset = self.ints((1 << self.mb) - f0 - ((1 - self.emin) << self.mb))
+
+    def pow2_key(self, p: int):
+        """The k with |x| < 2**p exactly when bits(|x|) < k."""
+        # below the smallest subnormal only 0 is smaller; past inf, k is inf's bits
+        q = min(max(p, self.emin - self.mb), self.emax)
+        key = (q - self.emin + 1) << self.mb if q >= self.emin else 1 << (q - self.emin + self.mb)
+        return self.ints(key)
 
 
-def nearest_exponent(ax):
-    """Integer E nearest the base-2 exponent of each magnitude ax > 0, halves up.
+_FLOAT_BITS = {np.dtype(t): _FloatBits(t) for t in (np.float32, np.float64)}
+_ANY_EXPONENT = (-1 << 15, 1 << 15)  # clamp bounds past every float's exponent
 
-    With ax = m * 2**e and m in [0.5, 1), E = e - 1 + (m >= sqrt(1/2)):
-    E is the one integer with 2**(2E - 1) <= ax**2 < 2**(2E + 1).  The
-    comparison runs in float64, so it is exact for float32 input too.
+
+def _as_float(x) -> np.ndarray:
+    """float32 stays float32; every other input is read as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
+def nearest_exponent(ax, lo: int, hi: int) -> np.ndarray:
+    """clip(E, lo, hi), with E the integer nearest log2(ax) for ax > 0, halves up.
+
+    E is the one integer with 2**(2E - 1) <= ax**2 < 2**(2E + 1).  It is
+    read off the bit pattern of the float32 or float64 magnitude ax: with
+    mb mantissa bits and f0 as in _FloatBits, the biased exponent, plus
+    one when the mantissa is >= f0, is (bits(ax) + 2**mb - f0) >> mb; the
+    offset also takes off the bias.  When lo lies below the smallest
+    normal exponent, subnormals take the same rule on ax * 2**mb, which is
+    exact and normal, and give back mb; otherwise the clamp sends every
+    subnormal to lo either way.  Returns integers of ax's bit width,
+    shaped like ax.
     """
-    m, e = np.frexp(ax)
-    return e - 1 + (m >= _SQRT_HALF)
+    ax = _as_float(ax)
+    fb = _FLOAT_BITS[ax.dtype]
+    bits = ax.view(fb.ints)
+    e = np.add(bits, fb.offset, out=np.empty(ax.shape, fb.ints))
+    if lo < fb.emin:
+        sub = ax < fb.tiny
+        if sub.any():
+            scaled = (ax[sub] * fb.prescale).view(fb.ints)
+            e[sub] = scaled + (fb.offset - fb.ints(fb.mb << fb.mb))
+    np.right_shift(e, fb.mb, out=e)
+    return np.clip(e, lo, hi, out=e)
 
 
 def round_pow2(x, rng: ExponentRange) -> np.ndarray:
@@ -97,15 +136,19 @@ def round_pow2(x, rng: ExponentRange) -> np.ndarray:
     |x| rounds to 2**E with 2**(E - 1/2) <= |x| < 2**(E + 1/2), the
     nearest power in the log domain (see nearest_exponent).  E clamps to
     [e_min, e_max]; magnitudes below 2**(e_min - 1), exact 0 included,
-    give the zero code.
+    give the zero code.  Integer inputs are read as float64.
     """
-    x = np.asarray(x)
+    x = _as_float(x)
+    shape = x.shape
+    x = x.reshape(-1)
     ax = np.abs(x)
-    e = np.clip(nearest_exponent(ax), rng.e_min, rng.e_max)
-    value = (rng.e_max + 1 - e).astype(np.uint8)
-    sign = (x < 0).astype(np.uint8) << (rng.code_bits - 1)
-    zero = ax < np.float64(rng.underflow_threshold)  # float64: the threshold may underflow float32
-    return np.where(zero, np.uint8(0), sign | value)
+    e = nearest_exponent(ax, rng.e_min, rng.e_max)
+    code = np.subtract(rng.e_max + 1, e, out=e).astype(np.uint8)
+    # multiplies, not shifts: numpy's uint8 shifts are several times slower
+    code |= np.signbit(x).view(np.uint8) * np.uint8(1 << (rng.code_bits - 1))
+    fb = _FLOAT_BITS[x.dtype]
+    code *= ax.view(fb.ints) >= fb.pow2_key(rng.e_min - 1)
+    return code.reshape(shape)
 
 
 @dataclass
@@ -159,8 +202,9 @@ class QuantizedLayer:
     def dequantize(self, dtype=np.float64) -> np.ndarray:
         """Sum of kept terms, shaped (F, *filter_shape)."""
         out = np.zeros((self.num_filters, self.filter_size), dtype=dtype)
+        table = self.rng.decode(np.arange(1 << self.rng.code_bits), dtype)
         for j in range(self.max_k):  # fixed order keeps summation deterministic
-            out = out + self.rng.decode(self.codes[j], dtype)
+            out += table.take(self.codes[j])
         return out.reshape((self.num_filters,) + self.filter_shape)
 
     def __eq__(self, other) -> bool:
@@ -201,26 +245,32 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     flat = w.reshape(F, -1)
     n = flat.shape[1]
 
-    residuals = np.zeros((k + 1, F, n), dtype=flat.dtype)
-    norms = np.zeros((k + 1, F), dtype=np.float64)
-    fired = np.zeros((k, F), dtype=bool)
-    codes = np.zeros((k, F, n), dtype=np.uint8)
+    residuals = np.empty((k + 1, F, n), dtype=flat.dtype)
+    norms = np.empty((k + 1, F), dtype=np.float64)
+    fired = np.empty((k, F), dtype=bool)
+    codes = np.empty((k, F, n), dtype=np.uint8)
 
-    r = flat.copy()
-    norms[0] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
+    residuals[0] = flat
+    norms[0] = np.sqrt(np.einsum("fn,fn->f", flat, flat, dtype=np.float64))
     bad = np.flatnonzero(~np.isfinite(norms[0]))
     if bad.size:
         # a NaN norm never exceeds a threshold, so the filter would look pruned
         raise NumericError(
             f"{bad.size} filter(s) hold non-finite weights, the first is filter {bad[0]}"
         )
+    table = rng.decode(np.arange(1 << rng.code_bits), flat.dtype)
+    term = np.empty((F, n), dtype=flat.dtype)
     for j in range(k):
-        residuals[j] = r
-        codes[j] = round_pow2(r, rng)
+        codes[j] = round_pow2(residuals[j], rng)
         fired[j] = norms[j] > t[j]
-        r = np.where(fired[j][:, None], r - rng.decode(codes[j], flat.dtype), r)
-        norms[j + 1] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
-    residuals[k] = r
+        # round_pow2 codes are all < 2**code_bits, so "wrap" never wraps; unlike
+        # "raise" it writes into term without a buffer
+        table.take(codes[j], out=term, mode="wrap")
+        term[~fired[j]] = 0  # r - 0 is r, bit for bit: closed gates keep their residual
+        np.subtract(residuals[j], term, out=residuals[j + 1])
+        norms[j + 1] = np.sqrt(
+            np.einsum("fn,fn->f", residuals[j + 1], residuals[j + 1], dtype=np.float64)
+        )
 
     trace = ResidualTrace(residuals, norms, fired, codes, rng)
     return _compact(trace, filter_shape), trace

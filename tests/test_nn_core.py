@@ -441,6 +441,18 @@ class TestBuildNetwork:
             Network(cfg)
 
     @pytest.mark.parametrize(
+        "key, value",
+        [("out_features", 3.0), ("out_features", 0), ("in_features", 96.0),
+         ("in_features", -96)],
+    )
+    def test_bad_dense_args_rejected_at_build(self, key, value):
+        # a float out_features once built the node shape (3.0,) and failed in init_params
+        cfg = two_conv_config()
+        cfg.layers[8].args[key] = value
+        with pytest.raises(ConfigError, match=key):
+            Network(cfg)
+
+    @pytest.mark.parametrize(
         "index, key, value",
         [(1, "momentum", 0.0), (1, "momentum", 1), (3, "size", np.int64(2)), (0, "stride", np.int32(1))],
     )

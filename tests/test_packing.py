@@ -31,6 +31,64 @@ def random_model(seed, n_layers=3, k=2):
     return layers
 
 
+def reference_pack(layers):
+    """The stream format written out with plain Python ints and bit strings."""
+    out = b"P2WS" + struct.pack("<BH", 1, len(layers))
+    for layer in layers:
+        out += struct.pack("<IB", layer.num_filters, len(layer.filter_shape))
+        out += b"".join(struct.pack("<I", d) for d in layer.filter_shape)
+        out += struct.pack("<hB", layer.rng.e_max, layer.rng.code_bits)
+        bits = "".join(format(int(k), "02b") for k in layer.k_i)
+        for f, k in enumerate(layer.k_i):
+            for j in range(k):
+                width = layer.rng.code_bits
+                bits += "".join(format(int(c), f"0{width}b") for c in layer.codes[j, f])
+        bits += "0" * (-len(bits) % 8)
+        out += bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+    return out
+
+
+def golden_model():
+    """Odd and even F, code_bits 3, 4, 5 and 8, pruned filters and k_i = 3."""
+    specs = [  # (code_bits, e_max, filter_shape, k_i)
+        (3, 1, (2,), [3, 0, 1]),  # 2F = 6: the k_i table ends mid-byte
+        (4, -2, (3,), [2]),
+        (5, 3, (2, 1), [1, 2, 0, 3, 1]),
+        (8, -7, (), [3, 1, 0, 2]),  # 2F = 8: the codes start on a byte boundary
+    ]
+    layers = []
+    i = 0
+    for code_bits, e_max, shape, k_i in specs:
+        canonical = [c for c in range(1 << code_bits) if c != 1 << (code_bits - 1)]
+        n = int(np.prod(shape))
+        codes = np.zeros((max(k_i), len(k_i), n), np.uint8)
+        for f, k in enumerate(k_i):
+            for j in range(k):
+                for e in range(n):
+                    codes[j, f, e] = canonical[(7 * i + 3) % len(canonical)]
+                    i += 1
+        rng = ExponentRange.widest(e_max, code_bits)
+        layers.append(QuantizedLayer(shape, rng, np.array(k_i, np.int8), codes))
+    return layers
+
+
+GOLDEN_STREAM = bytes.fromhex(
+    "503257530104000300000001020000000100"
+    "03c5b6db6c010000000103000000feff04bd"
+    "b97500050000000202000000010000000300"
+    "056350fbf8aca6c498e3e60400000000f9ff"
+    "08d2c8cfd6dde4eb"
+)
+
+
+def test_golden_stream():
+    model = golden_model()
+    assert reference_pack(model) == GOLDEN_STREAM
+    assert pack_model(model) == GOLDEN_STREAM
+    back = unpack_model(GOLDEN_STREAM)
+    assert len(back) == len(model) and all(a == b for a, b in zip(back, model))
+
+
 def test_empty_model_is_header_only():
     data = pack_model([])
     assert data == b"P2WS" + bytes([1]) + b"\x00\x00"
@@ -132,6 +190,15 @@ def test_oversized_k_rejected():
         pack_model([ql])
 
 
+def test_negative_k_rejected():
+    # a 2-bit field cannot hold -1; it once packed as 0b11, a k_i of 3 with no codes
+    ql = random_model(4, n_layers=1)[0]
+    ql.k_i = ql.k_i.copy()
+    ql.k_i[0] = -1
+    with pytest.raises(PackingError, match="k_i"):
+        pack_model([ql])
+
+
 def test_layer_code_bound(monkeypatch):
     # one k_i = 3 filter and one pruned filter of 4 weights: a dense (3, 2, 4) code array
     codes = np.zeros((3, 2, 4), dtype=np.uint8)
@@ -197,6 +264,12 @@ def test_random_layers_roundtrip(model):
         assert np.array_equal(a.dequantize(), b.dequantize())
     assert pack_model(back) == data
     assert storage_bits(model) == 8 * (len(data) - header_length(model))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(layers(), max_size=3))
+def test_random_layers_match_reference_pack(model):
+    assert pack_model(model) == reference_pack(model)
 
 
 @settings(max_examples=20, deadline=None)

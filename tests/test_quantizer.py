@@ -43,6 +43,45 @@ def boundary_neighbours(dtype, steps=3):
     return np.concatenate([out, -out])
 
 
+def exact_floor_log2(x):
+    """floor(log2 |x|) for x != 0, in exact arithmetic."""
+    ax = abs(Fraction(float(x)))
+    e = math.floor(math.log2(abs(x)))
+    while ax >= Fraction(2) ** (e + 1):
+        e += 1
+    while ax < Fraction(2) ** e:
+        e -= 1
+    return e
+
+
+def full_range_samples(dtype):
+    """Floats of dtype over its whole exponent range, subnormals included, both signs.
+
+    Per binade: the three floats nearest 2**e * sqrt(1/2) and one random
+    mantissa; plus the smallest and largest subnormal, the smallest normal
+    and the largest finite value.
+    """
+    info = np.finfo(dtype)
+    gen = np.random.default_rng(41)
+    lowest = info.minexp - info.nmant  # exponent of the smallest subnormal
+    out = [np.nextafter(dtype(0), dtype(1)), info.tiny, np.nextafter(info.tiny, dtype(0)), info.max]
+    for e in range(lowest + 1, info.maxexp):
+        x = np.ldexp(dtype(math.sqrt(0.5)), e)
+        out += [np.nextafter(x, dtype(0)), x, np.nextafter(x, dtype(np.inf))]
+        out.append(np.ldexp(dtype(gen.uniform(0.5, 1.0)), e))
+    out = np.array(out, dtype=dtype)
+    out = out[out > 0]
+    return np.concatenate([out, -out])
+
+
+def oracle_codes(xs, exps, floors, rng):
+    """Codes by the exact rule, from each x's exact nearest and floor exponents."""
+    e = np.clip(exps, rng.e_min, rng.e_max)
+    codes = (rng.e_max + 1 - e) | (np.signbit(xs) << (rng.code_bits - 1))
+    # |x| < 2**p exactly when floor(log2 |x|) < p
+    return np.where(floors < rng.e_min - 1, 0, codes).astype(np.uint8)
+
+
 @pytest.fixture
 def wide():
     return ExponentRange(e_max=20, e_min=-40, code_bits=8)
@@ -169,6 +208,50 @@ class TestRoundPow2:
         xs = xs[np.abs(xs) > 2.0 ** (wide.e_min + 1)]
         err = np.abs(xs - wide.decode(round_pow2(xs, wide)))
         assert (err <= (np.sqrt(2) - 1) * np.abs(xs) + 1e-15).all()
+
+
+class TestRoundPow2Exactness:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_full_exponent_range(self, dtype):
+        # 8-bit windows tiled over the whole range: the lowest has its zero
+        # threshold below the smallest subnormal, so every x != 0 lies above it
+        xs = full_range_samples(dtype)
+        exps = np.array([exact_exponent(x) for x in xs])
+        floors = np.array([exact_floor_log2(x) for x in xs])
+        info = np.finfo(dtype)
+        lowest = info.minexp - info.nmant
+        for e_max in range(info.maxexp + 100, lowest - 1, -60):
+            rng = ExponentRange(e_max, e_max - 126, 8)
+            got = round_pow2(xs, rng)
+            want = oracle_codes(xs, exps, floors, rng)
+            assert np.array_equal(got, want), (e_max, xs[got != want][:4])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("e_max", [40, -1, -100, -1000])
+    def test_signed_zero_is_the_zero_code(self, dtype, e_max):
+        rng = ExponentRange(e_max, e_max - 126, 8)
+        assert round_pow2(np.array([0.0, -0.0], dtype=dtype), rng).tolist() == [0, 0]
+
+    def test_shapes_strides_and_integer_input(self, wide):
+        x = np.random.default_rng(43).normal(size=(3, 4, 5)) * 8
+        want = round_pow2(x.copy(), wide)
+        assert want.shape == x.shape and want.dtype == np.uint8
+        assert np.array_equal(round_pow2(x[:, ::2, 1:], wide), want[:, ::2, 1:])
+        assert np.array_equal(round_pow2(x.T, wide), want.T)
+        zero_d = round_pow2(np.float64(x[1, 2, 3]), wide)
+        assert zero_d.shape == () and zero_d == want[1, 2, 3]
+        ints = np.array([[0, 1, -3], [6, -100, 7]])
+        assert np.array_equal(round_pow2(ints, wide), round_pow2(ints.astype(np.float64), wide))
+        assert round_pow2(np.float32(0.75), wide) == round_pow2(0.75, wide)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_for_weights_on_subnormal_peaks(self, dtype):
+        info = np.finfo(dtype)
+        smallest = np.nextafter(dtype(0), dtype(1))
+        for peak in [smallest, smallest * dtype(3), smallest * dtype(5), info.tiny / dtype(3),
+                     np.nextafter(info.tiny, dtype(0))]:
+            w = np.array([-peak, peak / dtype(2), 0.0], dtype=dtype)
+            assert ExponentRange.for_weights(w).e_max == exact_exponent(peak)
 
 
 class TestQuantizeFilter:

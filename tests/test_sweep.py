@@ -127,6 +127,15 @@ def test_failing_cell_is_recorded_not_raised():
         cell_to_point(cell, "bad")
 
 
+def test_bad_label_cell_is_recorded_not_raised():
+    train_y = DATA[1].copy()
+    train_y[3] = 10  # mnist2 has 10 classes
+    (cell,) = sweep_lambda(MNIST2, BASE, (DATA[0], train_y, *DATA[2:]), [(0.0, 0.0)], [1])
+    assert not cell.ok
+    assert "label out of range" in cell.error
+    assert cell.accuracy is None and cell.cost is None
+
+
 def test_points_keep_every_lambda():
     # a max_k=3 sweep: the two cells differ only in lambda_2
     base = replace(BASE, max_k=3, mode="fixed", fixed_k=1)
