@@ -84,11 +84,11 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
     """Per-inference operation counts for one input image.
 
     k_map maps each weight name to a per-filter k_i vector (or a scalar
-    applied to every filter).  With multiply_baseline=True the model is
-    costed as a multiplier design (full-precision or fixed-point): one
-    multiply per MAC and no shifts.  Pruned filters (k_i = 0) drop both
-    their shifts and their accumulation adds.  Shortcut adds count one
-    add per element of the destination map.
+    applied to every filter) of integers in [0, packing.MAX_K].  With
+    multiply_baseline=True the model is costed as a multiplier design
+    (full-precision or fixed-point): one multiply per MAC and no shifts.
+    Pruned filters (k_i = 0) drop both their shifts and their accumulation
+    adds.  Shortcut adds count one add per element of the destination map.
     """
     geom = _layer_geometry(net)
     per_layer = []
@@ -102,12 +102,14 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
         else:
             if k_map is None:
                 raise ConfigError("op_counts needs k_map unless multiply_baseline is set")
-            k_i = k_map[name]
-            k_i = np.full(F, int(k_i), dtype=np.int64) if np.isscalar(k_i) else np.asarray(
-                k_i, dtype=np.int64
-            )
+            k_i = np.asarray(k_map[name])
+            k_i = np.full(F, k_i) if k_i.ndim == 0 else k_i
             if k_i.shape != (F,):
                 raise ConfigError(f"{name}: k map has shape {k_i.shape}, expected ({F},)")
+            top = packing.MAX_K
+            if not np.issubdtype(k_i.dtype, np.integer) or not 0 <= k_i.min() <= k_i.max() <= top:
+                raise ConfigError(f"{name}: k_i must be integers in [0, {top}], got {k_i}")
+            k_i = k_i.astype(np.int64)
             live = k_i > 0
             l_shift = int(P * V * k_i.sum())
             extra = int(P * V * np.maximum(k_i - 1, 0).sum())

@@ -119,6 +119,7 @@ class Network:
                     raise ConfigError(f"skip {j}: projection cannot map {s_src} to {s_dst}")
                 self.projections[skip.dst] = proj
             self._skip_by_dst[skip.dst] = skip.src
+        self._skip_srcs = set(self._skip_by_dst.values())
 
     # --- parameter management -------------------------------------------------
 
@@ -177,7 +178,11 @@ class Network:
     # --- execution --------------------------------------------------------------
 
     def forward(self, x, params, state=None, train=False):
-        """Run the network; returns (logits, cache) for a later backward."""
+        """Run the network; returns (logits, cache) for a later backward.
+
+        Only a train forward keeps the layer caches that backward reads; an
+        eval forward returns None as its cache.
+        """
         x = np.asarray(x)
         if x.shape[1:] != tuple(self.config.input_shape):
             raise ConfigError(
@@ -187,32 +192,27 @@ class Network:
         state = state if state is not None else {}
         caches = []
         skip_caches = {}
-        nodes = []
+        sources = {}  # node index -> output, for the nodes a skip reads
         out = x
         for i, layer in enumerate(self.layers):
             out, cache = layer.forward(out, params, state, train)
-            caches.append(cache)
+            if train:
+                caches.append(cache)
             if i in self._skip_by_dst:
-                src = self._skip_by_dst[i]
+                branch, pcache = sources[self._skip_by_dst[i]], None
                 proj = self.projections[i]
-                if proj is None:
-                    out = out + nodes[src]
-                    skip_caches[i] = None
-                else:
-                    branch, pcache = proj.forward(nodes[src], params, state, train)
-                    out = out + branch
+                if proj is not None:
+                    branch, pcache = proj.forward(branch, params, state, train)
+                out = out + branch
+                if train:
                     skip_caches[i] = pcache
-            nodes.append(out)
-        logits = nodes[-1]
-        if not np.isfinite(logits).all():
+            if i in self._skip_srcs:
+                sources[i] = out
+        if not np.isfinite(out).all():
             raise NumericError("non-finite network output")
-        return logits, {
-            "net": self,
-            "train": train,
-            "caches": caches,
-            "skip_caches": skip_caches,
-            "batch": x.shape[0],
-        }
+        if not train:
+            return out, None
+        return out, {"net": self, "caches": caches, "skip_caches": skip_caches, "batch": x.shape[0]}
 
     def backward(self, cache, dlogits, params):
         """Gradients of every parameter plus the input, from a forward cache."""

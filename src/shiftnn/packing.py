@@ -38,11 +38,11 @@ from .quant import ExponentRange, QuantizedLayer
 
 MAGIC = b"P2WS"
 VERSION = 1
-# unpack_model rejects a layer whose dense (max k_i, F, n) code array would
-# exceed this many uint8 codes (256 MiB), counting at least one term and one
-# filter: a fully pruned layer still dequantizes to F * n weights, and numpy
-# must index even an empty one.  A short stream can claim a layer far larger
-# than itself; the bound makes that a PackingError rather than a MemoryError.
+# unpack_model rejects a layer whose max k_i * F * n exceeds this many codes
+# (256 MiB of uint8), counting at least one term and one filter: even a fully
+# pruned layer dequantizes to F * n weights.  A short stream can claim a layer
+# far larger than itself; the bound makes that a PackingError at unpack time
+# rather than a MemoryError when the layer is dequantized.
 MAX_LAYER_CODES = 1 << 28
 MAX_K = 3  # largest k_i the 2-bit per-filter header holds
 
@@ -67,13 +67,6 @@ def payload_bits(layer: QuantizedLayer) -> int:
     """Unpadded payload size: per-filter k_i headers plus term codes."""
     term_bits = int(layer.k_i.astype(np.int64).sum()) * layer.filter_size * layer.rng.code_bits
     return 2 * layer.num_filters + term_bits
-
-
-def _kept_codes(layer: QuantizedLayer) -> np.ndarray:
-    """Codes of kept terms in filter-major, term-major, element-major order."""
-    keep = np.arange(layer.max_k)[:, None] < layer.k_i[None, :]
-    # transpose to filter-major order before selecting kept term slots
-    return layer.codes.transpose(1, 0, 2)[keep.T]  # (total_terms, n)
 
 
 def _pack_fields(values: np.ndarray, width: int) -> np.ndarray:
@@ -121,7 +114,10 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
             raise PackingError(f"layer {idx}: range {rng} is not the widest for its e_max")
         if not 0 <= int(layer.k_i.min(initial=0)) <= int(layer.k_i.max(initial=0)) <= MAX_K:
             raise PackingError(f"layer {idx}: k_i outside [0, {MAX_K}] does not fit 2 bits")
-        codes = _kept_codes(layer)
+        codes = layer.codes
+        expected = (int(layer.k_i.astype(np.int64).sum()), layer.filter_size)
+        if codes.shape != expected:
+            raise PackingError(f"layer {idx}: codes have shape {codes.shape}, expected {expected}")
         bad = (codes >= 1 << rng.code_bits) | (codes == 1 << (rng.code_bits - 1))
         if bad.any():
             raise PackingError(
@@ -205,11 +201,7 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
             raise PackingError(
                 f"non-canonical zero code (sign bit set) at term {term} element {elem}"
             )
-
-        layer_codes = np.zeros((k_max, F, n), dtype=np.uint8)
-        keep = np.arange(k_max)[:, None] < k_i[None, :]
-        layer_codes.transpose(1, 0, 2)[keep.T] = codes.reshape(total_terms, n)
-        layers.append(QuantizedLayer(dims, rng, k_i, layer_codes))
+        layers.append(QuantizedLayer(dims, rng, k_i, codes.reshape(total_terms, n)))
     if pos != len(data):
         raise PackingError(f"{len(data) - pos} trailing bytes after byte {pos}")
     return layers

@@ -176,24 +176,21 @@ class ResidualTrace:
 class QuantizedLayer:
     """All filters of one layer in compact form.
 
-    codes[j, f] is term j of filter f, in firing order; slots at or
-    beyond k_i[f] hold the zero code, so the kept terms sum to the
-    filter.  filter_shape excludes the leading filter axis.
+    codes holds the kept terms in the packed stream's order: filter by
+    filter, and within each filter its k_i[f] terms in firing order, one
+    row of n element codes per term.  filter_shape excludes the leading
+    filter axis.
     """
 
     def __init__(self, filter_shape, rng, k_i, codes):
         self.filter_shape = tuple(filter_shape)
         self.rng = rng
         self.k_i = k_i  # (F,) int8
-        self.codes = codes  # (max_k, F, n) uint8
+        self.codes = codes  # (sum k_i, n) uint8
 
     @property
     def num_filters(self) -> int:
         return self.k_i.shape[0]
-
-    @property
-    def max_k(self) -> int:
-        return self.codes.shape[0]
 
     @property
     def filter_size(self) -> int:
@@ -203,21 +200,22 @@ class QuantizedLayer:
         """Sum of kept terms, shaped (F, *filter_shape)."""
         out = np.zeros((self.num_filters, self.filter_size), dtype=dtype)
         table = self.rng.decode(np.arange(1 << self.rng.code_bits), dtype)
-        for j in range(self.max_k):  # fixed order keeps summation deterministic
-            out += table.take(self.codes[j])
+        k_i = self.k_i.astype(np.int64)
+        first = np.cumsum(k_i) - k_i  # row of each filter's first term
+        for j in range(int(k_i.max(initial=0))):  # term j of every filter: a fixed summation order
+            live = np.flatnonzero(k_i > j)
+            out[live] += table.take(self.codes[first[live] + j])
         return out.reshape((self.num_filters,) + self.filter_shape)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedLayer):
             return NotImplemented
-        if (
-            self.filter_shape != other.filter_shape
-            or self.rng != other.rng
-            or not np.array_equal(self.k_i, other.k_i)
-        ):
-            return False
-        kept = int(self.k_i.max(initial=0))  # later slots hold only zero codes
-        return np.array_equal(self.codes[:kept], other.codes[:kept])
+        return (
+            self.filter_shape == other.filter_shape
+            and self.rng == other.rng
+            and np.array_equal(self.k_i, other.k_i)
+            and np.array_equal(self.codes, other.codes)
+        )
 
 
 def _as_thresholds(t, k: int) -> np.ndarray:
@@ -273,20 +271,9 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
         )
 
     trace = ResidualTrace(residuals, norms, fired, codes, rng)
-    return _compact(trace, filter_shape), trace
-
-
-def _compact(trace: ResidualTrace, filter_shape) -> QuantizedLayer:
-    """Gather each filter's fired terms to the front, in firing order."""
-    k, F, _ = trace.codes.shape
-    codes = np.zeros_like(trace.codes)
-    slot = np.zeros(F, dtype=np.int64)
-    cols = np.arange(F)
-    for j in range(k):
-        hit = trace.fired[j]
-        codes[slot[hit], cols[hit]] = trace.codes[j, hit]
-        slot[hit] += 1
-    return QuantizedLayer(filter_shape, trace.rng, slot.astype(np.int8), codes)
+    # each filter's fired terms, filter by filter, as the packed stream holds them
+    kept = codes.transpose(1, 0, 2)[fired.T]
+    return QuantizedLayer(filter_shape, rng, fired.sum(axis=0).astype(np.int8), kept), trace
 
 
 def ungated_residual_trace(w, k: int, rng: ExponentRange) -> ResidualTrace:

@@ -76,9 +76,7 @@ class TrainState:
     bn_state: dict
     thresholds: np.ndarray  # (groups, max_k) float64
     settings: TrainSettings
-    adam_w: AdamState
-    adam_b: AdamState
-    adam_t: AdamState
+    adam: AdamState  # weights, biases and "t", the thresholds, which step only in flex mode
     rng: np.random.Generator
     epoch: int = 0
     step: int = 0
@@ -117,18 +115,15 @@ def initial_thresholds(net: Network, settings: TrainSettings) -> np.ndarray:
 def init_train_state(net, params, bn_state, settings: TrainSettings) -> TrainState:
     settings.validate()
     net.check_params(params)
-    weights = {k: params[k] for k in net.weight_names}
-    biases = {k: params[k] for k in net.bias_names}
     thresholds = initial_thresholds(net, settings)
+    trained = {k: params[k] for k in net.weight_names + net.bias_names}
     return TrainState(
         net=net,
         params=params,
         bn_state=bn_state,
         thresholds=thresholds,
         settings=settings,
-        adam_w=AdamState(weights),
-        adam_b=AdamState(biases),
-        adam_t=AdamState({"t": thresholds}),
+        adam=AdamState({**trained, "t": thresholds}),
         rng=np.random.default_rng(settings.seed),
     )
 
@@ -210,54 +205,43 @@ def train_batch(ts: TrainState, xb, yb):
     if s.mode != "float" and any(l != 0.0 for l in s.lambdas):
         for name in net.weight_names:
             rng = qinfo[name][0].rng
-            w = ts.params[name]
-            reg += layer_reg_loss(w.reshape(w.shape[0], -1), s.lambdas, rng)
-            reg_grads[name] = layer_reg_grad(
-                w.reshape(w.shape[0], -1), s.lambdas, rng
-            ).reshape(w.shape)
+            reg += layer_reg_loss(ts.params[name], s.lambdas, rng)
+            reg_grads[name] = layer_reg_grad(ts.params[name], s.lambdas, rng)
     total = ce + reg
     if not np.isfinite(total):
         raise _dump_state(ts, f"non-finite loss (ce={ce}, reg={reg})")
 
-    _, grads = net.backward(cache, dlogits, qparams)
+    _, net_grads = net.backward(cache, dlogits, qparams)
 
-    wgrads = {}
-    for name in net.weight_names:
-        g = grads[name]  # dL/dw^q applied to the master copy (straight-through)
-        if name in reg_grads:
-            g = g + reg_grads[name]
-        wgrads[name] = g
-    bgrads = {name: grads[name] for name in net.bias_names}
-
-    tgrad = np.zeros_like(ts.thresholds)
+    # dL/dw^q applies to the master weights (straight-through).  Weights, biases,
+    # then thresholds: the clip norm sums in this order.
+    trained = net.weight_names + net.bias_names
+    grads = {name: net_grads[name] for name in trained}
+    for name, g in reg_grads.items():
+        grads[name] = grads[name] + g
     if s.mode == "flex":
+        tgrad = np.zeros_like(ts.thresholds)
         for name in net.weight_names:
-            trace = qinfo[name][1]
-            upstream = grads[name].reshape(grads[name].shape[0], -1)
+            upstream = net_grads[name].reshape(net_grads[name].shape[0], -1)
             g = ts.threshold_group(name)
-            tgrad[g] += threshold_grad_from_trace(trace, upstream, ts.thresholds[g], s.tau)
+            tgrad[g] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[g], s.tau)
+        grads["t"] = tgrad
 
     if s.clip_norm and s.clip_norm > 0:
         sq = 0.0
-        for g in wgrads.values():
-            sq += float(np.einsum("i,i->", g.ravel().astype(np.float64), g.ravel().astype(np.float64)))
-        for g in bgrads.values():
-            sq += float(np.einsum("i,i->", g.ravel().astype(np.float64), g.ravel().astype(np.float64)))
-        sq += float((tgrad * tgrad).sum())
+        for name, g in grads.items():
+            g = g.reshape(-1).astype(np.float64, copy=False)
+            # thresholds sum pairwise, the rest by einsum: the two round differently
+            sq += float((g * g).sum()) if name == "t" else float(np.einsum("i,i->", g, g))
         norm = np.sqrt(sq)
         if norm > s.clip_norm:
             scale = s.clip_norm / norm
-            wgrads = {k: g * np.asarray(scale, dtype=g.dtype) for k, g in wgrads.items()}
-            bgrads = {k: g * np.asarray(scale, dtype=g.dtype) for k, g in bgrads.items()}
-            tgrad = tgrad * scale
+            grads = {k: g * np.asarray(scale, dtype=g.dtype) for k, g in grads.items()}
 
-    lr = lr_at(ts.settings, ts.epoch)
-    weights = {k: ts.params[k] for k in net.weight_names}
-    biases = {k: ts.params[k] for k in net.bias_names}
-    adam_step(weights, wgrads, ts.adam_w, lr)
-    adam_step(biases, bgrads, ts.adam_b, lr)
+    params = {k: ts.params[k] for k in trained}
     if s.mode == "flex":
-        adam_step({"t": ts.thresholds}, {"t": tgrad}, ts.adam_t, lr)
+        params["t"] = ts.thresholds
+    adam_step(params, grads, ts.adam, lr_at(s, ts.epoch))
 
     correct = int((logits.argmax(axis=1) == yb).sum())
     ts.step += 1
@@ -309,6 +293,8 @@ def evaluate(net: Network, params, bn_state, x, y, batch_size=256) -> float:
     """Top-1 accuracy in eval mode (running batch-norm statistics)."""
     if len(x) == 0:
         raise DataError("evaluate needs at least one sample")
+    if np.shape(y) != (len(x),):
+        raise DataError(f"labels have shape {np.shape(y)}, expected ({len(x)},)")
     correct = 0
     for lo in range(0, len(x), batch_size):
         logits, _ = net.forward(x[lo : lo + batch_size], params, bn_state, train=False)

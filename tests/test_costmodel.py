@@ -38,7 +38,7 @@ def qlayers_for(net, k_map):
     for name in net.weight_names:
         F, *filter_shape = shapes[name]
         k_i = np.broadcast_to(np.asarray(k_map[name], dtype=np.int8), (F,)).copy()
-        codes = np.zeros((3, F, int(np.prod(filter_shape))), dtype=np.uint8)
+        codes = np.zeros((int(k_i.sum()), int(np.prod(filter_shape))), dtype=np.uint8)
         out[name] = QuantizedLayer(filter_shape, ExponentRange.widest(0), k_i, codes)
     return out
 
@@ -95,6 +95,13 @@ def test_k_map_shape_checked():
         op_counts(net, {**K_MAP, "L0.W": [1, 1, 1]})
     with pytest.raises(ConfigError):
         op_counts(net)
+
+
+@pytest.mark.parametrize("k", [-1, 4, [1, -1, 0], [1.7] * 3, 1.0, [True] * 3])
+def test_k_i_must_be_integers_the_header_holds(k):
+    # unchecked, a negative k_i would lower the shift total and 1.7 would count as 1
+    with pytest.raises(ConfigError, match="L2.W"):
+        op_counts(small_net(), {**K_MAP, "L2.W": k})
 
 
 def point(model_id, accuracy, storage_bits):

@@ -150,6 +150,15 @@ class TestBackward:
         with pytest.raises(ValueError):
             net.backward({"net": None}, np.zeros_like(logits), params)
 
+    def test_eval_forward_keeps_no_cache(self):
+        # net2 has identity and projection skips, which an eval forward still adds
+        net, params, state = build_network(get_preset("net2"), seed=7)
+        x = np.random.default_rng(8).normal(size=(1, 3, 32, 32)).astype(np.float32)
+        logits, cache = net.forward(x, params, dict(state), train=False)
+        assert cache is None
+        with pytest.raises(ValueError):
+            net.backward(cache, np.zeros_like(logits), params)
+
 
 class TestGradientChecks:
     """Analytic backward vs central differences, double precision."""

@@ -39,10 +39,8 @@ def reference_pack(layers):
         out += b"".join(struct.pack("<I", d) for d in layer.filter_shape)
         out += struct.pack("<hB", layer.rng.e_max, layer.rng.code_bits)
         bits = "".join(format(int(k), "02b") for k in layer.k_i)
-        for f, k in enumerate(layer.k_i):
-            for j in range(k):
-                width = layer.rng.code_bits
-                bits += "".join(format(int(c), f"0{width}b") for c in layer.codes[j, f])
+        for term in layer.codes:  # filter by filter, each filter's terms in firing order
+            bits += "".join(format(int(c), f"0{layer.rng.code_bits}b") for c in term)
         bits += "0" * (-len(bits) % 8)
         out += bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
     return out
@@ -61,12 +59,11 @@ def golden_model():
     for code_bits, e_max, shape, k_i in specs:
         canonical = [c for c in range(1 << code_bits) if c != 1 << (code_bits - 1)]
         n = int(np.prod(shape))
-        codes = np.zeros((max(k_i), len(k_i), n), np.uint8)
-        for f, k in enumerate(k_i):
-            for j in range(k):
-                for e in range(n):
-                    codes[j, f, e] = canonical[(7 * i + 3) % len(canonical)]
-                    i += 1
+        codes = np.zeros((sum(k_i), n), np.uint8)
+        for term in codes:
+            for e in range(n):
+                term[e] = canonical[(7 * i + 3) % len(canonical)]
+                i += 1
         rng = ExponentRange.widest(e_max, code_bits)
         layers.append(QuantizedLayer(shape, rng, np.array(k_i, np.int8), codes))
     return layers
@@ -158,10 +155,8 @@ def test_out_of_range_exponent_rejected():
     # every value of a 4-bit code names an exponent of the widest range, so
     # an exponent below e_min needs a code that does not fit in 4 bits
     ql = random_model(4, n_layers=1)[0]
-    kept = np.arange(ql.max_k)[:, None] < ql.k_i[None, :]
-    assert kept.any()
-    ql.codes = ql.codes.copy()
-    ql.codes[kept] = 1 << ql.rng.code_bits
+    assert ql.codes.size
+    ql.codes = np.full_like(ql.codes, 1 << ql.rng.code_bits)
     with pytest.raises(PackingError, match="code"):
         pack_model([ql])
 
@@ -169,7 +164,7 @@ def test_out_of_range_exponent_rejected():
 def test_non_canonical_zero_code_rejected():
     ql = random_model(4, n_layers=1)[0]
     ql.codes = ql.codes.copy()
-    ql.codes[0, np.argmax(ql.k_i)] = 1 << (ql.rng.code_bits - 1)  # minus zero
+    ql.codes[0] = 1 << (ql.rng.code_bits - 1)  # minus zero, in the first kept term
     with pytest.raises(PackingError, match="code"):
         pack_model([ql])
 
@@ -199,10 +194,19 @@ def test_negative_k_rejected():
         pack_model([ql])
 
 
+@pytest.mark.parametrize("extra", [(-1, 0), (1, 0), (0, 1)])
+def test_codes_shape_must_match_k_i(extra):
+    # codes hold exactly sum(k_i) terms of filter_size codes each
+    ql = random_model(4, n_layers=1)[0]
+    terms, n = ql.codes.shape
+    ql.codes = np.zeros((terms + extra[0], n + extra[1]), np.uint8)
+    with pytest.raises(PackingError, match="shape"):
+        pack_model([ql])
+
+
 def test_layer_code_bound(monkeypatch):
-    # one k_i = 3 filter and one pruned filter of 4 weights: a dense (3, 2, 4) code array
-    codes = np.zeros((3, 2, 4), dtype=np.uint8)
-    codes[:, 0] = 1
+    # one k_i = 3 filter and one pruned filter of 4 weights: max k_i * F * n = 24
+    codes = np.ones((3, 4), dtype=np.uint8)
     ql = QuantizedLayer((4,), ExponentRange.widest(0), np.array([3, 0], np.int8), codes)
     data = pack_model([ql])
     monkeypatch.setattr(packing, "MAX_LAYER_CODES", 24)
@@ -238,7 +242,7 @@ def test_storage_bits_matches_payload_accounting():
 
 @st.composite
 def layers(draw):
-    """A random valid layer: k_i in 0..3, kept slots hold any canonical code."""
+    """A random valid layer: k_i in 0..3, each kept term any canonical codes."""
     code_bits = draw(st.integers(3, 8))
     rng = ExponentRange.widest(draw(st.integers(-40, 40)), code_bits)
     shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
@@ -246,10 +250,8 @@ def layers(draw):
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = int(np.prod(shape))
     k_i = gen.integers(0, 4, size=F).astype(np.int8)
-    max_k = draw(st.integers(int(k_i.max(initial=0)), 3))
-    codes = gen.integers(0, 1 << code_bits, size=(max_k, F, n)).astype(np.uint8)
+    codes = gen.integers(0, 1 << code_bits, size=(int(k_i.sum()), n)).astype(np.uint8)
     codes[codes == 1 << (code_bits - 1)] = 0  # no minus zero
-    codes[np.arange(max_k)[:, None] >= k_i[None, :]] = 0
     return QuantizedLayer(shape, rng, k_i, codes)
 
 

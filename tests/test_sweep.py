@@ -1,8 +1,9 @@
 """End to end through the trainer: train_model, train_epoch, EpochMetrics,
 run_cell, sweep_lambda and cell_to_point on mnist2 with synthetic data.
 
-Every run trains one epoch of 128 class-prototype images at B=64 and
-max_k=2, then prices the quantized model with the cost model.
+Every run trains on 128 class-prototype images at B=64 and max_k=2, one
+epoch unless it says otherwise, then prices the quantized model with the
+cost model.
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from shiftnn.costmodel import pareto_front
-from shiftnn.nn import build_network, get_preset
+from shiftnn.nn import Conv2D, build_network, get_preset
 from shiftnn.trainer import (
     TrainSettings,
     cell_to_point,
@@ -146,3 +147,36 @@ def test_points_keep_every_lambda():
     assert points[0] != points[1]
     assert [p.seed for p in points] == [1, 1]
     assert pareto_front(points)
+
+
+@pytest.fixture(scope="module")
+def lambda1_cells():
+    # thresholds start near the round-1 residual norms, where gates can close
+    base = replace(BASE, epochs=2, per_layer_thresholds=True, threshold_init=0.25)
+    return sweep_lambda(MNIST2, base, DATA, [(0.0, l1) for l1 in (0.0, 0.2, 1.0)], [5])
+
+
+def test_each_filter_learns_its_own_k(lambda1_cells):
+    convs = {l.weight_name for l in build_network(MNIST2, 0)[0].layers if isinstance(l, Conv2D)}
+    for cell in lambda1_cells:
+        assert cell.ok, cell.error
+    # a layer's sum of k_i is its shifts per output position per weight; a sum
+    # that F does not divide means the layer holds filters of different k_i
+    mixed = []
+    for layer in lambda1_cells[0].cost.per_layer:
+        k_sum, rest = divmod(layer.shifts, layer.positions * layer.volume)
+        assert rest == 0
+        if layer.name in convs and k_sum % layer.filters:
+            mixed.append(layer.name)
+    assert mixed
+
+
+def test_mean_k_falls_as_lambda1_rises(lambda1_cells):
+    mean_k = [cell.mean_k for cell in lambda1_cells]
+    assert mean_k[0] >= mean_k[1] >= mean_k[2]
+    assert mean_k[2] < mean_k[0]
+    points = [cell_to_point(cell, f"l1-{i}") for i, cell in enumerate(lambda1_cells)]
+    assert [p.mean_k for p in points] == mean_k
+    for cost in ("storage_bits", "shifts"):
+        front = pareto_front(points, cost)
+        assert front and all(p in points for p in front)

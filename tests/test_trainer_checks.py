@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from shiftnn.errors import ConfigError, NumericError
+from shiftnn.errors import ConfigError, DataError, NumericError
 from shiftnn.nn import LayerSpec, NetworkConfig, build_network
-from shiftnn.trainer.loop import TrainSettings, init_train_state, train_batch
+from shiftnn.trainer.loop import TrainSettings, evaluate, init_train_state, train_batch
 
 
 class TestCodeBits:
@@ -80,3 +80,13 @@ def test_wrong_shape_parameter_rejected_up_front():
     params["L2.W"] = params["L2.W"][:, :-1]
     with pytest.raises(ConfigError, match="L2.W"):
         init_train_state(net, params, state, TrainSettings())
+
+
+@pytest.mark.parametrize("y", [np.array([0]), np.zeros((4, 1), int), np.zeros(3, int)])
+def test_evaluate_checks_label_shape(y):
+    # unchecked, one label would broadcast over the batch, a column of labels
+    # could score above 1, and a short array would raise numpy's bare ValueError
+    net, params, state = tiny_net()
+    x = np.zeros((4, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(DataError, match="labels"):
+        evaluate(net, params, state, x, y)
