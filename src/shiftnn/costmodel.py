@@ -10,12 +10,12 @@ and activations are not counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .nn.layers import Conv2D, Dense
 from .nn.network import Network
 from . import packing
 
@@ -50,34 +50,12 @@ class CostReport:
 
 
 def quantizable_param_count(net: Network) -> int:
-    shapes = net.param_shapes()
-    return sum(int(np.prod(shapes[name])) for name in net.weight_names)
+    return sum(math.prod(layer.weight_shape) for layer, _ in net.kernels())
 
 
 def full_precision_storage_bits(net: Network, bits_per_weight: int = 32) -> int:
     """Weight-only storage of an unquantized model."""
     return quantizable_param_count(net) * bits_per_weight
-
-
-def _layer_geometry(net: Network):
-    """(layer, positions, volume, filters, has_bias) per weight tensor, in order."""
-    out = {}
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Conv2D):
-            _, H, W = net.node_shapes[i]
-            out[layer.weight_name] = (
-                H * W,
-                layer.in_channels * layer.kernel * layer.kernel,
-                layer.out_channels,
-                layer.bias,
-            )
-        elif isinstance(layer, Dense):
-            out[layer.weight_name] = (1, layer.in_features, layer.out_features, layer.bias)
-    for dst, proj in net.projections.items():
-        if proj is not None:
-            _, H, W = net.node_shapes[dst]
-            out[proj.weight_name] = (H * W, proj.in_channels, proj.out_channels, proj.bias)
-    return out
 
 
 def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
@@ -90,11 +68,11 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
     Pruned filters (k_i = 0) drop both their shifts and their accumulation
     adds.  Shortcut adds count one add per element of the destination map.
     """
-    geom = _layer_geometry(net)
     per_layer = []
     shifts = adds = mults = 0
-    for name in net.weight_names:
-        P, V, F, has_bias = geom[name]
+    for layer, out_shape in net.kernels():
+        name, has_bias = layer.weight_name, layer.bias
+        P, V, F = math.prod(out_shape[1:]), layer.fan_in, out_shape[0]
         if multiply_baseline:
             l_shift = 0
             l_mult = P * V * F
@@ -122,8 +100,7 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
         mults += l_mult
     # one add per destination element of each shortcut
     for dst in net.projections:
-        C, H, W = net.node_shapes[dst]
-        adds += C * H * W
+        adds += math.prod(net.node_shapes[dst])
     return CostReport(
         storage_bits=0,
         shift_count=shifts,

@@ -7,6 +7,7 @@ without touching the layer objects.  Activations are NCHW.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -57,9 +58,64 @@ def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo):
     return dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3)
 
 
-class Conv2D:
-    kind = "conv2d"
+class Layer:
+    """Defaults for a layer with no parameters or state that keeps its input's shape.
 
+    Each concrete layer defines forward(x, params, state, train) -> (y, cache)
+    and backward(dy, cache, params) -> (dx, grads).
+    """
+
+    def __init__(self, name):
+        self.name = name
+
+    def param_shapes(self):
+        return {}
+
+    def init_params(self, rng, dtype):
+        return {}
+
+    def init_state(self, dtype):
+        return {}
+
+    def out_shape(self, s):
+        return s
+
+
+class Kernel(Layer):
+    """A conv or dense layer: one quantizable weight tensor and an optional bias.
+
+    weight_shape is (filters, *filter_shape): each leading slice is one filter
+    of fan_in weights.  Weights start He-normal and the bias at zero.
+    """
+
+    def __init__(self, name, weight_shape, bias):
+        super().__init__(name)
+        self.weight_shape = weight_shape
+        self.bias = bias
+
+    @property
+    def weight_name(self):
+        return f"{self.name}.W"
+
+    @property
+    def fan_in(self):
+        return math.prod(self.weight_shape[1:])
+
+    def param_shapes(self):
+        shapes = {self.weight_name: self.weight_shape}
+        if self.bias:
+            shapes[f"{self.name}.b"] = self.weight_shape[:1]
+        return shapes
+
+    def init_params(self, rng, dtype):
+        w = rng.standard_normal(self.weight_shape) * np.sqrt(2.0 / self.fan_in)
+        params = {self.weight_name: w.astype(dtype)}
+        if self.bias:
+            params[f"{self.name}.b"] = np.zeros(self.weight_shape[0], dtype=dtype)
+        return params
+
+
+class Conv2D(Kernel):
     def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0, bias=True):
         for what, value, least in (
             ("in_channels", in_channels, 1),
@@ -69,33 +125,12 @@ class Conv2D:
             ("pad", pad, 0),
         ):
             _require_int(name, what, value, least)
-        self.name = name
+        super().__init__(name, (out_channels, in_channels, kernel, kernel), bias)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.pad = pad
-        self.bias = bias
-
-    @property
-    def weight_name(self):
-        return f"{self.name}.W"
-
-    def param_shapes(self):
-        shapes = {self.weight_name: (self.out_channels, self.in_channels, self.kernel, self.kernel)}
-        if self.bias:
-            shapes[f"{self.name}.b"] = (self.out_channels,)
-        return shapes
-
-    def init_params(self, rng, dtype):
-        fan_in = self.in_channels * self.kernel * self.kernel
-        w = rng.standard_normal(
-            (self.out_channels, self.in_channels, self.kernel, self.kernel)
-        ) * np.sqrt(2.0 / fan_in)
-        params = {self.weight_name: w.astype(dtype)}
-        if self.bias:
-            params[f"{self.name}.b"] = np.zeros(self.out_channels, dtype=dtype)
-        return params
 
     def out_shape(self, s):
         C, H, W = s
@@ -143,7 +178,7 @@ class Conv2D:
         return np.ascontiguousarray(dx), grads
 
 
-class BatchNorm2D:
+class BatchNorm2D(Layer):
     """Per-channel batch normalization with running statistics.
 
     Training uses batch statistics (biased variance) and updates the
@@ -151,15 +186,13 @@ class BatchNorm2D:
     running estimates.
     """
 
-    kind = "batchnorm"
-
     def __init__(self, name, channels, momentum=0.1, eps=1e-5):
         # eps = 0 turns a constant channel (zero variance) into NaN
         if not (isinstance(eps, numbers.Real) and 0 < eps < np.inf):
             raise ConfigError(f"{name}: batchnorm eps must be positive and finite, got {eps!r}")
         if not (isinstance(momentum, numbers.Real) and 0 <= momentum <= 1):
             raise ConfigError(f"{name}: batchnorm momentum must lie in [0, 1], got {momentum!r}")
-        self.name = name
+        super().__init__(name)
         self.channels = channels
         self.momentum = momentum
         self.eps = eps
@@ -228,23 +261,12 @@ class BatchNorm2D:
         return dx, grads
 
 
-class LeakyReLU:
-    kind = "leaky-relu"
-
+class LeakyReLU(Layer):
     def __init__(self, name, slope=0.01):
         if not (isinstance(slope, numbers.Real) and 0 < slope < 1):
             raise ConfigError(f"{name}: leaky-relu slope must lie in (0, 1), got {slope!r}")
-        self.name = name
+        super().__init__(name)
         self.slope = slope
-
-    def param_shapes(self):
-        return {}
-
-    def init_params(self, rng, dtype):
-        return {}
-
-    def out_shape(self, s):
-        return s
 
     def forward(self, x, params, state, train):
         # For 0 < slope < 1, max(x, slope*x) is x where x >= 0 and slope*x where
@@ -261,25 +283,17 @@ class LeakyReLU:
         return dx, {}
 
 
-class MaxPool2D:
+class MaxPool2D(Layer):
     """Non-overlapping max pooling; gradients route to the first maximum.
 
     Windows are scanned row-major and +0.0 ties with -0.0.  A window that
     holds a NaN pools to its first NaN and routes its gradient there.
     """
 
-    kind = "maxpool"
-
     def __init__(self, name, size):
         _require_int(name, "pool size", size, 2)
-        self.name = name
+        super().__init__(name)
         self.size = size
-
-    def param_shapes(self):
-        return {}
-
-    def init_params(self, rng, dtype):
-        return {}
 
     def out_shape(self, s):
         C, H, W = s
@@ -325,18 +339,7 @@ class MaxPool2D:
         return dx, {}
 
 
-class Flatten:
-    kind = "flatten"
-
-    def __init__(self, name):
-        self.name = name
-
-    def param_shapes(self):
-        return {}
-
-    def init_params(self, rng, dtype):
-        return {}
-
+class Flatten(Layer):
     def out_shape(self, s):
         return (int(np.prod(s)),)
 
@@ -347,40 +350,16 @@ class Flatten:
         return dy.reshape(cache), {}
 
 
-class Dense:
-    kind = "dense"
-
+class Dense(Kernel):
     def __init__(self, name, in_features, out_features, bias=True):
         _require_int(name, "in_features", in_features, 1)
         _require_int(name, "out_features", out_features, 1)
-        self.name = name
-        self.in_features = in_features
-        self.out_features = out_features
-        self.bias = bias
-
-    @property
-    def weight_name(self):
-        return f"{self.name}.W"
-
-    def param_shapes(self):
-        shapes = {self.weight_name: (self.out_features, self.in_features)}
-        if self.bias:
-            shapes[f"{self.name}.b"] = (self.out_features,)
-        return shapes
-
-    def init_params(self, rng, dtype):
-        w = rng.standard_normal((self.out_features, self.in_features)) * np.sqrt(
-            2.0 / self.in_features
-        )
-        params = {self.weight_name: w.astype(dtype)}
-        if self.bias:
-            params[f"{self.name}.b"] = np.zeros(self.out_features, dtype=dtype)
-        return params
+        super().__init__(name, (out_features, in_features), bias)
 
     def out_shape(self, s):
-        if len(s) != 1 or s[0] != self.in_features:
-            raise ConfigError(f"{self.name}: expects ({self.in_features},) input, got {s}")
-        return (self.out_features,)
+        if s != self.weight_shape[1:]:
+            raise ConfigError(f"{self.name}: expects {self.weight_shape[1:]} input, got {s}")
+        return self.weight_shape[:1]
 
     def forward(self, x, params, state, train):
         y = x @ params[self.weight_name].T

@@ -7,9 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, NumericError
-from .layers import BatchNorm2D, Conv2D, Dense, Flatten, LeakyReLU, MaxPool2D
-
-LAYER_KINDS = {"conv2d", "batchnorm", "leaky-relu", "maxpool", "dense", "flatten"}
+from .layers import BatchNorm2D, Conv2D, Dense, Flatten, Kernel, LeakyReLU, MaxPool2D
 
 
 @dataclass
@@ -64,9 +62,11 @@ def _build_layer(i, spec: LayerSpec, in_shape):
     if spec.kind == "flatten":
         return Flatten(name)
     if spec.kind == "dense":
+        if len(in_shape) != 1:
+            raise ConfigError(f"{name}: dense needs flattened input, got shape {in_shape}")
         return Dense(
             name,
-            in_features=a.get("in_features", in_shape[0] if len(in_shape) == 1 else None),
+            in_features=a.get("in_features", in_shape[0]),
             out_features=a["out_features"],
             bias=a.get("bias", True),
         )
@@ -85,10 +85,6 @@ class Network:
         shape = tuple(config.input_shape)
         node_shapes = []  # node i = output of layer i
         for i, spec in enumerate(config.layers):
-            if spec.kind not in LAYER_KINDS:
-                raise ConfigError(f"unknown layer kind {spec.kind!r}")
-            if spec.kind == "dense" and len(shape) != 1:
-                raise ConfigError(f"L{i}: dense needs flattened input, got shape {shape}")
             layer = _build_layer(i, spec, shape)
             shape = layer.out_shape(shape)
             self.layers.append(layer)
@@ -124,47 +120,45 @@ class Network:
     # --- parameter management -------------------------------------------------
 
     def _all_layers(self):
-        for layer in self.layers:
-            yield layer
+        """(layer, output shape) of the chain, then of the projections by destination."""
+        yield from zip(self.layers, self.node_shapes)
         for dst in sorted(self.projections):
             if self.projections[dst] is not None:
-                yield self.projections[dst]
+                yield self.projections[dst], self.node_shapes[dst]
+
+    def kernels(self):
+        """(layer, output shape) of each quantizable layer, in weight_names order."""
+        return [(layer, shape) for layer, shape in self._all_layers() if isinstance(layer, Kernel)]
 
     def param_shapes(self):
         shapes = {}
-        for layer in self._all_layers():
+        for layer, _ in self._all_layers():
             shapes.update(layer.param_shapes())
         return shapes
 
     def init_params(self, seed):
         rng = np.random.default_rng(seed)
         params = {}
-        for layer in self._all_layers():
+        for layer, _ in self._all_layers():
             params.update(layer.init_params(rng, self.dtype))
         return params
 
     def init_state(self):
         state = {}
         for layer in self.layers:
-            if isinstance(layer, BatchNorm2D):
-                state.update(layer.init_state(self.dtype))
+            state.update(layer.init_state(self.dtype))
         return state
 
     @property
     def weight_names(self):
         """Quantizable weights: conv/dense/projection kernels, in graph order."""
-        return [
-            layer.weight_name for layer in self._all_layers() if isinstance(layer, (Conv2D, Dense))
-        ]
+        return [layer.weight_name for layer, _ in self.kernels()]
 
     @property
     def bias_names(self):
-        names = []
-        for layer in self._all_layers():
-            for name in layer.param_shapes():
-                if not name.endswith(".W"):
-                    names.append(name)
-        return names
+        """Every parameter not in weight_names, in param_shapes order."""
+        weights = set(self.weight_names)
+        return [name for name in self.param_shapes() if name not in weights]
 
     def check_params(self, params):
         for name, shape in self.param_shapes().items():

@@ -115,7 +115,7 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
         if not 0 <= int(layer.k_i.min(initial=0)) <= int(layer.k_i.max(initial=0)) <= MAX_K:
             raise PackingError(f"layer {idx}: k_i outside [0, {MAX_K}] does not fit 2 bits")
         codes = layer.codes
-        expected = (int(layer.k_i.astype(np.int64).sum()), layer.filter_size)
+        expected = layer.codes_shape
         if codes.shape != expected:
             raise PackingError(f"layer {idx}: codes have shape {codes.shape}, expected {expected}")
         bad = (codes >= 1 << rng.code_bits) | (codes == 1 << (rng.code_bits - 1))

@@ -179,7 +179,7 @@ class QuantizedLayer:
     codes holds the kept terms in the packed stream's order: filter by
     filter, and within each filter its k_i[f] terms in firing order, one
     row of n element codes per term.  filter_shape excludes the leading
-    filter axis.
+    filter axis.  Raises ConfigError when codes is not codes_shape.
     """
 
     def __init__(self, filter_shape, rng, k_i, codes):
@@ -187,6 +187,8 @@ class QuantizedLayer:
         self.rng = rng
         self.k_i = k_i  # (F,) int8
         self.codes = codes  # (sum k_i, n) uint8
+        if codes.shape != self.codes_shape:
+            raise ConfigError(f"codes have shape {codes.shape}, expected {self.codes_shape}")
 
     @property
     def num_filters(self) -> int:
@@ -195,6 +197,10 @@ class QuantizedLayer:
     @property
     def filter_size(self) -> int:
         return int(np.prod(self.filter_shape)) if self.filter_shape else 1
+
+    @property
+    def codes_shape(self) -> tuple:
+        return (int(self.k_i.astype(np.int64).sum()), self.filter_size)
 
     def dequantize(self, dtype=np.float64) -> np.ndarray:
         """Sum of kept terms, shaped (F, *filter_shape)."""

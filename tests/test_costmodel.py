@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from shiftnn import packing
 from shiftnn.costmodel import ParetoPoint, cost_report, op_counts, pareto_front
 from shiftnn.errors import ConfigError
-from shiftnn.nn import LayerSpec, Network, NetworkConfig, SkipSpec
+from shiftnn.nn import PRESETS, LayerSpec, Network, NetworkConfig, SkipSpec, get_preset
 from shiftnn.quant import ExponentRange, QuantizedLayer
 
 
@@ -87,6 +89,27 @@ def test_multiplier_baseline():
     assert report.add_count == 16 * 2 * 9 + 4 * 3 * 17 + 5 * 12 + 4 * 3 * 1 + 12
     assert report.shift_count == 0
     assert report.storage_bits == 32 * (18 + 54 + 60 + 6)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_kernel_geometry_matches_param_shapes(preset):
+    net = Network(get_preset(preset))
+    shapes = net.param_shapes()
+    kernels = net.kernels()
+    assert [layer.weight_name for layer, _ in kernels] == net.weight_names
+    for layer, out_shape in kernels:
+        w = shapes[layer.weight_name]
+        assert w[0] == out_shape[0], layer.name  # one output channel per filter
+        assert layer.fan_in == math.prod(w[1:]), layer.name
+
+
+def test_preset_totals():
+    net2 = Network(get_preset("net2"))
+    k2 = op_counts(net2, dict.fromkeys(net2.weight_names, 2))
+    assert (k2.shift_count, k2.add_count) == (70_093_312, 70_140_416)
+    assert cost_report(net2).multiply_count == 35_046_656
+    mnist2 = Network(get_preset("mnist2"))
+    assert op_counts(mnist2, dict.fromkeys(mnist2.weight_names, 1)).shift_count == 290_080
 
 
 def test_k_map_shape_checked():

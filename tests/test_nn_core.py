@@ -425,6 +425,19 @@ class TestBuildNetwork:
         with pytest.raises(ConfigError):
             Network(cfg)
 
+    def test_unknown_layer_kind_rejected(self):
+        cfg = two_conv_config()
+        cfg.layers[2] = LayerSpec("relu", {})
+        with pytest.raises(ConfigError, match="unknown layer kind 'relu'"):
+            Network(cfg)
+
+    @pytest.mark.parametrize("args", [{"out_features": 3}, {"in_features": 96, "out_features": 3}])
+    def test_dense_on_a_feature_map_rejected(self, args):
+        cfg = two_conv_config()
+        cfg.layers[7] = LayerSpec("dense", args)  # in place of the flatten
+        with pytest.raises(ConfigError, match=r"L7: dense needs flattened input, got shape \(6, 4, 4\)"):
+            Network(cfg)
+
     @pytest.mark.parametrize(
         "index, key, value, match",
         [

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from shiftnn.errors import ConfigError, NumericError
-from shiftnn.quant import ExponentRange, quantize_layer, round_pow2, ungated_residual_trace
+from shiftnn.quant import (
+    ExponentRange,
+    QuantizedLayer,
+    quantize_layer,
+    round_pow2,
+    ungated_residual_trace,
+)
 
 WIDE = ExponentRange.widest(8)  # exponents [2, 8]... wide enough for unit inputs?
 
@@ -322,6 +328,14 @@ class TestDequantize:
     def test_direct_sum(self, wide):
         ql, _ = quantize_one(np.array([0.75]), [0.0, 0.0], 2, wide)
         assert ql.dequantize()[0, 0] == 2.0**0 - 2.0**-2
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (2, 3), (2,)])
+    def test_codes_must_hold_one_row_per_kept_term(self, wide, shape):
+        # k_i = [1, 1] over filters of 2 weights: exactly (2, 2) codes
+        k_i = np.array([1, 1], np.int8)
+        assert QuantizedLayer((2,), wide, k_i, np.zeros((2, 2), np.uint8)).codes_shape == (2, 2)
+        with pytest.raises(ConfigError, match=r"codes have shape .* expected \(2, 2\)"):
+            QuantizedLayer((2,), wide, k_i, np.zeros(shape, np.uint8))
 
     def test_roundtrip_on_greedy_representable(self, wide):
         # values built by the greedy rounding order itself quantize back exactly
