@@ -20,17 +20,56 @@ def _require_int(name, what, value, least):
         raise ConfigError(f"{name}: {what} must be an integer >= {least}, got {value!r}")
 
 
-def im2col(x, kh, kw, stride, pad):
+class Workspace:
+    """Arrays that a Network's train steps reuse instead of allocating anew.
+
+    array(key, shape, dtype) is a view of one grow-only area per key, so it
+    holds what was last written there until the next request for that key.
+    A layer keys the arrays that outlive its call by its own name: what its
+    train cache keeps and, but for Conv2D, the input gradient it returns.
+    Conv2D.backward writes the patch matrix of dy over the forward's, which
+    it no longer needs.  Temporaries that live only inside one call share
+    the area TMP.
+    """
+
+    TMP = "tmp"
+
+    def __init__(self):
+        self._areas = {}
+
+    def array(self, key, shape, dtype):
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        area = self._areas.get(key)
+        if area is None or area.nbytes < nbytes:
+            area = self._areas[key] = np.empty(nbytes, np.uint8)
+        return area[:nbytes].view(dtype).reshape(shape)
+
+    def holds(self, a):
+        """Whether a may lie in one of the areas."""
+        return any(np.may_share_memory(a, area) for area in self._areas.values())
+
+
+def _array(ws, key, shape, dtype):
+    """The workspace's array for key, or a new array when there is no workspace."""
+    return np.empty(shape, dtype) if ws is None else ws.array(key, shape, dtype)
+
+
+def im2col(x, kh, kw, stride, pad, ws=None, key=None):
     """Channel-major patch matrix of shape (C*kh*kw, N*Ho*Wo), plus Ho, Wo.
 
     Row c*kh*kw + i*kw + j holds x[n, c, i + stride*ho, j + stride*wo] of
     the zero-padded input, with columns ordered (n, ho, wo), so that
     ``W.reshape(O, -1) @ cols`` is the output laid out as (O, N, Ho, Wo).
-    The strided window view is copied once, in contiguous (Ho, Wo) runs.
+    The strided window view is copied once, in contiguous (Ho, Wo) runs,
+    into the workspace's array `key`; the padded input is a TMP temporary.
     """
     N, C, H, W = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = _array(ws, Workspace.TMP, (N, C, H + 2 * pad, W + 2 * pad), x.dtype)
+        xp.fill(0)
+        xp[:, :, pad : pad + H, pad : pad + W] = x
+        x = xp
     Hp, Wp = x.shape[2], x.shape[3]
     Ho = (Hp - kh) // stride + 1
     Wo = (Wp - kw) // stride + 1
@@ -38,19 +77,22 @@ def im2col(x, kh, kw, stride, pad):
     win = np.lib.stride_tricks.as_strided(
         x, (C, kh, kw, N, Ho, Wo), (s1, s2, s3, s0, s2 * stride, s3 * stride)
     )
-    return np.ascontiguousarray(win).reshape(C * kh * kw, N * Ho * Wo), Ho, Wo
+    cols = _array(ws, key, win.shape, x.dtype)
+    np.copyto(cols, win)
+    return cols.reshape(C * kh * kw, N * Ho * Wo), Ho, Wo
 
 
-def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo):
+def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo, ws=None):
     """Scatter-add inverse of im2col: (C*kh*kw, N*Ho*Wo) -> x_shape.
 
     Each kernel tap adds one (C, N, Ho, Wo) block, contiguous in (Ho, Wo),
-    into a strided window of a channel-major padded buffer.  The result
-    is an NCHW view of that buffer.
+    into a strided window of a channel-major padded buffer, the workspace's
+    TMP area.  The result is an NCHW view of that buffer.
     """
     N, C, H, W = x_shape
     Hp, Wp = H + 2 * pad, W + 2 * pad
-    dxp = np.zeros((C, N, Hp, Wp), dtype=dcols.dtype)
+    dxp = _array(ws, Workspace.TMP, (C, N, Hp, Wp), dcols.dtype)
+    dxp.fill(0)
     dwin = dcols.reshape(C, kh, kw, N, Ho, Wo)
     for i in range(kh):
         for j in range(kw):
@@ -61,8 +103,10 @@ def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo):
 class Layer:
     """Defaults for a layer with no parameters or state that keeps its input's shape.
 
-    Each concrete layer defines forward(x, params, state, train) -> (y, cache)
-    and backward(dy, cache, params) -> (dx, grads).
+    Each concrete layer defines forward(x, params, state, train, ws=None) ->
+    (y, cache) and backward(dy, cache, params, ws=None) -> (dx, grads).  With
+    a Workspace ws, a layer may keep its cache, its temporaries and its dx in
+    ws's arrays; without one it allocates them.
     """
 
     def __init__(self, name):
@@ -144,22 +188,25 @@ class Conv2D(Kernel):
             raise ConfigError(f"{self.name}: kernel does not fit {H}x{W} input")
         return (self.out_channels, Ho, Wo)
 
-    def forward(self, x, params, state, train):
+    def forward(self, x, params, state, train, ws=None):
         w = params[self.weight_name]
-        k, O = self.kernel, self.out_channels
-        cols, Ho, Wo = im2col(x, k, k, self.stride, self.pad)
-        y = w.reshape(O, -1) @ cols
+        k, O, N = self.kernel, self.out_channels, x.shape[0]
+        cols, Ho, Wo = im2col(x, k, k, self.stride, self.pad, ws, f"{self.name}.cols")
+        y = _array(ws, Workspace.TMP, (O, N * Ho * Wo), np.result_type(w, cols))
+        np.matmul(w.reshape(O, -1), cols, out=y)
         if self.bias:
             y += params[f"{self.name}.b"][:, None]
-        y = y.reshape(O, x.shape[0], Ho, Wo).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(y), (cols, x.shape, Ho, Wo)
+        # a copy even where the transpose is contiguous (N = 1): y is TMP
+        return y.reshape(O, N, Ho, Wo).transpose(1, 0, 2, 3).copy(), (cols, x.shape, Ho, Wo)
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, ws=None):
         cols, x_shape, Ho, Wo = cache
         w = params[self.weight_name]
         k, O = self.kernel, self.out_channels
         N, C, H, W = x_shape
-        dy2 = dy.transpose(1, 0, 2, 3).reshape(O, N * Ho * Wo)
+        dy2 = _array(ws, Workspace.TMP, (O, N, Ho, Wo), dy.dtype)
+        np.copyto(dy2, dy.transpose(1, 0, 2, 3))
+        dy2 = dy2.reshape(O, N * Ho * Wo)
         # OpenBLAS runs cols @ dy2.T faster than dy2 @ cols.T when O is small
         grads = {self.weight_name: (cols @ dy2.T).T.reshape(w.shape)}
         if self.bias:
@@ -170,12 +217,17 @@ class Conv2D(Kernel):
             # Its patch matrix has O*k*k rows to the forward's C*k*k, so a
             # widening conv (O > C) keeps the col2im scatter: faster and smaller.
             wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, O * k * k)
-            dcols, _, _ = im2col(dy, k, k, 1, k - 1 - self.pad)
-            dx = (wt @ dcols).reshape(C, N, H, W).transpose(1, 0, 2, 3)
+            # cols is spent: in a workspace, dy's patch matrix overwrites it
+            dcols, _, _ = im2col(dy, k, k, 1, k - 1 - self.pad, ws, f"{self.name}.cols")
+            dxc = _array(ws, Workspace.TMP, (C, N * H * W), np.result_type(wt, dcols))
+            np.matmul(wt, dcols, out=dxc)
+            dx = dxc.reshape(C, N, H, W).transpose(1, 0, 2, 3)
         else:
-            dcols = w.reshape(O, -1).T @ dy2
-            dx = col2im(dcols, x_shape, k, k, self.stride, self.pad, Ho, Wo)
-        return np.ascontiguousarray(dx), grads
+            w2 = w.reshape(O, -1).T
+            dcols = _array(ws, f"{self.name}.cols", cols.shape, np.result_type(w2, dy2))
+            np.matmul(w2, dy2, out=dcols)
+            dx = col2im(dcols, x_shape, k, k, self.stride, self.pad, Ho, Wo, ws)
+        return dx.copy(), grads  # a copy, as in forward: dx views TMP
 
 
 class BatchNorm2D(Layer):
@@ -217,14 +269,16 @@ class BatchNorm2D(Layer):
             raise ConfigError(f"{self.name}: expects {self.channels} channels, got {s[0]}")
         return s
 
-    def forward(self, x, params, state, train):
+    def forward(self, x, params, state, train, ws=None):
         g = params[f"{self.name}.gamma"][None, :, None, None]
         b = params[f"{self.name}.beta"][None, :, None, None]
         if train:
             mean = x.mean(axis=(0, 2, 3))
-            xhat = x - mean[None, :, None, None]
+            xhat = _array(ws, f"{self.name}.xhat", x.shape, np.result_type(x, mean))
+            np.subtract(x, mean[None, :, None, None], out=xhat)
             # the same operations, in the same order, as x.var(axis=(0, 2, 3))
-            var = (xhat * xhat).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
+            sq = np.multiply(xhat, xhat, out=_array(ws, Workspace.TMP, x.shape, xhat.dtype))
+            var = sq.sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
             rm, rv = state[f"{self.name}.running_mean"], state[f"{self.name}.running_var"]
             rm += self.momentum * (mean.astype(rm.dtype) - rm)
             rv += self.momentum * (var.astype(rv.dtype) - rv)
@@ -238,13 +292,14 @@ class BatchNorm2D(Layer):
         y += b
         return y, (xhat, invstd.astype(x.dtype), train)
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, ws=None):
         xhat, invstd, train = cache
         g = params[f"{self.name}.gamma"]
-        tmp = dy * xhat
-        dgamma = tmp.sum(axis=(0, 2, 3))
+        tmp = _array(ws, Workspace.TMP, dy.shape, np.result_type(dy, xhat))
+        dgamma = np.multiply(dy, xhat, out=tmp).sum(axis=(0, 2, 3))
         dbeta = dy.sum(axis=(0, 2, 3))
-        dx = dy * g[None, :, None, None]  # dL/dxhat until the last line
+        dx = _array(ws, f"{self.name}.dx", dy.shape, np.result_type(dy, g))
+        np.multiply(dy, g[None, :, None, None], out=dx)  # dL/dxhat until the last line
         if train:
             # invstd/m * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), in place;
             # the operand order is kept, so even NaN payloads match
@@ -268,17 +323,22 @@ class LeakyReLU(Layer):
         super().__init__(name)
         self.slope = slope
 
-    def forward(self, x, params, state, train):
+    def forward(self, x, params, state, train, ws=None):
         # For 0 < slope < 1, max(x, slope*x) is x where x >= 0 and slope*x where
         # x < 0, bit for bit, with -0.0, an underflowing slope*x and +-inf.  Of two
         # NaNs np.maximum returns the first, so a NaN x passes through unchanged.
         y = np.multiply(np.asarray(self.slope, dtype=x.dtype), x)
         np.maximum(x, y, out=y)
-        return y, x < 0
+        return y, np.less(x, 0, out=_array(ws, f"{self.name}.mask", x.shape, bool))
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, ws=None):
         neg = cache
-        dx = np.array([1, self.slope], dtype=dy.dtype).take(neg.view(np.uint8))
+        # take works on intp indices and would convert the mask into a new array
+        idx = _array(ws, Workspace.TMP, neg.shape, np.intp)
+        np.copyto(idx, neg)
+        dx = _array(ws, f"{self.name}.dx", neg.shape, dy.dtype)
+        # mode="raise" would make take write into a temporary and copy it to dx
+        np.array([1, self.slope], dtype=dy.dtype).take(idx, out=dx, mode="clip")
         dx *= dy
         return dx, {}
 
@@ -306,11 +366,12 @@ class MaxPool2D(Layer):
         s = self.size
         return [a[:, :, i::s, j::s] for i in range(s) for j in range(s)]
 
-    def forward(self, x, params, state, train):
+    def forward(self, x, params, state, train, ws=None):
         views = self._windows(x)
         # np.maximum returns its second operand on a tie (+0.0 against -0.0
         # too), so a reduction in reverse window order keeps the first maximum.
-        y = np.maximum(views[-1], views[-2])
+        y = _array(ws, f"{self.name}.y", views[-1].shape, x.dtype)
+        np.maximum(views[-1], views[-2], out=y)
         for v in views[-3::-1]:
             np.maximum(y, v, out=y)
         # Of two NaNs it returns the first operand, which is the later one here.
@@ -320,18 +381,19 @@ class MaxPool2D(Layer):
                 np.copyto(y, v, where=nan & np.isnan(v))
         return y, (x, y)
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, ws=None):
         x, y = cache
         # y holds the bits of its window's first maximum, so the first element
         # with the same bits is the one to route dy to (this also finds NaNs).
         # Each gradient is its bit pattern times the 0/1 hit mask: exactly dy or
         # +0.0, with no 0*inf and no -0.0.
         ybits, dybits = y.view(f"u{y.itemsize}"), dy.view(f"u{dy.itemsize}")
-        dx = np.empty(x.shape, dtype=dy.dtype)
+        dx = _array(ws, f"{self.name}.dx", x.shape, dy.dtype)
         xw, dxw = self._windows(x.view(ybits.dtype)), self._windows(dx.view(dybits.dtype))
-        todo = np.ones(y.shape, dtype=bool)
+        todo, hit = _array(ws, Workspace.TMP, (2,) + y.shape, bool)
+        todo.fill(True)
         for v, d in zip(xw[:-1], dxw[:-1]):
-            hit = v == ybits
+            np.equal(v, ybits, out=hit)
             hit &= todo
             todo ^= hit
             np.multiply(dybits, hit, out=d)
@@ -343,10 +405,10 @@ class Flatten(Layer):
     def out_shape(self, s):
         return (int(np.prod(s)),)
 
-    def forward(self, x, params, state, train):
+    def forward(self, x, params, state, train, ws=None):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, ws=None):
         return dy.reshape(cache), {}
 
 
@@ -361,13 +423,13 @@ class Dense(Kernel):
             raise ConfigError(f"{self.name}: expects {self.weight_shape[1:]} input, got {s}")
         return self.weight_shape[:1]
 
-    def forward(self, x, params, state, train):
+    def forward(self, x, params, state, train, ws=None):
         y = x @ params[self.weight_name].T
         if self.bias:
             y = y + params[f"{self.name}.b"]
         return y, x
 
-    def backward(self, dy, cache, params):
+    def backward(self, dy, cache, params, ws=None):
         x = cache
         grads = {self.weight_name: dy.T @ x}
         if self.bias:

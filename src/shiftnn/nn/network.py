@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, NumericError
-from .layers import BatchNorm2D, Conv2D, Dense, Flatten, Kernel, LeakyReLU, MaxPool2D
+from .layers import BatchNorm2D, Conv2D, Dense, Flatten, Kernel, LeakyReLU, MaxPool2D, Workspace
 
 
 @dataclass
@@ -38,9 +38,25 @@ class NetworkConfig:
     skips: list = field(default_factory=list)
 
 
+# the LayerSpec.args keys each layer kind reads
+_LAYER_ARGS = {
+    "conv2d": {"in_channels", "out_channels", "kernel", "stride", "pad", "bias"},
+    "batchnorm": {"momentum", "eps"},
+    "leaky-relu": {"slope"},
+    "maxpool": {"size"},
+    "flatten": set(),
+    "dense": {"in_features", "out_features", "bias"},
+}
+
+
 def _build_layer(i, spec: LayerSpec, in_shape):
     name = f"L{i}"
     a = spec.args
+    if spec.kind not in _LAYER_ARGS:
+        raise ConfigError(f"unknown layer kind {spec.kind!r}")
+    unknown = sorted(set(a) - _LAYER_ARGS[spec.kind])
+    if unknown:
+        raise ConfigError(f"{name}: unknown {spec.kind} argument {unknown[0]!r}")
     if spec.kind == "conv2d":
         return Conv2D(
             name,
@@ -70,11 +86,15 @@ def _build_layer(i, spec: LayerSpec, in_shape):
             out_features=a["out_features"],
             bias=a.get("bias", True),
         )
-    raise ConfigError(f"unknown layer kind {spec.kind!r}")
 
 
 class Network:
-    """Executable network with externally held parameters."""
+    """Executable network with externally held parameters.
+
+    Train steps run in a Workspace the network owns, so that a warm step
+    reuses the memory of the step before it; a network therefore runs one
+    train step at a time.
+    """
 
     def __init__(self, config: NetworkConfig, dtype=np.float32):
         self.config = config
@@ -82,6 +102,8 @@ class Network:
         self.layers = []
         self.projections = {}  # dst layer index -> Conv2D or None (identity skip)
         self._skip_by_dst = {}
+        if not config.layers:
+            raise ConfigError(f"network {config.id!r} has no layers")
         shape = tuple(config.input_shape)
         node_shapes = []  # node i = output of layer i
         for i, spec in enumerate(config.layers):
@@ -116,6 +138,8 @@ class Network:
                 self.projections[skip.dst] = proj
             self._skip_by_dst[skip.dst] = skip.src
         self._skip_srcs = set(self._skip_by_dst.values())
+        self._workspace = Workspace()
+        self._generation = 0  # train forwards so far; a cache records its own
 
     # --- parameter management -------------------------------------------------
 
@@ -175,7 +199,10 @@ class Network:
         """Run the network; returns (logits, cache) for a later backward.
 
         Only a train forward keeps the layer caches that backward reads; an
-        eval forward returns None as its cache.
+        eval forward returns None as its cache.  A train cache serves one
+        backward, and only until the next train forward on this network:
+        both reuse its memory.  An eval forward leaves it valid; it keeps
+        no buffers, and drops those of the train steps that no cache holds.
         """
         x = np.asarray(x)
         if x.shape[1:] != tuple(self.config.input_shape):
@@ -183,20 +210,27 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input "
                 f"{tuple(self.config.input_shape)}"
             )
+        if train:
+            self._generation += 1
+            ws = self._workspace
+        else:
+            # an eval batch may be larger than a train batch: its buffers are
+            # not kept, and the train buffers are not kept beside them
+            self._workspace, ws = Workspace(), None
         state = state if state is not None else {}
         caches = []
         skip_caches = {}
         sources = {}  # node index -> output, for the nodes a skip reads
         out = x
         for i, layer in enumerate(self.layers):
-            out, cache = layer.forward(out, params, state, train)
+            out, cache = layer.forward(out, params, state, train, ws=ws)
             if train:
                 caches.append(cache)
             if i in self._skip_by_dst:
                 branch, pcache = sources[self._skip_by_dst[i]], None
                 proj = self.projections[i]
                 if proj is not None:
-                    branch, pcache = proj.forward(branch, params, state, train)
+                    branch, pcache = proj.forward(branch, params, state, train, ws=ws)
                 out = out + branch
                 if train:
                     skip_caches[i] = pcache
@@ -206,14 +240,26 @@ class Network:
             raise NumericError("non-finite network output")
         if not train:
             return out, None
-        return out, {"net": self, "caches": caches, "skip_caches": skip_caches, "batch": x.shape[0]}
+        if ws.holds(out):
+            out = out.copy()
+        return out, {"net": self, "generation": self._generation, "caches": caches,
+                     "skip_caches": skip_caches, "batch": x.shape[0]}
 
     def backward(self, cache, dlogits, params):
-        """Gradients of every parameter plus the input, from a forward cache."""
+        """Gradients of every parameter plus the input, from a forward cache.
+
+        The cache must come from this network's latest train forward and not
+        have been through backward yet: either would have overwritten the
+        arrays it points to.  None of the returned arrays is workspace memory.
+        """
         if not isinstance(cache, dict) or cache.get("net") is not self:
             raise ValueError("cache does not belong to this network's forward pass")
+        if cache["generation"] != self._generation:
+            raise ValueError("stale cache: a later train forward or backward has reused its memory")
         if dlogits.shape[0] != cache["batch"]:
             raise ValueError("logit gradient batch size does not match the cached forward")
+        cache["generation"] = None
+        ws = self._workspace
         caches = cache["caches"]
         grads = {}
         node_grads = [None] * len(self.layers)
@@ -226,14 +272,14 @@ class Network:
                 if proj is None:
                     branch_grad = g
                 else:
-                    branch_grad, pgrads = proj.backward(g, cache["skip_caches"][i], params)
+                    branch_grad, pgrads = proj.backward(g, cache["skip_caches"][i], params, ws=ws)
                     for k, v in pgrads.items():
                         grads[k] = grads.get(k, 0) + v
                 if node_grads[src] is None:
                     node_grads[src] = branch_grad.copy()
                 else:
                     node_grads[src] = node_grads[src] + branch_grad
-            dx, layer_grads = self.layers[i].backward(g, caches[i], params)
+            dx, layer_grads = self.layers[i].backward(g, caches[i], params, ws=ws)
             for k, v in layer_grads.items():
                 grads[k] = grads.get(k, 0) + v
             if i > 0:
@@ -241,7 +287,7 @@ class Network:
                     node_grads[i - 1] = dx
                 else:
                     node_grads[i - 1] = node_grads[i - 1] + dx
-        return dx, grads
+        return (dx.copy() if ws.holds(dx) else dx), grads
 
 
 def build_network(config: NetworkConfig, seed, dtype=np.float32):

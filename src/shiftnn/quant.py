@@ -208,9 +208,13 @@ class QuantizedLayer:
         table = self.rng.decode(np.arange(1 << self.rng.code_bits), dtype)
         k_i = self.k_i.astype(np.int64)
         first = np.cumsum(k_i) - k_i  # row of each filter's first term
+        all_live = int(k_i.min(initial=0))  # rounds that every filter kept
         for j in range(int(k_i.max(initial=0))):  # term j of every filter: a fixed summation order
-            live = np.flatnonzero(k_i > j)
-            out[live] += table.take(self.codes[first[live] + j])
+            if j < all_live:  # no gather and scatter of out
+                out += table.take(self.codes[first + j])
+            else:
+                live = np.flatnonzero(k_i > j)
+                out[live] += table.take(self.codes[first[live] + j])
         return out.reshape((self.num_filters,) + self.filter_shape)
 
     def __eq__(self, other) -> bool:

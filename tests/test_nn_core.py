@@ -160,6 +160,89 @@ class TestBackward:
             net.backward(cache, np.zeros_like(logits), params)
 
 
+def train_step(net, params, state, x, labels):
+    """One train forward and backward: (logits, input gradient, parameter gradients)."""
+    logits, cache = net.forward(x, params, state, train=True)
+    _, dlogits = cross_entropy(logits, labels)
+    dx, grads = net.backward(cache, dlogits, params)
+    return logits, dx, grads
+
+
+class TestWorkspace:
+    """Train steps reuse the network's buffers; what they return stays the caller's."""
+
+    def batches(self, net, n, batch, seed):
+        gen = np.random.default_rng(seed)
+        x = gen.normal(size=(n, batch) + tuple(net.config.input_shape)).astype(net.dtype)
+        return x, gen.integers(0, net.config.classes, size=(n, batch))
+
+    def test_warm_steps_reuse_buffers_and_keep_results(self):
+        net, params, state = build_network(get_preset("mnist2"), seed=30)
+        x, y = self.batches(net, 3, 8, seed=31)
+        train_step(net, params, state, x[0], y[0])  # cold: the buffers are allocated
+        logits, cache = net.forward(x[1], params, state, train=True)
+        cols = cache["caches"][0][0]  # L0's patch matrix
+        _, dlogits = cross_entropy(logits, y[1])
+        dx, grads = net.backward(cache, dlogits, params)
+        kept = [a.copy() for a in (logits, dx, *grads.values())]
+
+        logits2, cache2 = net.forward(x[2], params, state, train=True)
+        cols2 = cache2["caches"][0][0]
+        assert cols2.__array_interface__["data"][0] == cols.__array_interface__["data"][0]
+        _, grads2 = net.backward(cache2, cross_entropy(logits2, y[2])[1], params)
+        assert not np.array_equal(grads2["L0.W"], grads["L0.W"])
+        for was, now in zip(kept, (logits, dx, *grads.values())):
+            assert np.array_equal(was, now)
+
+    def test_backward_on_an_older_cache_raises(self):
+        net, params, state = build_network(two_conv_config(), seed=32)
+        x, y = self.batches(net, 2, 2, seed=33)
+        logits_a, cache_a = net.forward(x[0], params, state, train=True)
+        net.forward(x[1], params, state, train=True)
+        with pytest.raises(ValueError, match="stale cache"):
+            net.backward(cache_a, np.zeros_like(logits_a), params)
+
+    def test_backward_twice_on_one_cache_raises(self):
+        net, params, state = build_network(two_conv_config(), seed=34)
+        x, _ = self.batches(net, 1, 2, seed=35)
+        logits, cache = net.forward(x[0], params, state, train=True)
+        net.backward(cache, np.ones_like(logits), params)
+        with pytest.raises(ValueError, match="stale cache"):
+            net.backward(cache, np.ones_like(logits), params)
+
+    @pytest.mark.parametrize("preset", ["mnist2", "net2"])
+    def test_eval_forward_between_leaves_the_train_cache_valid(self, preset):
+        nets = [build_network(get_preset(preset), seed=36) for _ in range(2)]
+        x, y = self.batches(nets[0][0], 3, 4, seed=37)
+        results = []
+        for with_eval, (net, params, state) in zip((False, True), nets):
+            train_step(net, params, state, x[0], y[0])  # warm buffers
+            logits, cache = net.forward(x[1], params, state, train=True)
+            if with_eval:
+                net.forward(x[2], params, dict(state), train=False)
+            _, dlogits = cross_entropy(logits, y[1])
+            results.append(net.backward(cache, dlogits, params))
+        (dx_a, grads_a), (dx_b, grads_b) = results
+        assert np.array_equal(dx_a, dx_b)
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            assert np.array_equal(grads_a[name], grads_b[name]), name
+
+    def test_layer_first_network_returns_no_workspace_memory(self):
+        # a leaky relu first returns its input gradient from its own buffer
+        cfg = NetworkConfig("act-first", "VGG", (2, 4, 4), 2, [
+            LayerSpec("leaky-relu", {}),
+            LayerSpec("maxpool", {"size": 4}),
+            LayerSpec("flatten", {}),
+        ])
+        net, params, state = build_network(cfg, seed=38)
+        x, y = self.batches(net, 2, 3, seed=39)
+        logits, dx, _ = train_step(net, params, state, x[0], y[0])
+        kept = logits.copy(), dx.copy()
+        train_step(net, params, state, x[1], y[1])
+        assert np.array_equal(kept[0], logits) and np.array_equal(kept[1], dx)
+
+
 class TestGradientChecks:
     """Analytic backward vs central differences, double precision."""
 
@@ -423,6 +506,22 @@ class TestBuildNetwork:
         cfg = two_conv_config()
         cfg.layers[4].args["in_channels"] = 99
         with pytest.raises(ConfigError):
+            Network(cfg)
+
+    def test_empty_layer_list_rejected(self):
+        with pytest.raises(ConfigError, match="has no layers"):
+            Network(NetworkConfig("e", "x", (1, 4, 4), 3, []))
+
+    @pytest.mark.parametrize(
+        "index, key, kind",
+        [(0, "strides", "conv2d"), (1, "momentun", "batchnorm"), (2, "negative_slope", "leaky-relu"),
+         (3, "stride", "maxpool"), (7, "start_dim", "flatten"), (8, "use_bias", "dense")],
+    )
+    def test_unknown_layer_args_rejected(self, index, key, kind):
+        # a misspelled "strides" once built a stride-1 conv without a word
+        cfg = two_conv_config()
+        cfg.layers[index].args[key] = 2
+        with pytest.raises(ConfigError, match=f"L{index}: unknown {kind} argument '{key}'"):
             Network(cfg)
 
     def test_unknown_layer_kind_rejected(self):

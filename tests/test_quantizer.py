@@ -359,6 +359,40 @@ class TestDequantize:
         assert np.array_equal(ql.dequantize().ravel(), w.ravel())
 
 
+def gather_dequantize(ql, dtype):
+    """dequantize with every round gathered and scattered through its live filters."""
+    out = np.zeros((ql.num_filters, ql.filter_size), dtype=dtype)
+    table = ql.rng.decode(np.arange(1 << ql.rng.code_bits), dtype)
+    k_i = ql.k_i.astype(np.int64)
+    first = np.cumsum(k_i) - k_i
+    for j in range(int(k_i.max(initial=0))):
+        live = np.flatnonzero(k_i > j)
+        out[live] += table.take(ql.codes[first[live] + j])
+    return out.reshape((ql.num_filters,) + ql.filter_shape)
+
+
+class TestDequantizeFastPath:
+    """Rounds every filter kept skip the gather and scatter, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "t, k_set",
+        [(-np.inf, {3}), (0.1, {1, 2, 3}), (0.2, {0, 1, 2, 3}), (np.inf, {0})],
+        ids=["all live", "round 0 live", "mixed", "all pruned"],
+    )
+    def test_matches_gather_path(self, t, k_set, dtype):
+        gen = np.random.default_rng(17)
+        # log-uniform filter scales against one threshold spread k_i over 0..3
+        w = gen.normal(size=(64, 3, 3, 3)) * np.exp(gen.uniform(-3.5, 0.7, size=(64, 1, 1, 1)))
+        rng = ExponentRange.for_weights(w, 4)
+        ql, _ = quantize_layer(w.astype(dtype), np.full(3, t), 3, rng)
+        assert set(ql.k_i.tolist()) == k_set
+        got = ql.dequantize(dtype)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(f"u{got.itemsize}"),
+                              gather_dequantize(ql, dtype).view(f"u{got.itemsize}"))
+
+
 class TestSpecialCases:
     def test_all_inf_thresholds_is_pruning(self, wide):
         w = np.random.default_rng(17).normal(size=(6, 9))
