@@ -49,15 +49,6 @@ class CostReport:
         }
 
 
-def quantizable_param_count(net: Network) -> int:
-    return sum(math.prod(layer.weight_shape) for layer, _ in net.kernels())
-
-
-def full_precision_storage_bits(net: Network, bits_per_weight: int = 32) -> int:
-    """Weight-only storage of an unquantized model."""
-    return quantizable_param_count(net) * bits_per_weight
-
-
 def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
     """Per-inference operation counts for one input image.
 
@@ -111,10 +102,14 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
 
 
 def cost_report(net: Network, qlayers_by_name: dict | None = None, bits_per_weight=32):
-    """Full report: quantized if qlayers are given, multiplier baseline otherwise."""
+    """Full report: quantized if qlayers are given, multiplier baseline otherwise.
+
+    The baseline stores every quantizable weight in bits_per_weight bits.
+    """
     if qlayers_by_name is None:
         report = op_counts(net, multiply_baseline=True)
-        report.storage_bits = full_precision_storage_bits(net, bits_per_weight)
+        weights = sum(math.prod(layer.weight_shape) for layer, _ in net.kernels())
+        report.storage_bits = weights * bits_per_weight
         return report
     k_map = {name: q.k_i for name, q in qlayers_by_name.items()}
     report = op_counts(net, k_map=k_map)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,18 @@ from .layers import BatchNorm2D, Conv2D, Dense, Flatten, Kernel, LeakyReLU, MaxP
 
 @dataclass
 class LayerSpec:
+    """One layer of a NetworkConfig: a kind and that kind's arguments.
+
+    args are the keyword arguments of the kind's layer class (layer name
+    aside), with the defaults the class gives them, less the one argument
+    the input shape fixes, which the network supplies:
+
+    - conv2d (Conv2D): in_channels, the input's channel count;
+    - batchnorm (BatchNorm2D): channels, the input's channel count;
+    - dense (Dense): in_features, the flattened input's length;
+    - leaky-relu (LeakyReLU), maxpool (MaxPool2D), flatten (Flatten): none.
+    """
+
     kind: str
     args: dict = field(default_factory=dict)
 
@@ -38,54 +51,40 @@ class NetworkConfig:
     skips: list = field(default_factory=list)
 
 
-# the LayerSpec.args keys each layer kind reads
-_LAYER_ARGS = {
-    "conv2d": {"in_channels", "out_channels", "kernel", "stride", "pad", "bias"},
-    "batchnorm": {"momentum", "eps"},
-    "leaky-relu": {"slope"},
-    "maxpool": {"size"},
-    "flatten": set(),
-    "dense": {"in_features", "out_features", "bias"},
+# kind -> (layer class, the argument the input shape fixes, input rank the layer takes)
+_KINDS = {
+    "conv2d": (Conv2D, "in_channels", 3),
+    "batchnorm": (BatchNorm2D, "channels", 3),
+    "leaky-relu": (LeakyReLU, None, None),
+    "maxpool": (MaxPool2D, None, 3),
+    "flatten": (Flatten, None, None),
+    "dense": (Dense, "in_features", 1),
 }
 
 
 def _build_layer(i, spec: LayerSpec, in_shape):
+    """The layer of spec, given its input shape; ConfigError names what is wrong."""
     name = f"L{i}"
-    a = spec.args
-    if spec.kind not in _LAYER_ARGS:
+    if spec.kind not in _KINDS:
         raise ConfigError(f"unknown layer kind {spec.kind!r}")
-    unknown = sorted(set(a) - _LAYER_ARGS[spec.kind])
-    if unknown:
-        raise ConfigError(f"{name}: unknown {spec.kind} argument {unknown[0]!r}")
-    if spec.kind == "conv2d":
-        return Conv2D(
-            name,
-            in_channels=a["in_channels"],
-            out_channels=a["out_channels"],
-            kernel=a["kernel"],
-            stride=a.get("stride", 1),
-            pad=a.get("pad", 0),
-            bias=a.get("bias", True),
-        )
-    if spec.kind == "batchnorm":
-        return BatchNorm2D(
-            name, channels=in_shape[0], momentum=a.get("momentum", 0.1), eps=a.get("eps", 1e-5)
-        )
-    if spec.kind == "leaky-relu":
-        return LeakyReLU(name, slope=a.get("slope", 0.01))
-    if spec.kind == "maxpool":
-        return MaxPool2D(name, size=a["size"])
-    if spec.kind == "flatten":
-        return Flatten(name)
-    if spec.kind == "dense":
-        if len(in_shape) != 1:
-            raise ConfigError(f"{name}: dense needs flattened input, got shape {in_shape}")
-        return Dense(
-            name,
-            in_features=a.get("in_features", in_shape[0]),
-            out_features=a["out_features"],
-            bias=a.get("bias", True),
-        )
+    cls, fixed, rank = _KINDS[spec.kind]
+    if rank is not None and len(in_shape) != rank:
+        needs = "flattened input" if rank == 1 else "a (C, H, W) feature map"
+        raise ConfigError(f"{name}: {spec.kind} needs {needs}, got shape {in_shape}")
+    params = dict(inspect.signature(cls).parameters)
+    del params["name"]
+    for key in spec.args:
+        if key not in params:
+            raise ConfigError(f"{name}: unknown {spec.kind} argument {key!r}")
+        if key == fixed:
+            raise ConfigError(f"{name}: {spec.kind} argument {key!r} is fixed by the input shape")
+    for key, p in params.items():
+        if key != fixed and key not in spec.args and p.default is p.empty:
+            raise ConfigError(f"{name}: {spec.kind} needs argument {key!r}")
+    args = dict(spec.args)
+    if fixed is not None:
+        args[fixed] = in_shape[0]
+    return cls(name, **args)
 
 
 class Network:

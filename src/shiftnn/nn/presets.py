@@ -10,11 +10,8 @@ from __future__ import annotations
 from .network import LayerSpec, NetworkConfig, SkipSpec
 
 
-def _conv(cin, cout, stride=1):
-    return LayerSpec(
-        "conv2d",
-        {"in_channels": cin, "out_channels": cout, "kernel": 3, "stride": stride, "pad": 1},
-    )
+def _conv(cout, stride=1):
+    return LayerSpec("conv2d", {"out_channels": cout, "kernel": 3, "stride": stride, "pad": 1})
 
 
 def _bn():
@@ -29,42 +26,36 @@ def _pool(size=2):
     return LayerSpec("maxpool", {"size": size})
 
 
+def _head(classes):
+    return [LayerSpec("flatten", {}), LayerSpec("dense", {"out_features": classes})]
+
+
 def _vgg(net_id, conv_widths, pool_after, input_shape, classes, final_pool=None):
     layers = []
-    c = input_shape[0]
     for i, w in enumerate(conv_widths):
-        layers += [_conv(c, w), _bn(), _act()]
+        layers += [_conv(w), _bn(), _act()]
         if i + 1 in pool_after:
             layers.append(_pool())
-        c = w
-    spatial = input_shape[1] // 2 ** len(pool_after)
     if final_pool:
         layers.append(_pool(final_pool))
-        spatial //= final_pool
-    layers.append(LayerSpec("flatten", {}))
-    layers.append(
-        LayerSpec("dense", {"in_features": c * spatial * spatial, "out_features": classes})
-    )
+    layers += _head(classes)
     return NetworkConfig(net_id, "VGG", input_shape, classes, layers, [])
 
 
 def _resnet(net_id, widths, blocks_per_stage, input_shape, classes):
-    layers = [_conv(input_shape[0], widths[0]), _bn(), _act()]
+    layers = [_conv(widths[0]), _bn(), _act()]
     skips = []
-    c = widths[0]
     src = 2  # stem output node
     for stage, w in enumerate(widths):
         for b in range(blocks_per_stage):
             stride = 2 if stage > 0 and b == 0 else 1
             base = len(layers)
-            layers += [_conv(c, w, stride), _bn(), _act(), _conv(w, w), _bn(), _act()]
+            layers += [_conv(w, stride), _bn(), _act(), _conv(w), _bn(), _act()]
             skips.append(SkipSpec(src, base + 4))
             src = base + 5
-            c = w
     spatial = input_shape[1] // 2 ** (len(widths) - 1)
     layers.append(_pool(spatial))
-    layers.append(LayerSpec("flatten", {}))
-    layers.append(LayerSpec("dense", {"in_features": c, "out_features": classes}))
+    layers += _head(classes)
     return NetworkConfig(net_id, "ResNet", input_shape, classes, layers, skips)
 
 
@@ -81,18 +72,7 @@ def _build_net4():
 
 
 def _build_mnist2():
-    layers = [
-        _conv(1, 8),
-        _bn(),
-        _act(),
-        _pool(),
-        _conv(8, 16),
-        _bn(),
-        _act(),
-        _pool(),
-        LayerSpec("flatten", {}),
-        LayerSpec("dense", {"in_features": 16 * 7 * 7, "out_features": 10}),
-    ]
+    layers = [_conv(8), _bn(), _act(), _pool(), _conv(16), _bn(), _act(), _pool()] + _head(10)
     return NetworkConfig("mnist2", "VGG", (1, 28, 28), 10, layers, [])
 
 

@@ -155,22 +155,18 @@ def round_pow2(x, rng: ExponentRange) -> np.ndarray:
 class ResidualTrace:
     """Per-round residuals of one layer's filters, flattened to (F, n).
 
-    residuals[j] is the residual entering round j (residuals[0] = w);
-    residuals[k] is what remains after the last round.  norms are L2,
-    accumulated in float64.  fired[j, f] is the round-j gate of filter f.
+    residuals[j] is the residual entering round j (residuals[0] = w) and
+    norms[j] its L2 norm, accumulated in float64.  fired[j, f] is the
+    round-j gate of filter f.
     codes[j] holds the round-j codes R(r_j) for every filter, whether or
     not the gate fired; rng decodes them.
     """
 
-    residuals: np.ndarray  # (k+1, F, n)
-    norms: np.ndarray  # (k+1, F) float64
+    residuals: np.ndarray  # (k, F, n)
+    norms: np.ndarray  # (k, F) float64
     fired: np.ndarray  # (k, F) bool
     codes: np.ndarray  # (k, F, n) uint8
     rng: ExponentRange
-
-    @property
-    def k(self) -> int:
-        return self.fired.shape[0]
 
 
 class QuantizedLayer:
@@ -253,8 +249,9 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     flat = w.reshape(F, -1)
     n = flat.shape[1]
 
-    residuals = np.empty((k + 1, F, n), dtype=flat.dtype)
-    norms = np.empty((k + 1, F), dtype=np.float64)
+    # round 0's residual and norm are w's own, also at k = 0 for the check below
+    residuals = np.empty((max(k, 1), F, n), dtype=flat.dtype)
+    norms = np.empty((max(k, 1), F), dtype=np.float64)
     fired = np.empty((k, F), dtype=bool)
     codes = np.empty((k, F, n), dtype=np.uint8)
 
@@ -271,6 +268,8 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     for j in range(k):
         codes[j] = round_pow2(residuals[j], rng)
         fired[j] = norms[j] > t[j]
+        if j + 1 == k:  # nothing reads what the last round leaves
+            break
         # round_pow2 codes are all < 2**code_bits, so "wrap" never wraps; unlike
         # "raise" it writes into term without a buffer
         table.take(codes[j], out=term, mode="wrap")
@@ -280,7 +279,7 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
             np.einsum("fn,fn->f", residuals[j + 1], residuals[j + 1], dtype=np.float64)
         )
 
-    trace = ResidualTrace(residuals, norms, fired, codes, rng)
+    trace = ResidualTrace(residuals[:k], norms[:k], fired, codes, rng)
     # each filter's fired terms, filter by filter, as the packed stream holds them
     kept = codes.transpose(1, 0, 2)[fired.T]
     return QuantizedLayer(filter_shape, rng, fired.sum(axis=0).astype(np.int8), kept), trace

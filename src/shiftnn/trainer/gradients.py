@@ -58,7 +58,6 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
 
 def threshold_grad_from_trace(trace: ResidualTrace, upstream, t, tau):
     """Production form: relaxed gradient evaluated on the hard forward trace."""
-    k = trace.k
     values = trace.rng.decode(trace.codes)
-    return threshold_grad(trace.residuals[:k], trace.norms[:k], values, upstream, t, tau)
+    return threshold_grad(trace.residuals, trace.norms, values, upstream, t, tau)
 

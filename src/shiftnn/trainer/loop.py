@@ -81,11 +81,6 @@ class TrainState:
     epoch: int = 0
     step: int = 0
 
-    def threshold_group(self, weight_name: str) -> int:
-        if not self.settings.per_layer_thresholds:
-            return 0
-        return self.net.weight_names.index(weight_name)
-
 
 @dataclass
 class EpochMetrics:
@@ -98,6 +93,11 @@ class EpochMetrics:
     mean_k: float
     k_hist: list
     wall_time: float
+
+
+def _threshold_row(settings: TrainSettings, g: int) -> int:
+    """The thresholds row of weight g of net.weight_names: its own, or the one shared row."""
+    return g if settings.per_layer_thresholds else 0
 
 
 def initial_thresholds(net: Network, settings: TrainSettings) -> np.ndarray:
@@ -140,7 +140,7 @@ def quantize_weights(net: Network, params: dict, thresholds: np.ndarray, setting
     qinfo = {}
     for g, name in enumerate(net.weight_names):
         w = params[name]
-        t = thresholds[g if settings.per_layer_thresholds else 0]
+        t = thresholds[_threshold_row(settings, g)]
         try:
             rng = ExponentRange.for_weights(w, settings.code_bits)
             qlayer, trace = quantize_layer(w, t, settings.max_k, rng)
@@ -221,10 +221,10 @@ def train_batch(ts: TrainState, xb, yb):
         grads[name] = grads[name] + g
     if s.mode == "flex":
         tgrad = np.zeros_like(ts.thresholds)
-        for name in net.weight_names:
+        for g, name in enumerate(net.weight_names):
             upstream = net_grads[name].reshape(net_grads[name].shape[0], -1)
-            g = ts.threshold_group(name)
-            tgrad[g] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[g], s.tau)
+            row = _threshold_row(s, g)
+            tgrad[row] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[row], s.tau)
         grads["t"] = tgrad
 
     if s.clip_norm and s.clip_norm > 0:

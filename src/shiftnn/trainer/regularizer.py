@@ -30,7 +30,7 @@ def layer_reg_loss(w, lambdas, rng: ExponentRange) -> float:
     if not lam.any():
         return 0.0
     trace = ungated_residual_trace(np.asarray(w), len(lam), rng)
-    return float((lam[:, None] * trace.norms[: len(lam)]).sum())
+    return float((lam[:, None] * trace.norms).sum())
 
 
 def layer_reg_grad(w, lambdas, rng: ExponentRange) -> np.ndarray:
@@ -45,9 +45,8 @@ def layer_reg_grad(w, lambdas, rng: ExponentRange) -> np.ndarray:
     lam = check_lambdas(lambdas, len(np.atleast_1d(lambdas)))
     if not lam.any():
         return np.zeros_like(w)
-    k = len(lam)
-    trace = ungated_residual_trace(w, k, rng)
-    norms = trace.norms[:k]
+    trace = ungated_residual_trace(w, len(lam), rng)
+    norms = trace.norms
     scale = np.divide(lam[:, None], norms, out=np.zeros_like(norms), where=norms > 0)
-    grad = np.einsum("jf,jfn->fn", scale, trace.residuals[:k])
+    grad = np.einsum("jf,jfn->fn", scale, trace.residuals)
     return grad.reshape(w.shape).astype(w.dtype, copy=False)

@@ -21,11 +21,11 @@ def small_net():
     """
     conv = {"kernel": 3, "pad": 1}
     layers = [
-        LayerSpec("conv2d", {"in_channels": 1, "out_channels": 2, **conv}),
+        LayerSpec("conv2d", {"out_channels": 2, **conv}),
         LayerSpec("leaky-relu"),
-        LayerSpec("conv2d", {"in_channels": 2, "out_channels": 3, "stride": 2, "bias": False, **conv}),
+        LayerSpec("conv2d", {"out_channels": 3, "stride": 2, "bias": False, **conv}),
         LayerSpec("flatten"),
-        LayerSpec("dense", {"in_features": 12, "out_features": 5}),
+        LayerSpec("dense", {"out_features": 5}),
     ]
     return Network(NetworkConfig("small", "test", (1, 4, 4), 5, layers, [SkipSpec(1, 2)]))
 

@@ -42,17 +42,16 @@ def naive_conv2d(x, w, b, stride, pad):
 
 
 def two_conv_config(in_shape=(4, 8, 8), classes=3):
-    c, h, w = in_shape
     layers = [
-        LayerSpec("conv2d", {"in_channels": c, "out_channels": 5, "kernel": 3, "pad": 1}),
+        LayerSpec("conv2d", {"out_channels": 5, "kernel": 3, "pad": 1}),
         LayerSpec("batchnorm", {}),
         LayerSpec("leaky-relu", {}),
         LayerSpec("maxpool", {"size": 2}),
-        LayerSpec("conv2d", {"in_channels": 5, "out_channels": 6, "kernel": 3, "pad": 1}),
+        LayerSpec("conv2d", {"out_channels": 6, "kernel": 3, "pad": 1}),
         LayerSpec("batchnorm", {}),
         LayerSpec("leaky-relu", {}),
         LayerSpec("flatten", {}),
-        LayerSpec("dense", {"in_features": 6 * (h // 2) * (w // 2), "out_features": classes}),
+        LayerSpec("dense", {"out_features": classes}),
     ]
     return NetworkConfig("twoconv", "VGG", in_shape, classes, layers, [])
 
@@ -306,14 +305,14 @@ class TestGradientChecks:
 
     def test_whole_network_with_skip(self):
         layers = [
-            LayerSpec("conv2d", {"in_channels": 2, "out_channels": 4, "kernel": 3, "pad": 1}),
+            LayerSpec("conv2d", {"out_channels": 4, "kernel": 3, "pad": 1}),
             LayerSpec("batchnorm", {}),
             LayerSpec("leaky-relu", {}),
-            LayerSpec("conv2d", {"in_channels": 4, "out_channels": 6, "kernel": 3, "stride": 2, "pad": 1}),
+            LayerSpec("conv2d", {"out_channels": 6, "kernel": 3, "stride": 2, "pad": 1}),
             LayerSpec("batchnorm", {}),
             LayerSpec("leaky-relu", {}),
             LayerSpec("flatten", {}),
-            LayerSpec("dense", {"in_features": 6 * 3 * 3, "out_features": 3}),
+            LayerSpec("dense", {"out_features": 3}),
         ]
         from shiftnn.nn import SkipSpec
 
@@ -505,7 +504,45 @@ class TestBuildNetwork:
     def test_inconsistent_config_rejected(self):
         cfg = two_conv_config()
         cfg.layers[4].args["in_channels"] = 99
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="L4: conv2d argument 'in_channels' is fixed by the input shape"):
+            Network(cfg)
+
+    @pytest.mark.parametrize(
+        "index, key, value, kind",
+        [(0, "in_channels", 4, "conv2d"), (1, "channels", 5, "batchnorm"), (8, "in_features", 96, "dense")],
+    )
+    def test_shape_fixed_arg_rejected_even_when_consistent(self, index, key, value, kind):
+        # the input shape leaves these arguments one value, which the network supplies
+        cfg = two_conv_config()
+        cfg.layers[index].args[key] = value
+        with pytest.raises(ConfigError, match=f"L{index}: {kind} argument '{key}' is fixed by the input shape"):
+            Network(cfg)
+
+    @pytest.mark.parametrize(
+        "index, key, kind", [(0, "out_channels", "conv2d"), (0, "kernel", "conv2d"), (3, "size", "maxpool"),
+                             (8, "out_features", "dense")],
+    )
+    def test_missing_layer_arg_rejected(self, index, key, kind):
+        # a conv spec without "kernel" once raised KeyError
+        cfg = two_conv_config()
+        del cfg.layers[index].args[key]
+        with pytest.raises(ConfigError, match=f"L{index}: {kind} needs argument '{key}'"):
+            Network(cfg)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [LayerSpec("conv2d", {"out_channels": 2, "kernel": 1}), LayerSpec("maxpool", {"size": 2}),
+         LayerSpec("batchnorm", {})],
+        ids=["conv2d", "maxpool", "batchnorm"],
+    )
+    def test_feature_map_layer_after_flatten_rejected(self, spec):
+        # conv2d and maxpool once failed to unpack the shape; batchnorm built, then
+        # raised numpy's AxisError in the first train forward
+        cfg = two_conv_config()
+        cfg.layers.insert(8, spec)
+        with pytest.raises(
+            ConfigError, match=rf"L8: {spec.kind} needs a \(C, H, W\) feature map, got shape \(96,\)"
+        ):
             Network(cfg)
 
     def test_empty_layer_list_rejected(self):
@@ -581,6 +618,17 @@ class TestBuildNetwork:
         cfg = two_conv_config()
         cfg.layers[index].args[key] = value
         Network(cfg)
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [(lambda: Conv2D("L0", 2.0, 4, kernel=3), "in_channels"), (lambda: Conv2D("L0", 0, 4, kernel=3), "in_channels"),
+         (lambda: Dense("L0", 96.0, 3), "in_features"), (lambda: Dense("L0", -96, 3), "in_features")],
+        ids=["conv-float", "conv-zero", "dense-float", "dense-negative"],
+    )
+    def test_bad_shape_fixed_args_rejected_by_the_layer(self, make, match):
+        # a network supplies these from the input shape; a layer built directly checks them itself
+        with pytest.raises(ConfigError, match=match):
+            make()
 
 
 class TestCrossEntropy:

@@ -273,7 +273,8 @@ class TestQuantizeFilter:
         assert ql.k_i[0] == 2
         assert wide.decode(ql.codes[:, 0]).tolist() == [1.0, -0.25]
         assert ql.dequantize()[0, 0] == 0.75
-        assert trace.norms[2] == 0.0
+        assert trace.norms[:, 0].tolist() == [0.75, 0.25]  # the norms entering each round
+        assert trace.residuals[1, 0, 0] == -0.25
 
     def test_hand_recursion_second_gate_closed(self, wide):
         # residual norm 0.25 <= 0.3 closes the second gate

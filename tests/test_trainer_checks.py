@@ -27,9 +27,9 @@ def test_tau_must_be_positive_and_finite(tau):
 
 def tiny_net():
     layers = [
-        LayerSpec("conv2d", {"in_channels": 1, "out_channels": 2, "kernel": 3, "pad": 1}),
+        LayerSpec("conv2d", {"out_channels": 2, "kernel": 3, "pad": 1}),
         LayerSpec("flatten"),
-        LayerSpec("dense", {"in_features": 32, "out_features": 3}),
+        LayerSpec("dense", {"out_features": 3}),
     ]
     return build_network(NetworkConfig("tiny", "test", (1, 4, 4), 3, layers), seed=0)
 

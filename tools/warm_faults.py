@@ -1,13 +1,17 @@
 """Minor page faults and p50 time per warm train_batch step.
 
-    PYTHONPATH=src python3 tools/warm_faults.py
+    PYTHONPATH=src python3 tools/warm_faults.py [PRESET ...]
 
 Counts the faults of this process (resource.getrusage) around each step,
-after warm-up steps, for mnist2 at B=64 and net2 at B=16.
+after warm-up steps, for mnist2 at B=64 and net2 at B=16, or for the
+presets named.  The counts depend on what ran before in the process
+(glibc's trim threshold follows the largest block freed so far), so
+probe one preset per process to read its own count.
 """
 
 import resource
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -35,6 +39,14 @@ def probe(preset, batch, threshold, steps, warm=3):
           f"(max {max(faults)}), p50 {1e3 * statistics.median(times):.1f} ms, {steps} steps")
 
 
+# preset -> (batch, threshold_init, warm steps timed)
+PROBES = {"mnist2": (64, 1.0, 30), "net2": (16, 0.0, 10)}
+
 if __name__ == "__main__":
-    probe("mnist2", 64, 1.0, steps=30)
-    probe("net2", 16, 0.0, steps=10)
+    names = sys.argv[1:] or list(PROBES)
+    unknown = [name for name in names if name not in PROBES]
+    if unknown:
+        sys.exit(f"unknown preset {unknown[0]!r}; choose from {sorted(PROBES)}")
+    for name in names:
+        batch, threshold, steps = PROBES[name]
+        probe(name, batch, threshold, steps=steps)
