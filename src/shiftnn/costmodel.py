@@ -39,15 +39,6 @@ class CostReport:
     multiply_count: int
     per_layer: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "storage_bits": self.storage_bits,
-            "shift_count": self.shift_count,
-            "add_count": self.add_count,
-            "multiply_count": self.multiply_count,
-            "per_layer": [vars(c) for c in self.per_layer],
-        }
-
 
 def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
     """Per-inference operation counts for one input image.
@@ -90,7 +81,7 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
         adds += l_add
         mults += l_mult
     # one add per destination element of each shortcut
-    for dst in net.projections:
+    for dst in net.skips:
         adds += math.prod(net.node_shapes[dst])
     return CostReport(
         storage_bits=0,

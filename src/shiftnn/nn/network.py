@@ -90,17 +90,27 @@ def _build_layer(i, spec: LayerSpec, in_shape):
 class Network:
     """Executable network with externally held parameters.
 
-    Train steps run in a Workspace the network owns, so that a warm step
-    reuses the memory of the step before it; a network therefore runs one
-    train step at a time.
+    Fixed when the network is built:
+
+    - skips maps each layer that receives a shortcut to (src, projection):
+      the output of node src is added to that layer's output, through a
+      1x1 Conv2D projection where the two node shapes differ, or as it is
+      (projection None) where they are equal;
+    - weight_names lists the quantizable weights (conv and dense kernels in
+      layer order, then the projections' by destination);
+    - param_names lists weight_names, then every other parameter in
+      param_shapes order.
+
+    Parameters and state are initialised in float32.  Train steps run in a
+    Workspace the network owns, so that a warm step reuses the memory of the
+    step before it; a network therefore runs one train step at a time.
     """
 
-    def __init__(self, config: NetworkConfig, dtype=np.float32):
+    dtype = np.float32
+
+    def __init__(self, config: NetworkConfig):
         self.config = config
-        self.dtype = dtype
         self.layers = []
-        self.projections = {}  # dst layer index -> Conv2D or None (identity skip)
-        self._skip_by_dst = {}
         if not config.layers:
             raise ConfigError(f"network {config.id!r} has no layers")
         shape = tuple(config.input_shape)
@@ -115,28 +125,26 @@ class Network:
             raise ConfigError(
                 f"network output shape {node_shapes[-1]} does not match {config.classes} classes"
             )
+        self.skips = {}
         for j, skip in enumerate(config.skips):
             if not (0 <= skip.src < skip.dst < len(self.layers)):
                 raise ConfigError(f"skip {j}: invalid endpoints {skip.src}->{skip.dst}")
-            if skip.dst in self._skip_by_dst:
+            if skip.dst in self.skips:
                 raise ConfigError(f"skip {j}: layer {skip.dst} already receives a skip")
             s_src, s_dst = node_shapes[skip.src], node_shapes[skip.dst]
             if len(s_src) != 3 or len(s_dst) != 3:
                 raise ConfigError(f"skip {j}: endpoints must be feature maps")
-            if s_src == s_dst:
-                self.projections[skip.dst] = None
-            else:
-                if s_src[1] % s_dst[1] or s_src[2] % s_dst[2]:
-                    raise ConfigError(f"skip {j}: shapes {s_src} -> {s_dst} are incompatible")
+            proj = None
+            if s_src != s_dst:
                 stride = s_src[1] // s_dst[1]
-                if s_dst[1] * stride != s_src[1] or s_dst[2] * stride != s_src[2]:
+                if stride * s_dst[1] != s_src[1] or stride * s_dst[2] != s_src[2]:
                     raise ConfigError(f"skip {j}: shapes {s_src} -> {s_dst} are incompatible")
                 proj = Conv2D(f"S{j}", s_src[0], s_dst[0], kernel=1, stride=stride, bias=False)
-                if proj.out_shape(s_src) != s_dst:
-                    raise ConfigError(f"skip {j}: projection cannot map {s_src} to {s_dst}")
-                self.projections[skip.dst] = proj
-            self._skip_by_dst[skip.dst] = skip.src
-        self._skip_srcs = set(self._skip_by_dst.values())
+            self.skips[skip.dst] = (skip.src, proj)
+        self._skip_srcs = {src for src, _ in self.skips.values()}
+        self.weight_names = [layer.weight_name for layer, _ in self.kernels()]
+        weights = set(self.weight_names)
+        self.param_names = self.weight_names + [n for n in self.param_shapes() if n not in weights]
         self._workspace = Workspace()
         self._generation = 0  # train forwards so far; a cache records its own
 
@@ -145,9 +153,9 @@ class Network:
     def _all_layers(self):
         """(layer, output shape) of the chain, then of the projections by destination."""
         yield from zip(self.layers, self.node_shapes)
-        for dst in sorted(self.projections):
-            if self.projections[dst] is not None:
-                yield self.projections[dst], self.node_shapes[dst]
+        for dst, (_, proj) in sorted(self.skips.items()):
+            if proj is not None:
+                yield proj, self.node_shapes[dst]
 
     def kernels(self):
         """(layer, output shape) of each quantizable layer, in weight_names order."""
@@ -171,17 +179,6 @@ class Network:
         for layer in self.layers:
             state.update(layer.init_state(self.dtype))
         return state
-
-    @property
-    def weight_names(self):
-        """Quantizable weights: conv/dense/projection kernels, in graph order."""
-        return [layer.weight_name for layer, _ in self.kernels()]
-
-    @property
-    def bias_names(self):
-        """Every parameter not in weight_names, in param_shapes order."""
-        weights = set(self.weight_names)
-        return [name for name in self.param_shapes() if name not in weights]
 
     def check_params(self, params):
         for name, shape in self.param_shapes().items():
@@ -225,9 +222,9 @@ class Network:
             out, cache = layer.forward(out, params, state, train, ws=ws)
             if train:
                 caches.append(cache)
-            if i in self._skip_by_dst:
-                branch, pcache = sources[self._skip_by_dst[i]], None
-                proj = self.projections[i]
+            if i in self.skips:
+                src, proj = self.skips[i]
+                branch, pcache = sources[src], None
                 if proj is not None:
                     branch, pcache = proj.forward(branch, params, state, train, ws=ws)
                 out = out + branch
@@ -265,22 +262,19 @@ class Network:
         node_grads[-1] = dlogits
         for i in range(len(self.layers) - 1, -1, -1):
             g = node_grads[i]
-            if i in self._skip_by_dst:
-                src = self._skip_by_dst[i]
-                proj = self.projections[i]
+            if i in self.skips:
+                src, proj = self.skips[i]
                 if proj is None:
                     branch_grad = g
                 else:
                     branch_grad, pgrads = proj.backward(g, cache["skip_caches"][i], params, ws=ws)
-                    for k, v in pgrads.items():
-                        grads[k] = grads.get(k, 0) + v
+                    grads.update(pgrads)
                 if node_grads[src] is None:
                     node_grads[src] = branch_grad.copy()
                 else:
                     node_grads[src] = node_grads[src] + branch_grad
             dx, layer_grads = self.layers[i].backward(g, caches[i], params, ws=ws)
-            for k, v in layer_grads.items():
-                grads[k] = grads.get(k, 0) + v
+            grads.update(layer_grads)  # each parameter belongs to one layer
             if i > 0:
                 if node_grads[i - 1] is None:
                     node_grads[i - 1] = dx
@@ -289,9 +283,9 @@ class Network:
         return (dx.copy() if ws.holds(dx) else dx), grads
 
 
-def build_network(config: NetworkConfig, seed, dtype=np.float32):
+def build_network(config: NetworkConfig, seed):
     """Construct a network and deterministically initialize its parameters."""
-    net = Network(config, dtype=dtype)
+    net = Network(config)
     params = net.init_params(seed)
     state = net.init_state()
     return net, params, state

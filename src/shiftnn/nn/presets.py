@@ -7,6 +7,7 @@ runs.  Every convolution is followed by batch norm and Leaky ReLU.
 
 from __future__ import annotations
 
+from ..errors import ConfigError
 from .network import LayerSpec, NetworkConfig, SkipSpec
 
 
@@ -86,5 +87,5 @@ PRESETS = {
 
 def get_preset(name: str) -> NetworkConfig:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+        raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
     return PRESETS[name]()

@@ -116,7 +116,7 @@ def init_train_state(net, params, bn_state, settings: TrainSettings) -> TrainSta
     settings.validate()
     net.check_params(params)
     thresholds = initial_thresholds(net, settings)
-    trained = {k: params[k] for k in net.weight_names + net.bias_names}
+    trained = {k: params[k] for k in net.param_names}
     return TrainState(
         net=net,
         params=params,
@@ -213,10 +213,9 @@ def train_batch(ts: TrainState, xb, yb):
 
     _, net_grads = net.backward(cache, dlogits, qparams)
 
-    # dL/dw^q applies to the master weights (straight-through).  Weights, biases,
+    # dL/dw^q applies to the master weights (straight-through).  net.param_names,
     # then thresholds: the clip norm sums in this order.
-    trained = net.weight_names + net.bias_names
-    grads = {name: net_grads[name] for name in trained}
+    grads = {name: net_grads[name] for name in net.param_names}
     for name, g in reg_grads.items():
         grads[name] = grads[name] + g
     if s.mode == "flex":
@@ -238,7 +237,7 @@ def train_batch(ts: TrainState, xb, yb):
             scale = s.clip_norm / norm
             grads = {k: g * np.asarray(scale, dtype=g.dtype) for k, g in grads.items()}
 
-    params = {k: ts.params[k] for k in trained}
+    params = {k: ts.params[k] for k in net.param_names}
     if s.mode == "flex":
         params["t"] = ts.thresholds
     adam_step(params, grads, ts.adam, lr_at(s, ts.epoch))

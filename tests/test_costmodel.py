@@ -48,7 +48,10 @@ def qlayers_for(net, k_map):
 def test_weight_order_and_projection():
     net = small_net()
     assert net.weight_names == ["L0.W", "L2.W", "L4.W", "S0.W"]
-    assert net.projections[2] is not None
+    assert net.skips[2][1] is not None
+    # the weights, then every other parameter in param_shapes order
+    assert list(net.param_shapes()) == ["L0.W", "L0.b", "L2.W", "L4.W", "L4.b", "S0.W"]
+    assert net.param_names == ["L0.W", "L2.W", "L4.W", "S0.W", "L0.b", "L4.b"]
 
 
 def test_hand_counted_shift_adds():

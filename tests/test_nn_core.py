@@ -13,6 +13,7 @@ from shiftnn.nn import (
     Network,
     NetworkConfig,
     LayerSpec,
+    SkipSpec,
     adam_step,
     build_network,
     cross_entropy,
@@ -41,6 +42,11 @@ def naive_conv2d(x, w, b, stride, pad):
     return y
 
 
+def float64(arrays):
+    """A float64 copy of a parameter or state dict: networks initialise float32."""
+    return {k: v.astype(np.float64) for k, v in arrays.items()}
+
+
 def two_conv_config(in_shape=(4, 8, 8), classes=3):
     layers = [
         LayerSpec("conv2d", {"out_channels": 5, "kernel": 3, "pad": 1}),
@@ -66,11 +72,11 @@ class TestForward:
 
     def test_all_zero_weights_give_zero_logits(self):
         cfg = two_conv_config()
-        net = Network(cfg, dtype=np.float64)
+        net = Network(cfg)
         params = {k: np.zeros(s) for k, s in net.param_shapes().items()}
         # gamma zero keeps the whole path zero-preserving
         x = np.random.default_rng(1).normal(size=(3, 4, 8, 8))
-        logits, _ = net.forward(x, params, net.init_state(), train=False)
+        logits, _ = net.forward(x, params, float64(net.init_state()), train=False)
         assert np.array_equal(logits, np.zeros_like(logits))
 
     def test_conv_net_matches_scalar_oracle(self):
@@ -114,17 +120,18 @@ class TestForward:
             net.forward(np.zeros((1, 3, 8, 8), dtype=np.float32), params, {})
 
     def test_nonfinite_output_raises(self):
-        net = Network(two_conv_config(), dtype=np.float64)
-        params = net.init_params(0)
+        net = Network(two_conv_config())
+        params = float64(net.init_params(0))
         params["L8.W"][:] = np.inf
         # inf weights against mixed-sign activations make inf - inf in the matmul
         with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="invalid value"):
-            net.forward(np.ones((1, 4, 8, 8)), params, net.init_state(), train=False)
+            net.forward(np.ones((1, 4, 8, 8)), params, float64(net.init_state()), train=False)
 
 
 class TestBackward:
     def test_zero_logit_grad_gives_zero_grads(self):
-        net, params, state = build_network(two_conv_config(), seed=5, dtype=np.float64)
+        net, params, state = build_network(two_conv_config(), seed=5)
+        params, state = float64(params), float64(state)
         x = np.random.default_rng(6).normal(size=(2, 4, 8, 8))
         logits, cache = net.forward(x, params, state, train=True)
         dx, grads = net.backward(cache, np.zeros_like(logits), params)
@@ -314,12 +321,10 @@ class TestGradientChecks:
             LayerSpec("flatten", {}),
             LayerSpec("dense", {"out_features": 3}),
         ]
-        from shiftnn.nn import SkipSpec
-
         cfg = NetworkConfig("skipnet", "ResNet", (2, 6, 6), 3, layers, [SkipSpec(2, 4)])
-        net = Network(cfg, dtype=np.float64)
-        params = net.init_params(22)
-        state = net.init_state()
+        net = Network(cfg)
+        params = float64(net.init_params(22))
+        state = float64(net.init_state())
         gen = np.random.default_rng(23)
         x = gen.normal(size=(2, 2, 6, 6))
         labels = gen.integers(0, 3, size=2)
@@ -544,6 +549,55 @@ class TestBuildNetwork:
             ConfigError, match=rf"L8: {spec.kind} needs a \(C, H, W\) feature map, got shape \(96,\)"
         ):
             Network(cfg)
+
+    @staticmethod
+    def skip_config(skips, size=8):
+        """Four convs on a (2, size, size) input, then a dense head, with the given skips."""
+        layers = [
+            LayerSpec("conv2d", {"out_channels": 4, "kernel": 3, "pad": 1}),  # (4, size, size)
+            LayerSpec("leaky-relu", {}),  # (4, size, size)
+            LayerSpec("conv2d", {"out_channels": 4, "kernel": 3, "pad": 1}),  # (4, size, size)
+            LayerSpec("conv2d", {"out_channels": 6, "kernel": 3, "pad": 1}),  # (6, size, size)
+            LayerSpec("conv2d", {"out_channels": 6, "kernel": 3, "stride": 2, "pad": 1}),  # (6, 4, 4)
+            LayerSpec("flatten", {}),
+            LayerSpec("dense", {"out_features": 3}),
+        ]
+        return NetworkConfig("skips", "ResNet", (2, size, size), 3, layers,
+                             [SkipSpec(src, dst) for src, dst in skips])
+
+    @pytest.mark.parametrize(
+        "skips, size, message",
+        [([(2, 2)], 8, r"skip 0: invalid endpoints 2->2"),
+         ([(3, 1)], 8, r"skip 0: invalid endpoints 3->1"),
+         ([(0, 7)], 8, r"skip 0: invalid endpoints 0->7"),
+         ([(0, 2), (1, 2)], 8, r"skip 1: layer 2 already receives a skip"),
+         ([(1, 5)], 8, r"skip 0: endpoints must be feature maps"),
+         ([(1, 4)], 7, r"skip 0: shapes \(4, 7, 7\) -> \(6, 4, 4\) are incompatible")],
+        ids=["src-is-dst", "src-after-dst", "dst-past-the-end", "second-skip-into-a-layer",
+             "dst-after-flatten", "7x7-to-4x4"],
+    )
+    def test_bad_skip_rejected(self, skips, size, message):
+        with pytest.raises(ConfigError, match=message):
+            Network(self.skip_config(skips, size))
+
+    @pytest.mark.parametrize("src, dst, stride", [(1, 4, 2), (2, 3, 1)], ids=["8x8-to-4x4", "4-to-6-channels"])
+    def test_projection_stride(self, src, dst, stride):
+        net = Network(self.skip_config([(src, dst)]))
+        got_src, proj = net.skips[dst]
+        assert got_src == src
+        assert (proj.name, proj.kernel, proj.stride, proj.pad, proj.bias) == ("S0", 1, stride, 0, False)
+        assert proj.out_shape(net.node_shapes[src]) == net.node_shapes[dst]
+        assert net.weight_names[-1] == "S0.W"
+
+    def test_equal_shapes_skip_without_projection(self):
+        net = Network(self.skip_config([(1, 2)]))
+        assert net.skips == {2: (1, None)}
+        assert net.weight_names == ["L0.W", "L2.W", "L3.W", "L4.W", "L6.W"]
+
+    def test_unknown_preset_rejected(self):
+        # once a KeyError
+        with pytest.raises(ConfigError, match=r"unknown preset 'net3'; available: \['mnist2', 'net1', 'net2', 'net4'\]"):
+            get_preset("net3")
 
     def test_empty_layer_list_rejected(self):
         with pytest.raises(ConfigError, match="has no layers"):

@@ -1,4 +1,4 @@
-"""Minor page faults and p50 time per warm train_batch step.
+"""Minor page faults, p50 time per warm train_batch step, and peak memory.
 
     PYTHONPATH=src python3 tools/warm_faults.py [PRESET ...]
 
@@ -6,7 +6,10 @@ Counts the faults of this process (resource.getrusage) around each step,
 after warm-up steps, for mnist2 at B=64 and net2 at B=16, or for the
 presets named.  The counts depend on what ran before in the process
 (glibc's trim threshold follows the largest block freed so far), so
-probe one preset per process to read its own count.
+probe one preset per process to read its own count.  Each line also
+gives the process's peak resident set so far (ru_maxrss), because fewer
+faults can cost a higher peak: memory kept across steps is not faulted in
+again.
 """
 
 import resource
@@ -35,8 +38,10 @@ def probe(preset, batch, threshold, steps, warm=3):
         if i >= warm:
             faults.append(f1 - f0)
             times.append(t1 - t0)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
     print(f"{preset} B={batch}: {statistics.median(faults):.0f} minor faults per warm step "
-          f"(max {max(faults)}), p50 {1e3 * statistics.median(times):.1f} ms, {steps} steps")
+          f"(max {max(faults)}), p50 {1e3 * statistics.median(times):.1f} ms, {steps} steps, "
+          f"peak RSS {peak_mb:.1f} MB")
 
 
 # preset -> (batch, threshold_init, warm steps timed)
