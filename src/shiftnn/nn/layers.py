@@ -159,7 +159,24 @@ class Kernel(Layer):
         return params
 
 
+CHUNK_BYTES = 1 << 20  # the most patch bytes a chunk of Conv2D's chunked GEMMs holds
+
+
 class Conv2D(Kernel):
+    """A 2-D convolution: one GEMM over the im2col patch matrix of its input.
+
+    A patch matrix is k*k times its activation, too big for the cache.  The
+    eval forward and the stride-1 input gradient read theirs (x's, dy's) in
+    one GEMM only, so they build it in chunks of whole samples of at most
+    CHUNK_BYTES, each chunk followed by its columns of the GEMM.  That split
+    leaves every output's sum as it was, and each chunk but the last spans a
+    multiple of 64 columns, so that OpenBLAS tiles it as the whole product:
+    the results keep their bits.  The train forward keeps its whole patch
+    matrix for dW, whose GEMM sums over every column; a split there would
+    reorder the sums.  Each chunk overwrites Workspace.TMP, so no array that
+    a later chunk reads may lie there.
+    """
+
     def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0, bias=True):
         for what, value, least in (
             ("in_channels", in_channels, 1),
@@ -184,22 +201,41 @@ class Conv2D(Kernel):
             raise ConfigError(f"{self.name}: kernel does not fit {H}x{W} input")
         return (self.out_channels, Ho, Wo)
 
+    def _gemm(self, w2, a, stride, pad, out, ws, bias=None, chunked=True):
+        """Fills NCHW out with w2 @ im2col(a) + bias, in chunks (see the class) or in one.
+
+        The patch matrices go to the array "<name>.cols"; returns the last.
+        """
+        N, O, Ho, Wo = out.shape
+        step = 64 // math.gcd(64, Ho * Wo)
+        size = (max(1, CHUNK_BYTES // (w2.shape[1] * Ho * Wo * a.itemsize * step)) * step
+                if chunked else N)
+        k = self.kernel
+        for lo in range(0, N, size):
+            hi = min(lo + size, N)
+            cols, _, _ = im2col(a[lo:hi], k, k, stride, pad, ws, f"{self.name}.cols")
+            y = np.matmul(w2, cols, out=_array(ws, Workspace.TMP, (O, cols.shape[1]), out.dtype))
+            if bias is not None:
+                y += bias[:, None]
+            out[lo:hi] = y.reshape(O, hi - lo, Ho, Wo).transpose(1, 0, 2, 3)
+        return cols
+
     def forward(self, x, params, state, train, ws=None):
         w = params[self.weight_name]
-        k, O, N = self.kernel, self.out_channels, x.shape[0]
-        cols, Ho, Wo = im2col(x, k, k, self.stride, self.pad, ws, f"{self.name}.cols")
-        y = _array(ws, Workspace.TMP, (O, N * Ho * Wo), np.result_type(w, cols))
-        np.matmul(w.reshape(O, -1), cols, out=y)
-        if self.bias:
-            y += params[f"{self.name}.b"][:, None]
-        # a copy even where the transpose is contiguous (N = 1): y is TMP
-        return y.reshape(O, N, Ho, Wo).transpose(1, 0, 2, 3).copy(), (cols, x.shape, Ho, Wo)
+        y = np.empty((x.shape[0],) + self.out_shape(x.shape[1:]), np.result_type(w, x))
+        cols = self._gemm(w.reshape(self.out_channels, -1), x, self.stride, self.pad, y, ws,
+                          params[f"{self.name}.b"] if self.bias else None, chunked=not train)
+        # a train cache keeps the patch matrix; an eval cache keeps the input instead
+        return y, ((cols, x.shape, None) if train else (None, x.shape, x))
 
     def backward(self, dy, cache, params, ws=None):
-        cols, x_shape, Ho, Wo = cache
+        cols, x_shape, x = cache
         w = params[self.weight_name]
         k, O = self.kernel, self.out_channels
         N, C, H, W = x_shape
+        _, Ho, Wo = self.out_shape(x_shape[1:])
+        if cols is None:
+            cols, _, _ = im2col(x, k, k, self.stride, self.pad, ws, f"{self.name}.cols")
         dy2 = _array(ws, Workspace.TMP, (O, N, Ho, Wo), dy.dtype)
         np.copyto(dy2, dy.transpose(1, 0, 2, 3))
         dy2 = dy2.reshape(O, N * Ho * Wo)
@@ -208,22 +244,19 @@ class Conv2D(Kernel):
         if self.bias:
             grads[f"{self.name}.b"] = dy2.sum(axis=1)
         if self.stride == 1 and self.pad < k and O <= C:
-            # A stride-1 input gradient is itself a convolution: dy padded by
-            # k-1-pad, against the flipped kernel with in/out channels swapped.
-            # Its patch matrix has O*k*k rows to the forward's C*k*k, so a
-            # widening conv (O > C) keeps the col2im scatter: faster and smaller.
+            # A stride-1 input gradient is itself a convolution: dy padded by k-1-pad,
+            # against the flipped kernel with in/out channels swapped; its patches
+            # overwrite the spent cols.  They have O*k*k rows to the forward's C*k*k,
+            # so a widening conv (O > C) keeps the col2im scatter: faster and smaller.
             wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, O * k * k)
-            # cols is spent: in a workspace, dy's patch matrix overwrites it
-            dcols, _, _ = im2col(dy, k, k, 1, k - 1 - self.pad, ws, f"{self.name}.cols")
-            dxc = _array(ws, Workspace.TMP, (C, N * H * W), np.result_type(wt, dcols))
-            np.matmul(wt, dcols, out=dxc)
-            dx = dxc.reshape(C, N, H, W).transpose(1, 0, 2, 3)
+            dx = np.empty(x_shape, np.result_type(wt, dy))
+            self._gemm(wt, dy, 1, k - 1 - self.pad, dx, ws)
         else:
             w2 = w.reshape(O, -1).T
             dcols = _array(ws, f"{self.name}.cols", cols.shape, np.result_type(w2, dy2))
             np.matmul(w2, dy2, out=dcols)
-            dx = col2im(dcols, x_shape, k, k, self.stride, self.pad, Ho, Wo, ws)
-        return dx.copy(), grads  # a copy, as in forward: dx views TMP
+            dx = col2im(dcols, x_shape, k, k, self.stride, self.pad, Ho, Wo, ws).copy()  # TMP view
+        return dx, grads
 
 
 class BatchNorm2D(Layer):

@@ -206,6 +206,8 @@ class Network:
                 f"input shape {x.shape[1:]} does not match network input "
                 f"{tuple(self.config.input_shape)}"
             )
+        if len(x) == 0:
+            raise ConfigError("a forward needs at least one sample")
         if train:
             self._generation += 1
             ws = self._workspace

@@ -51,6 +51,8 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
     for l in range(k - 1, -1, -1):
         dt = dgate[l] * np.einsum("fn,fn->f", a, values[l])  # dL/dt_l per filter
         out[l] = dt.sum()
+        if l == 0:
+            break  # nothing reads round 0's adjoint update
         scale = np.divide(dt, norms[l], out=np.zeros(F), where=norms[l] > 0)
         a = (1.0 - gate[l])[:, None] * a - scale[:, None] * residuals[l]
     return out

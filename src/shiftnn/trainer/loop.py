@@ -10,6 +10,7 @@ once per epoch (one permutation), which keeps runs reproducible.
 
 from __future__ import annotations
 
+import numbers
 import os
 import tempfile
 import time
@@ -290,6 +291,8 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
 
 def evaluate(net: Network, params, bn_state, x, y, batch_size=256) -> float:
     """Top-1 accuracy in eval mode (running batch-norm statistics)."""
+    if not (isinstance(batch_size, numbers.Integral) and batch_size >= 1):
+        raise ConfigError(f"batch_size must be a positive integer, got {batch_size!r}")
     if len(x) == 0:
         raise DataError("evaluate needs at least one sample")
     if np.shape(y) != (len(x),):

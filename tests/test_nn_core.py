@@ -3,6 +3,8 @@ import pytest
 
 from conftest import probe_gradient
 from shiftnn.errors import ConfigError, NumericError
+from shiftnn.nn import layers
+from shiftnn.nn.layers import Workspace
 from shiftnn.nn import (
     AdamState,
     BatchNorm2D,
@@ -118,6 +120,13 @@ class TestForward:
         params = net.init_params(0)
         with pytest.raises(ConfigError):
             net.forward(np.zeros((1, 3, 8, 8), dtype=np.float32), params, {})
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_empty_batch_rejected(self, train):
+        # unchecked, Flatten's reshape raised numpy's bare ValueError
+        net, params, state = build_network(two_conv_config(), seed=9)
+        with pytest.raises(ConfigError, match="at least one sample"):
+            net.forward(np.zeros((0, 4, 8, 8), np.float32), params, state, train=train)
 
     def test_nonfinite_output_raises(self):
         net = Network(two_conv_config())
@@ -247,6 +256,101 @@ class TestWorkspace:
         kept = logits.copy(), dx.copy()
         train_step(net, params, state, x[1], y[1])
         assert np.array_equal(kept[0], logits) and np.array_equal(kept[1], dx)
+
+
+def preset_convs():
+    """(preset, conv layer, input shape) of each distinct conv in the four presets."""
+    convs = {}
+    for preset in ("mnist2", "net2", "net4", "net1"):
+        net = Network(get_preset(preset))
+        inputs = [tuple(net.config.input_shape)] + net.node_shapes[:-1]
+        found = [(layer, inputs[i]) for i, layer in enumerate(net.layers)
+                 if isinstance(layer, Conv2D)]
+        found += [(proj, net.node_shapes[src]) for src, proj in net.skips.values() if proj]
+        for layer, shape in found:
+            key = (layer.out_channels, layer.kernel, layer.stride, layer.pad, layer.bias, shape)
+            convs.setdefault(key, (preset, layer, shape))
+    return list(convs.values())
+
+
+# the benchmark's eval batch per preset (net4 and net1 are not benchmarked)
+EVAL_BATCH = {"mnist2": 128, "net2": 32, "net4": 32, "net1": 32}
+CONVS = [pytest.param(preset, layer, shape, id=f"{preset}-{layer.name}")
+         for preset, layer, shape in preset_convs()]
+
+
+def chunked(monkeypatch, call, n, sample_cols, rows):
+    """call() with CHUNK_BYTES set so that its n samples run in three or more
+    chunks, the last one partial; checks the chunks that ran.
+
+    The budget holds step - 1 samples more than a chunk of whole multiples of
+    64 columns, which the chunks must not take: on mnist2's 14x14 conv, a
+    chunk of 5 samples (980 columns) changed output bits.
+    """
+    step = 64 // np.gcd(64, sample_cols)
+    size = max(s for s in range(step, n, step) if n % s and -(-n // s) >= 3)
+    batches = []
+    im2col = layers.im2col
+
+    def recording(a, *args):
+        batches.append(len(a))
+        return im2col(a, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(layers, "CHUNK_BYTES", (size + step - 1) * rows * sample_cols * 4)
+        m.setattr(layers, "im2col", recording)
+        result = call()
+    assert len(batches) >= 3 and 0 < batches[-1] < batches[0]
+    assert all(b * sample_cols % 64 == 0 for b in batches[:-1])
+    return result
+
+
+class TestChunkedConv:
+    """Patch matrices built chunk by chunk give the bits of one whole matrix."""
+
+    def setup(self, layer, shape, batch, seed):
+        gen = np.random.default_rng(seed)
+        params = layer.init_params(gen, np.float32)
+        if layer.bias:
+            params[f"{layer.name}.b"] = gen.standard_normal(layer.out_channels).astype(np.float32)
+        x = gen.standard_normal((batch,) + shape).astype(np.float32)
+        return params, x
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("preset,layer,shape", CONVS)
+    def test_eval_forward_matches_train_forward(self, monkeypatch, preset, layer, shape, ragged):
+        n = 37 if ragged else EVAL_BATCH[preset]
+        params, x = self.setup(layer, shape, n, seed=40)
+        want, _ = layer.forward(x, params, {}, train=True, ws=Workspace())
+        _, Ho, Wo = layer.out_shape(shape)
+        got, _ = chunked(monkeypatch, lambda: layer.forward(x, params, {}, train=False),
+                         n, Ho * Wo, layer.fan_in)
+        assert got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("preset,layer,shape", [
+        p for p in CONVS if p.values[1].stride == 1 and p.values[1].out_channels <= p.values[2][0]
+    ])
+    def test_chunked_input_gradient_matches_one_chunk(self, monkeypatch, preset, layer, shape):
+        n = 37
+        params, x = self.setup(layer, shape, n, seed=41)
+        ws = Workspace()
+        y, cache = layer.forward(x, params, {}, train=True, ws=ws)
+        dy = np.random.default_rng(42).standard_normal(y.shape).astype(np.float32)
+        monkeypatch.setattr(layers, "CHUNK_BYTES", 1 << 40)
+        want_dx, want = layer.backward(dy, cache, params, ws=ws)
+        _, cache = layer.forward(x, params, {}, train=True, ws=ws)
+        _, H, W = shape
+        results = [chunked(monkeypatch, lambda: layer.backward(dy, cache, params, ws=ws),
+                           n, H * W, layer.out_channels * layer.kernel ** 2)]
+        # an eval forward's cache holds the input, from which backward rebuilds its patches
+        _, eval_cache = layer.forward(x, params, {}, train=False)
+        results.append(layer.backward(dy, eval_cache, params))
+        for dx, grads in results:
+            assert np.array_equal(bits(dx), bits(want_dx))
+            assert grads.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(bits(grads[name]), bits(want[name])), name
 
 
 class TestGradientChecks:

@@ -90,3 +90,12 @@ def test_evaluate_checks_label_shape(y):
     x = np.zeros((4, 1, 4, 4), dtype=np.float32)
     with pytest.raises(DataError, match="labels"):
         evaluate(net, params, state, x, y)
+
+
+@pytest.mark.parametrize("batch_size", [-1, 0, 2.5, None])
+def test_evaluate_checks_batch_size(batch_size):
+    # unchecked, -1 scored 0.0, 0 raised numpy's ValueError and 2.5 a TypeError
+    net, params, state = tiny_net()
+    x = np.zeros((4, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(ConfigError, match="batch_size"):
+        evaluate(net, params, state, x, np.zeros(4, int), batch_size=batch_size)
