@@ -55,16 +55,54 @@ def _array(ws, key, shape, dtype):
     return np.empty(shape, dtype) if ws is None else ws.array(key, shape, dtype)
 
 
+def _same(kh, kw, stride, pad):
+    """Whether a conv is stride 1 and same-padded, with an H x W output."""
+    return stride == 1 and kh == kw == 2 * pad + 1 and pad > 0
+
+
+def _wrapped(taps, pad):
+    """The views of taps, shaped (C, k, k, N, H, W), whose plane run crossed a row edge.
+
+    In a same conv's plane (see im2col), tap (i, j)'s run for output column
+    wo reads column wo + j - pad of its row; where that lies outside 0..W-1,
+    the run has wrapped into the row before or after.  Each edge slice is
+    clamped to 0..W, so W < pad needs no negative index.
+    """
+    W = taps.shape[-1]
+    for d in range(1, pad + 1):
+        yield taps[:, :, pad - d, ..., : min(d, W)]
+        yield taps[:, :, pad + d, ..., max(W - d, 0) :]
+
+
 def im2col(x, kh, kw, stride, pad, ws=None, key=None):
     """Channel-major patch matrix of shape (C*kh*kw, N*Ho*Wo), plus Ho, Wo.
 
     Row c*kh*kw + i*kw + j holds x[n, c, i + stride*ho, j + stride*wo] of
     the zero-padded input, with columns ordered (n, ho, wo), so that
     ``W.reshape(O, -1) @ cols`` is the output laid out as (O, N, Ho, Wo).
-    The strided window view is copied once, in contiguous (Ho, Wo) runs,
-    into the workspace's array `key`; the padded input is a TMP temporary.
+    The matrix is the workspace's array `key`; its source is a TMP temporary.
+
+    A same conv (stride 1, kh == kw == 2*pad + 1, pad > 0) copies x once
+    into a plane (N, C, 2*lo + H*W) with lo = pad*W + pad zeros at each end;
+    the patch row of (c, i, j, n) is then the one run at offset i*W + j, and
+    the entries whose run wrapped across a row edge are set to +0.0, the
+    padding's value.  Any other conv copies its padded input's strided window
+    view in contiguous (Ho, Wo) runs.
     """
     N, C, H, W = x.shape
+    if _same(kh, kw, stride, pad):
+        lo, hw = pad * W + pad, H * W
+        plane = _array(ws, Workspace.TMP, (N, C, 2 * lo + hw), x.dtype)
+        plane[:, :, :lo] = 0
+        plane[:, :, lo + hw :] = 0
+        np.copyto(plane[:, :, lo : lo + hw].reshape(N, C, H, W), x)
+        s0, s1, s2 = plane.strides
+        win = np.lib.stride_tricks.as_strided(plane, (C, kh, kw, N, hw), (s1, W * s2, s2, s0, s2))
+        cols = _array(ws, key, win.shape, x.dtype)
+        np.copyto(cols, win)
+        for edge in _wrapped(cols.reshape(C, kh, kw, N, H, W), pad):
+            edge.fill(0.0)
+        return cols.reshape(C * kh * kw, N * hw), H, W
     if pad:
         xp = _array(ws, Workspace.TMP, (N, C, H + 2 * pad, W + 2 * pad), x.dtype)
         xp.fill(0)
@@ -85,11 +123,27 @@ def im2col(x, kh, kw, stride, pad, ws=None, key=None):
 def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo, ws=None):
     """Scatter-add inverse of im2col: (C*kh*kw, N*Ho*Wo) -> x_shape.
 
-    Each kernel tap adds one (C, N, Ho, Wo) block, contiguous in (Ho, Wo),
-    into a strided window of a channel-major padded buffer, the workspace's
-    TMP area.  The result is an NCHW view of that buffer.
+    Each kernel tap, in order, adds one (C, N, Ho, Wo) block into a
+    channel-major buffer that starts at +0.0, the workspace's TMP area.  The
+    result is an NCHW view of that buffer.  A same conv (see im2col) adds
+    each tap's block as one run per (c, n) into a plane at offset i*W + j,
+    after it overwrites dcols' wrapped entries with -0.0: x + -0.0 is x for
+    every x, -0.0 and NaN payloads included, so every sum keeps its bits.
+    Any other conv adds each block into a strided window of a padded buffer.
     """
     N, C, H, W = x_shape
+    if _same(kh, kw, stride, pad):
+        lo, hw = pad * W + pad, H * W
+        taps = dcols.reshape(C, kh, kw, N, H, W)
+        for edge in _wrapped(taps, pad):
+            edge.fill(-0.0)
+        runs = taps.reshape(C, kh, kw, N, hw)
+        plane = _array(ws, Workspace.TMP, (C, N, 2 * lo + hw), dcols.dtype)
+        plane.fill(0)
+        for i in range(kh):
+            for j in range(kw):
+                plane[:, :, i * W + j : i * W + j + hw] += runs[:, i, j]
+        return plane[:, :, lo : lo + hw].reshape(C, N, H, W).transpose(1, 0, 2, 3)
     Hp, Wp = H + 2 * pad, W + 2 * pad
     dxp = _array(ws, Workspace.TMP, (C, N, Hp, Wp), dcols.dtype)
     dxp.fill(0)
@@ -175,6 +229,11 @@ class Conv2D(Kernel):
     matrix for dW, whose GEMM sums over every column; a split there would
     reorder the sums.  Each chunk overwrites Workspace.TMP, so no array that
     a later chunk reads may lie there.
+
+    im2col and col2im copy the patches of a same conv (stride 1, kernel
+    2*pad + 1, pad > 0: each 3x3 preset conv and its input gradient) as
+    whole H*W plane runs, whose entries that wrap a row edge read +0.0 and
+    add -0.0, bit for bit; other convs copy strided windows.
     """
 
     def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0, bias=True):

@@ -213,7 +213,10 @@ class Network:
             ws = self._workspace
         else:
             # an eval batch may be larger than a train batch: its buffers are
-            # not kept, and the train buffers are not kept beside them
+            # not kept, and the train buffers are not kept beside them.  Keeping
+            # them spares the next train step its faults (mnist2: 5,260 -> 360,
+            # 34.7 -> 27.2 ms) but raised the benchmark's train-mnist2 peak RSS
+            # 71.2 -> 101.5 MB and made net2's warm steps fault ~6,000 times.
             self._workspace, ws = Workspace(), None
         state = state if state is not None else {}
         caches = []

@@ -5,7 +5,9 @@ strided, zero-padded cross-correlation; it shares no code with the
 patch-matrix path.  The cases cover every branch Conv2D.backward
 dispatches to: the stride-1 transposed convolution (out_channels <=
 in_channels) and the col2im scatter (strided, widening, or stride 1 with
-pad >= kernel).
+pad >= kernel).  They also cover both ways im2col and col2im copy patches:
+the plane runs of a same conv (stride 1, kernel 2*pad + 1, at k = 3 and
+k = 5) and the strided windows of every other conv.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from shiftnn.nn import Conv2D
 # (kernel, stride, pad)
 CASES = [
     (3, 1, 1),
+    (5, 1, 2),
     (3, 1, 0),
     (3, 2, 1),
     (3, 2, 0),

@@ -353,6 +353,113 @@ class TestChunkedConv:
                 assert np.array_equal(bits(grads[name]), bits(want[name])), name
 
 
+def reference_im2col(x, k, stride, pad):
+    """The patch matrix from np.pad and one strided-window copy per tap."""
+    N, C, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    Ho = (H + 2 * pad - k) // stride + 1
+    Wo = (W + 2 * pad - k) // stride + 1
+    cols = np.empty((C, k, k, N, Ho, Wo), x.dtype)
+    for i in range(k):
+        for j in range(k):
+            tap = xp[:, :, i : i + stride * (Ho - 1) + 1 : stride, j : j + stride * (Wo - 1) + 1 : stride]
+            cols[:, i, j] = tap.transpose(1, 0, 2, 3)
+    return cols.reshape(C * k * k, N * Ho * Wo)
+
+
+def reference_col2im(dcols, x_shape, k, pad):
+    """A same conv's input gradient, scattered tap by tap into a +0.0 padded buffer."""
+    N, C, H, W = x_shape
+    dxp = np.zeros((C, N, H + 2 * pad, W + 2 * pad), dcols.dtype)
+    taps = dcols.reshape(C, k, k, N, H, W)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i : i + H, j : j + W] += taps[:, i, j]
+    return dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3)
+
+
+def special_values(gen, shape, dtype):
+    """Normal draws, about a third of them replaced by +-0.0, NaNs (two payloads),
+    +-inf and subnormals."""
+    dtype = np.dtype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    payload = np.array(0x7FC00123 if dtype.itemsize == 4 else 0x7FF8000000000123,
+                       f"u{dtype.itemsize}").view(dtype)
+    pool = np.array([0.0, -0.0, np.nan, payload, np.inf, -np.inf, tiny, -3 * tiny], dtype)
+    a = gen.standard_normal(shape).astype(dtype)
+    hit = gen.random(shape) < 0.35
+    a[hit] = gen.choice(pool, hit.sum())
+    return a
+
+
+def wrapped_columns(k, pad, W):
+    """(tap j, mask over output columns wo) where column wo + j - pad lies outside the row."""
+    wo = np.arange(W)
+    return [(j, (wo + j - pad < 0) | (wo + j - pad >= W)) for j in range(k)]
+
+
+def dirty_workspace(key):
+    """A Workspace whose areas hold NaN, so that an entry left unwritten shows.
+
+    Each area holds 2 MiB, more than any case here asks for, so none is
+    reallocated.
+    """
+    ws = Workspace()
+    for area in (Workspace.TMP, key):
+        ws.array(area, (1 << 18,), np.float64).fill(np.nan)
+    return ws
+
+
+SAME_SHAPES = [(7, 6), (1, 5), (5, 1), (2, 2)]
+# k = 7 on a 2-wide plane has an edge wider than the row (pad 3 > W)
+SAME_KERNELS = [3, 5, 7]
+
+
+class TestSamePlane:
+    """The plane path of a same conv (stride 1, kernel 2*pad + 1) against
+    tap-by-tap references, bit for bit: +-0.0, NaN payloads, +-inf and
+    subnormals, in float32 and float64, for planes narrower than the pad."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("N,C", [(1, 1), (3, 4)])
+    @pytest.mark.parametrize("H,W", SAME_SHAPES)
+    @pytest.mark.parametrize("k", SAME_KERNELS)
+    def test_im2col(self, k, H, W, N, C, dtype):
+        gen = np.random.default_rng(k * 1000 + H * 100 + W * 10 + N + C)
+        x = special_values(gen, (N, C, H, W), dtype)
+        cols, Ho, Wo = layers.im2col(x, k, k, 1, k // 2, dirty_workspace("c"), "c")
+        assert (Ho, Wo) == (H, W)
+        assert np.array_equal(bits(cols), bits(reference_im2col(x, k, 1, k // 2)))
+
+    @pytest.mark.parametrize("wrapped_fill", ["special", "-0.0"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("N,C", [(1, 1), (3, 4)])
+    @pytest.mark.parametrize("H,W", SAME_SHAPES)
+    @pytest.mark.parametrize("k", SAME_KERNELS)
+    def test_col2im(self, k, H, W, N, C, dtype, wrapped_fill):
+        gen = np.random.default_rng(k * 1000 + H * 100 + W * 10 + N + C + 7)
+        pad = k // 2
+        dcols = special_values(gen, (C * k * k, N * H * W), dtype)
+        after = dcols.copy()  # col2im overwrites the wrapped entries with -0.0
+        for a in (dcols, after) if wrapped_fill == "-0.0" else (after,):
+            taps = a.reshape(C, k, k, N, H, W)
+            for j, wrapped in wrapped_columns(k, pad, W):
+                taps[:, :, j, :, :, wrapped] = -0.0
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            want = reference_col2im(dcols, (N, C, H, W), k, pad)
+            got = layers.col2im(dcols, (N, C, H, W), k, k, 1, pad, H, W, dirty_workspace("c"))
+        assert got.shape == (N, C, H, W)
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(dcols), bits(after))
+
+    @pytest.mark.parametrize("preset,layer,shape", CONVS)
+    def test_preset_patch_matrices(self, preset, layer, shape):
+        x = special_values(np.random.default_rng(43), (2,) + shape, np.float32)
+        k, stride, pad = layer.kernel, layer.stride, layer.pad
+        cols, _, _ = layers.im2col(x, k, k, stride, pad, dirty_workspace("c"), "c")
+        assert np.array_equal(bits(cols), bits(reference_im2col(x, k, stride, pad)))
+
+
 class TestGradientChecks:
     """Analytic backward vs central differences, double precision."""
 
