@@ -55,23 +55,27 @@ def _array(ws, key, shape, dtype):
     return np.empty(shape, dtype) if ws is None else ws.array(key, shape, dtype)
 
 
-def _same(kh, kw, stride, pad):
-    """Whether a conv is stride 1 and same-padded, with an H x W output."""
-    return stride == 1 and kh == kw == 2 * pad + 1 and pad > 0
+def _taps(plane, channels, P, kh, kw, stride, Ho, Wo):
+    """The view (C, kh, kw, N, Ho, Wo) of a contiguous plane (N, C, L) or (C, N, L).
 
-
-def _wrapped(taps, pad):
-    """The views of taps, shaped (C, k, k, N, H, W), whose plane run crossed a row edge.
-
-    In a same conv's plane (see im2col), tap (i, j)'s run for output column
-    wo reads column wo + j - pad of its row; where that lies outside 0..W-1,
-    the run has wrapped into the row before or after.  Each edge slice is
-    clamped to 0..W, so W < pad needs no negative index.
+    Entry (c, i, j, n, ho, wo) lies at offset (stride*ho + i)*P + stride*wo + j
+    of plane row (n, c), whose C axis is `channels`; when Wo == P, (Ho, Wo) is
+    one run.  np.ndarray checks that the view stays inside the plane.
     """
-    W = taps.shape[-1]
-    for d in range(1, pad + 1):
-        yield taps[:, :, pad - d, ..., : min(d, W)]
-        yield taps[:, :, pad + d, ..., max(W - d, 0) :]
+    s = plane.itemsize
+    C, N = plane.shape[channels], plane.shape[1 - channels]
+    sc, sn = plane.strides[channels], plane.strides[1 - channels]
+    block = [(Ho * Wo, stride * s)] if Wo == P else [(Ho, stride * P * s), (Wo, stride * s)]
+    shape, strides = zip((C, sc), (kh, P * s), (kw, s), (N, sn), *block)
+    return np.ndarray(shape, plane.dtype, plane, 0, strides)
+
+
+def _wrapped(taps, W, stride, pad):
+    """The slices of taps (C, kh, kw, N, Ho, Wo) whose input column stride*wo + j - pad
+    lies outside 0..W-1: for each tap column j, a prefix and a suffix of 0..Wo-1."""
+    for j in range(taps.shape[2]):
+        yield taps[:, :, j, ..., : max(0, -((j - pad) // stride))]
+        yield taps[:, :, j, ..., max(0, -((j - pad - W) // stride)) :]
 
 
 def im2col(x, kh, kw, stride, pad, ws=None, key=None):
@@ -80,78 +84,59 @@ def im2col(x, kh, kw, stride, pad, ws=None, key=None):
     Row c*kh*kw + i*kw + j holds x[n, c, i + stride*ho, j + stride*wo] of
     the zero-padded input, with columns ordered (n, ho, wo), so that
     ``W.reshape(O, -1) @ cols`` is the output laid out as (O, N, Ho, Wo).
-    The matrix is the workspace's array `key`; its source is a TMP temporary.
+    The matrix is the workspace's array `key`.
 
-    A same conv (stride 1, kh == kw == 2*pad + 1, pad > 0) copies x once
-    into a plane (N, C, 2*lo + H*W) with lo = pad*W + pad zeros at each end;
-    the patch row of (c, i, j, n) is then the one run at offset i*W + j, and
-    the entries whose run wrapped across a row edge are set to +0.0, the
-    padding's value.  Any other conv copies its padded input's strided window
-    view in contiguous (Ho, Wo) runs.
+    Every conv takes one path.  x is copied once into a TMP plane
+    (N, C, 2*lo + H*P) with row pitch P = max(W, Wo) and lo = pad*P + pad
+    zeros at each end; with pad = 0 the plane is contiguous x.  One strided view
+    holds all taps (_taps); the entries that read no input column (_wrapped),
+    whose plane entry lies in a margin or a neighbouring row, are set to +0.0,
+    the padding's value.  P >= Wo keeps each tap's addresses distinct, which
+    col2im's adds need: over-padded convs (stride 1, 2*pad >= kernel) have Wo > W.
     """
     N, C, H, W = x.shape
-    if _same(kh, kw, stride, pad):
-        lo, hw = pad * W + pad, H * W
-        plane = _array(ws, Workspace.TMP, (N, C, 2 * lo + hw), x.dtype)
-        plane[:, :, :lo] = 0
-        plane[:, :, lo + hw :] = 0
-        np.copyto(plane[:, :, lo : lo + hw].reshape(N, C, H, W), x)
-        s0, s1, s2 = plane.strides
-        win = np.lib.stride_tricks.as_strided(plane, (C, kh, kw, N, hw), (s1, W * s2, s2, s0, s2))
-        cols = _array(ws, key, win.shape, x.dtype)
-        np.copyto(cols, win)
-        for edge in _wrapped(cols.reshape(C, kh, kw, N, H, W), pad):
-            edge.fill(0.0)
-        return cols.reshape(C * kh * kw, N * hw), H, W
+    Ho = (H + 2 * pad - kh) // stride + 1
+    Wo = (W + 2 * pad - kw) // stride + 1
+    P = max(W, Wo)
+    lo = pad * P + pad
     if pad:
-        xp = _array(ws, Workspace.TMP, (N, C, H + 2 * pad, W + 2 * pad), x.dtype)
-        xp.fill(0)
-        xp[:, :, pad : pad + H, pad : pad + W] = x
-        x = xp
-    Hp, Wp = x.shape[2], x.shape[3]
-    Ho = (Hp - kh) // stride + 1
-    Wo = (Wp - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (C, kh, kw, N, Ho, Wo), (s1, s2, s3, s0, s2 * stride, s3 * stride)
-    )
+        plane = _array(ws, Workspace.TMP, (N, C, 2 * lo + H * P), x.dtype)
+        plane[:, :, :lo] = 0
+        plane[:, :, lo + H * P :] = 0
+        np.copyto(plane[:, :, lo : lo + H * P].reshape(N, C, H, P)[..., :W], x)
+    else:
+        plane = np.ascontiguousarray(x).reshape(N, C, H * W)
+    win = _taps(plane, 1, P, kh, kw, stride, Ho, Wo)
     cols = _array(ws, key, win.shape, x.dtype)
     np.copyto(cols, win)
+    for edge in _wrapped(cols.reshape(C, kh, kw, N, Ho, Wo), W, stride, pad):
+        edge.fill(0.0)
     return cols.reshape(C * kh * kw, N * Ho * Wo), Ho, Wo
 
 
 def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo, ws=None):
     """Scatter-add inverse of im2col: (C*kh*kw, N*Ho*Wo) -> x_shape.
 
-    Each kernel tap, in order, adds one (C, N, Ho, Wo) block into a
-    channel-major buffer that starts at +0.0, the workspace's TMP area.  The
-    result is an NCHW view of that buffer.  A same conv (see im2col) adds
-    each tap's block as one run per (c, n) into a plane at offset i*W + j,
-    after it overwrites dcols' wrapped entries with -0.0: x + -0.0 is x for
-    every x, -0.0 and NaN payloads included, so every sum keeps its bits.
-    Any other conv adds each block into a strided window of a padded buffer.
+    The entries of dcols that read no input column are first set to -0.0:
+    x + -0.0 is x for every x, -0.0 and NaN payloads included.  Then each
+    kernel tap, in order, adds its block into the taps view of im2col's plane,
+    laid out (C, N, 2*lo + H*P) in the TMP area and started at +0.0.  The
+    result is an NCHW view of the plane.  When Wo == P (a same conv) a block
+    is one run per (c, n), which numpy adds about twice as fast as (Ho, Wo).
     """
     N, C, H, W = x_shape
-    if _same(kh, kw, stride, pad):
-        lo, hw = pad * W + pad, H * W
-        taps = dcols.reshape(C, kh, kw, N, H, W)
-        for edge in _wrapped(taps, pad):
-            edge.fill(-0.0)
-        runs = taps.reshape(C, kh, kw, N, hw)
-        plane = _array(ws, Workspace.TMP, (C, N, 2 * lo + hw), dcols.dtype)
-        plane.fill(0)
-        for i in range(kh):
-            for j in range(kw):
-                plane[:, :, i * W + j : i * W + j + hw] += runs[:, i, j]
-        return plane[:, :, lo : lo + hw].reshape(C, N, H, W).transpose(1, 0, 2, 3)
-    Hp, Wp = H + 2 * pad, W + 2 * pad
-    dxp = _array(ws, Workspace.TMP, (C, N, Hp, Wp), dcols.dtype)
-    dxp.fill(0)
-    dwin = dcols.reshape(C, kh, kw, N, Ho, Wo)
+    P = max(W, Wo)
+    lo = pad * P + pad
+    for edge in _wrapped(dcols.reshape(C, kh, kw, N, Ho, Wo), W, stride, pad):
+        edge.fill(-0.0)
+    plane = _array(ws, Workspace.TMP, (C, N, 2 * lo + H * P), dcols.dtype)
+    plane.fill(0)
+    taps = _taps(plane, 0, P, kh, kw, stride, Ho, Wo)
+    blocks = dcols.reshape(taps.shape)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + Ho * stride : stride, j : j + Wo * stride : stride] += dwin[:, i, j]
-    return dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3)
+            taps[:, i, j] += blocks[:, i, j]
+    return plane[:, :, lo : lo + H * P].reshape(C, N, H, P)[..., :W].transpose(1, 0, 2, 3)
 
 
 class Layer:
@@ -229,11 +214,6 @@ class Conv2D(Kernel):
     matrix for dW, whose GEMM sums over every column; a split there would
     reorder the sums.  Each chunk overwrites Workspace.TMP, so no array that
     a later chunk reads may lie there.
-
-    im2col and col2im copy the patches of a same conv (stride 1, kernel
-    2*pad + 1, pad > 0: each 3x3 preset conv and its input gradient) as
-    whole H*W plane runs, whose entries that wrap a row edge read +0.0 and
-    add -0.0, bit for bit; other convs copy strided windows.
     """
 
     def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0, bias=True):

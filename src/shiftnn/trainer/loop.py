@@ -52,21 +52,28 @@ class TrainSettings:
     def validate(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0 <= self.max_k <= MAX_K:
-            raise ConfigError(
-                f"max_k must be in [0, {MAX_K}] to fit the packed stream, got {self.max_k}"
-            )
+        for what, value, least in (("epochs", self.epochs, 1), ("batch_size", self.batch_size, 1),
+                                   ("seed", self.seed, 0), ("max_k", self.max_k, 0)):
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+        if self.max_k > MAX_K:
+            raise ConfigError(f"max_k above {MAX_K} does not fit the packed stream: {self.max_k}")
         if self.mode != "float":
             check_lambdas(self.lambdas, self.max_k)
-        if self.mode == "fixed":
-            if self.fixed_k is None or not 0 <= self.fixed_k <= self.max_k:
-                raise ConfigError(f"fixed mode needs fixed_k in [0, {self.max_k}]")
+        if self.mode == "fixed" and not (isinstance(self.fixed_k, numbers.Integral)
+                                         and 0 <= self.fixed_k <= self.max_k):
+            raise ConfigError(f"fixed mode needs an integer fixed_k in [0, {self.max_k}]")
         ExponentRange.widest(0, self.code_bits)  # raises ConfigError on a bad code width
-        if not 0 < self.tau < np.inf:
-            # tau = 0 makes every threshold gradient NaN, which prunes every filter
-            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ConfigError("epochs, batch_size and lr must be positive")
+        # tau = 0 makes every threshold gradient NaN, which prunes every filter; a NaN
+        # threshold_init prunes them all at once, and a NaN clip_norm turns clipping off
+        for what, value, low in (("tau", self.tau, 0), ("lr", self.lr, 0),
+                                 ("lr_decay", self.lr_decay, -np.inf),
+                                 ("threshold_init", self.threshold_init, -np.inf)):
+            if not (isinstance(value, numbers.Real) and low < value < np.inf):
+                raise ConfigError(f"{what} must lie in ({low}, inf), got {value!r}")
+        clip = self.clip_norm
+        if not (clip is None or isinstance(clip, numbers.Real) and clip >= 0):
+            raise ConfigError(f"clip_norm must be None or >= 0, got {clip!r}")
         return self
 
 
@@ -248,9 +255,20 @@ def train_batch(ts: TrainState, xb, yb):
     return ce, reg, total, correct
 
 
+def _check_data(net: Network, x, y):
+    """Raise DataError unless x holds samples and y one label in [0, classes) for each."""
+    if len(x) == 0 or np.shape(y) != (len(x),):
+        raise DataError(f"need samples with one label each, got {len(x)} and labels {np.shape(y)}")
+    if np.min(y) < 0 or np.max(y) >= net.config.classes:  # the range cross_entropy accepts
+        raise DataError(f"label out of range [0, {net.config.classes})")
+
+
 def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
     """One full pass; returns EpochMetrics (test fields NaN when no test set)."""
     s = ts.settings
+    _check_data(ts.net, train_x, train_y)
+    if test_x is not None:
+        _check_data(ts.net, test_x, test_y)
     start = time.perf_counter()
     order = ts.rng.permutation(len(train_x))
     sum_ce = sum_reg = sum_total = 0.0
@@ -293,10 +311,7 @@ def evaluate(net: Network, params, bn_state, x, y, batch_size=256) -> float:
     """Top-1 accuracy in eval mode (running batch-norm statistics)."""
     if not (isinstance(batch_size, numbers.Integral) and batch_size >= 1):
         raise ConfigError(f"batch_size must be a positive integer, got {batch_size!r}")
-    if len(x) == 0:
-        raise DataError("evaluate needs at least one sample")
-    if np.shape(y) != (len(x),):
-        raise DataError(f"labels have shape {np.shape(y)}, expected ({len(x)},)")
+    _check_data(net, x, y)
     correct = 0
     for lo in range(0, len(x), batch_size):
         logits, _ = net.forward(x[lo : lo + batch_size], params, bn_state, train=False)

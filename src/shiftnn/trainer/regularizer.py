@@ -19,8 +19,8 @@ def check_lambdas(lambdas, k: int) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=np.float64).reshape(-1)
     if lam.shape[0] != k:
         raise ConfigError(f"need {k} regularization coefficients, got {lam.shape[0]}")
-    if (lam < 0).any():
-        raise ConfigError("regularization coefficients must be nonnegative")
+    if not (np.isfinite(lam) & (lam >= 0)).all():
+        raise ConfigError(f"regularization coefficients must be finite and nonnegative, got {lam}")
     return lam
 
 

@@ -5,9 +5,11 @@ strided, zero-padded cross-correlation; it shares no code with the
 patch-matrix path.  The cases cover every branch Conv2D.backward
 dispatches to: the stride-1 transposed convolution (out_channels <=
 in_channels) and the col2im scatter (strided, widening, or stride 1 with
-pad >= kernel).  They also cover both ways im2col and col2im copy patches:
-the plane runs of a same conv (stride 1, kernel 2*pad + 1, at k = 3 and
-k = 5) and the strided windows of every other conv.
+pad >= kernel).  im2col and col2im copy every conv's patches through one
+plane with row pitch P = max(W, Wo); the wrapped entries read +0.0 and add
+-0.0.  The cases span its geometries: same convs (P = W = Wo, one run per
+tap), strided and valid convs (Wo < W), 1x1 convs (pad 0: x is the plane)
+and (1, 1, 1), whose output is wider than its input (P = Wo > W).
 """
 
 import numpy as np

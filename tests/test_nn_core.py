@@ -353,12 +353,15 @@ class TestChunkedConv:
                 assert np.array_equal(bits(grads[name]), bits(want[name])), name
 
 
+def out_size(H, W, k, stride, pad):
+    return (H + 2 * pad - k) // stride + 1, (W + 2 * pad - k) // stride + 1
+
+
 def reference_im2col(x, k, stride, pad):
     """The patch matrix from np.pad and one strided-window copy per tap."""
     N, C, H, W = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    Ho = (H + 2 * pad - k) // stride + 1
-    Wo = (W + 2 * pad - k) // stride + 1
+    Ho, Wo = out_size(H, W, k, stride, pad)
     cols = np.empty((C, k, k, N, Ho, Wo), x.dtype)
     for i in range(k):
         for j in range(k):
@@ -367,14 +370,17 @@ def reference_im2col(x, k, stride, pad):
     return cols.reshape(C * k * k, N * Ho * Wo)
 
 
-def reference_col2im(dcols, x_shape, k, pad):
-    """A same conv's input gradient, scattered tap by tap into a +0.0 padded buffer."""
+def reference_col2im(dcols, x_shape, k, stride, pad):
+    """A conv's input gradient, scattered tap by tap into a +0.0 padded buffer."""
     N, C, H, W = x_shape
+    Ho, Wo = out_size(H, W, k, stride, pad)
     dxp = np.zeros((C, N, H + 2 * pad, W + 2 * pad), dcols.dtype)
-    taps = dcols.reshape(C, k, k, N, H, W)
+    taps = dcols.reshape(C, k, k, N, Ho, Wo)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i : i + H, j : j + W] += taps[:, i, j]
+            rows = slice(i, i + stride * (Ho - 1) + 1, stride)
+            cols = slice(j, j + stride * (Wo - 1) + 1, stride)
+            dxp[:, :, rows, cols] += taps[:, i, j]
     return dxp[:, :, pad : pad + H, pad : pad + W].transpose(1, 0, 2, 3)
 
 
@@ -392,10 +398,10 @@ def special_values(gen, shape, dtype):
     return a
 
 
-def wrapped_columns(k, pad, W):
-    """(tap j, mask over output columns wo) where column wo + j - pad lies outside the row."""
-    wo = np.arange(W)
-    return [(j, (wo + j - pad < 0) | (wo + j - pad >= W)) for j in range(k)]
+def wrapped_columns(k, stride, pad, W, Wo):
+    """(tap j, mask over output columns wo) where column stride*wo + j - pad lies outside the row."""
+    col = stride * np.arange(Wo)
+    return [(j, (col + j - pad < 0) | (col + j - pad >= W)) for j in range(k)]
 
 
 def dirty_workspace(key):
@@ -410,47 +416,63 @@ def dirty_workspace(key):
     return ws
 
 
-SAME_SHAPES = [(7, 6), (1, 5), (5, 1), (2, 2)]
-# k = 7 on a 2-wide plane has an edge wider than the row (pad 3 > W)
-SAME_KERNELS = [3, 5, 7]
+SHAPES = [(7, 6), (1, 5), (5, 1), (2, 2)]
+# (kernel, stride, pad): same convs first, where k = 7 on a 2-wide plane has
+# an edge wider than the row (pad 3 > W); then strided convs, 1x1 projections
+# (pad 0: the plane is x itself), a valid conv, and over-padded convs whose
+# output is wider than their input (pitch P = Wo > W), at strides 1 to 3
+GEOMETRIES = [(3, 1, 1), (5, 1, 2), (7, 1, 3), (3, 2, 1), (3, 2, 0), (1, 2, 0), (1, 1, 0),
+              (3, 1, 0), (1, 1, 1), (1, 2, 1), (3, 1, 2), (5, 3, 2)]
+PLANE_CASES = [
+    pytest.param(k, stride, pad, H, W,
+                 id=f"{k}-{H}-{W}" if k > 1 and (stride, pad) == (1, k // 2) else f"k{k}s{stride}p{pad}-{H}-{W}")
+    for k, stride, pad in GEOMETRIES for H, W in SHAPES if min(out_size(H, W, k, stride, pad)) >= 1
+]
 
 
 class TestSamePlane:
-    """The plane path of a same conv (stride 1, kernel 2*pad + 1) against
-    tap-by-tap references, bit for bit: +-0.0, NaN payloads, +-inf and
-    subnormals, in float32 and float64, for planes narrower than the pad."""
+    """im2col and col2im, whose one plane path serves every conv geometry,
+    against tap-by-tap references, bit for bit: +-0.0, NaN payloads, +-inf
+    and subnormals, in float32 and float64, for planes narrower than the pad
+    and pitches wider than the input."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("N,C", [(1, 1), (3, 4)])
-    @pytest.mark.parametrize("H,W", SAME_SHAPES)
-    @pytest.mark.parametrize("k", SAME_KERNELS)
-    def test_im2col(self, k, H, W, N, C, dtype):
+    @pytest.mark.parametrize("k,stride,pad,H,W", PLANE_CASES)
+    def test_im2col(self, k, stride, pad, H, W, N, C, dtype):
         gen = np.random.default_rng(k * 1000 + H * 100 + W * 10 + N + C)
         x = special_values(gen, (N, C, H, W), dtype)
-        cols, Ho, Wo = layers.im2col(x, k, k, 1, k // 2, dirty_workspace("c"), "c")
-        assert (Ho, Wo) == (H, W)
-        assert np.array_equal(bits(cols), bits(reference_im2col(x, k, 1, k // 2)))
+        cols, Ho, Wo = layers.im2col(x, k, k, stride, pad, dirty_workspace("c"), "c")
+        assert (Ho, Wo) == out_size(H, W, k, stride, pad)
+        assert np.array_equal(bits(cols), bits(reference_im2col(x, k, stride, pad)))
 
     @pytest.mark.parametrize("wrapped_fill", ["special", "-0.0"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("N,C", [(1, 1), (3, 4)])
-    @pytest.mark.parametrize("H,W", SAME_SHAPES)
-    @pytest.mark.parametrize("k", SAME_KERNELS)
-    def test_col2im(self, k, H, W, N, C, dtype, wrapped_fill):
+    @pytest.mark.parametrize("k,stride,pad,H,W", PLANE_CASES)
+    def test_col2im(self, k, stride, pad, H, W, N, C, dtype, wrapped_fill):
         gen = np.random.default_rng(k * 1000 + H * 100 + W * 10 + N + C + 7)
-        pad = k // 2
-        dcols = special_values(gen, (C * k * k, N * H * W), dtype)
+        Ho, Wo = out_size(H, W, k, stride, pad)
+        dcols = special_values(gen, (C * k * k, N * Ho * Wo), dtype)
         after = dcols.copy()  # col2im overwrites the wrapped entries with -0.0
         for a in (dcols, after) if wrapped_fill == "-0.0" else (after,):
-            taps = a.reshape(C, k, k, N, H, W)
-            for j, wrapped in wrapped_columns(k, pad, W):
+            taps = a.reshape(C, k, k, N, Ho, Wo)
+            for j, wrapped in wrapped_columns(k, stride, pad, W, Wo):
                 taps[:, :, j, :, :, wrapped] = -0.0
         with np.errstate(invalid="ignore"):  # inf + -inf
-            want = reference_col2im(dcols, (N, C, H, W), k, pad)
-            got = layers.col2im(dcols, (N, C, H, W), k, k, 1, pad, H, W, dirty_workspace("c"))
+            want = reference_col2im(dcols, (N, C, H, W), k, stride, pad)
+            got = layers.col2im(dcols, (N, C, H, W), k, k, stride, pad, Ho, Wo, dirty_workspace("c"))
         assert got.shape == (N, C, H, W)
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(bits(dcols), bits(after))
+
+    @pytest.mark.parametrize("k,stride,pad", [(1, 2, 0), (3, 1, 0), (3, 1, 1)])
+    def test_im2col_of_views(self, k, stride, pad):
+        # with pad 0 the plane is x itself, so a view with gaps or zero strides is copied first
+        x = special_values(np.random.default_rng(44), (2, 3, 8, 12), np.float32)[:, :, ::2, 1::3]
+        for a in (x, np.broadcast_to(x[:1], x.shape)):
+            cols, _, _ = layers.im2col(a, k, k, stride, pad, dirty_workspace("c"), "c")
+            assert np.array_equal(bits(cols), bits(reference_im2col(a, k, stride, pad)))
 
     @pytest.mark.parametrize("preset,layer,shape", CONVS)
     def test_preset_patch_matrices(self, preset, layer, shape):

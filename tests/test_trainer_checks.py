@@ -3,7 +3,8 @@ import pytest
 
 from shiftnn.errors import ConfigError, DataError, NumericError
 from shiftnn.nn import LayerSpec, NetworkConfig, build_network
-from shiftnn.trainer.loop import TrainSettings, evaluate, init_train_state, train_batch
+from shiftnn.trainer import run_cell
+from shiftnn.trainer.loop import TrainSettings, evaluate, init_train_state, train_batch, train_epoch
 
 
 class TestCodeBits:
@@ -25,13 +26,41 @@ def test_tau_must_be_positive_and_finite(tau):
         TrainSettings(tau=tau).validate()
 
 
+@pytest.mark.parametrize("field,value,match", [
+    # unchecked, a NaN threshold_init pruned every filter (mean k 0.0 after three steps)
+    ("threshold_init", float("nan"), "threshold_init"),
+    # these raised TypeError or numpy's ValueError, or a "need 2.5 coefficients" error
+    ("fixed_k", 1.5, "fixed_k"),
+    ("seed", -1, "seed"),
+    ("seed", 1.5, "seed"),
+    ("epochs", 1.5, "epochs"),
+    ("batch_size", 2.5, "batch_size"),
+    ("max_k", 2.5, "max_k"),
+    # these surfaced only as a NumericError state dump at step 0 or 1
+    ("lr", float("nan"), "lr"),
+    ("lambdas", (float("nan"), 0.0), "coefficients"),
+    ("lambdas", (0.0, float("inf")), "coefficients"),
+    # a NaN clip_norm turned clipping off; a non-finite decay poisons the learning rate
+    ("clip_norm", float("nan"), "clip_norm"),
+    ("lr_decay", float("inf"), "lr_decay"),
+    ("lr_decay", float("nan"), "lr_decay"),
+])
+def test_bad_settings_rejected_up_front(field, value, match):
+    settings = TrainSettings(mode="fixed" if field == "fixed_k" else "flex", fixed_k=1)
+    setattr(settings, field, value)
+    with pytest.raises(ConfigError, match=match):
+        settings.validate()
+
+
+TINY = NetworkConfig("tiny", "test", (1, 4, 4), 3, [
+    LayerSpec("conv2d", {"out_channels": 2, "kernel": 3, "pad": 1}),
+    LayerSpec("flatten"),
+    LayerSpec("dense", {"out_features": 3}),
+])
+
+
 def tiny_net():
-    layers = [
-        LayerSpec("conv2d", {"out_channels": 2, "kernel": 3, "pad": 1}),
-        LayerSpec("flatten"),
-        LayerSpec("dense", {"out_features": 3}),
-    ]
-    return build_network(NetworkConfig("tiny", "test", (1, 4, 4), 3, layers), seed=0)
+    return build_network(TINY, seed=0)
 
 
 def test_nan_batch_dumps_reason_and_step(tmp_path):
@@ -99,3 +128,31 @@ def test_evaluate_checks_batch_size(batch_size):
     x = np.zeros((4, 1, 4, 4), dtype=np.float32)
     with pytest.raises(ConfigError, match="batch_size"):
         evaluate(net, params, state, x, np.zeros(4, int), batch_size=batch_size)
+
+
+BAD_DATA = {
+    # unchecked, train_epoch raised ZeroDivisionError on the empty set and IndexError
+    # on the short labels, and evaluate scored the label 99 as a miss
+    "empty": (np.zeros((0, 1, 4, 4), np.float32), np.zeros(0, int), "sample"),
+    "short labels": (np.zeros((4, 1, 4, 4), np.float32), np.zeros(3, int), "labels"),
+    "label 99": (np.zeros((4, 1, 4, 4), np.float32), np.array([0, 1, 2, 99]), "range"),
+    "label -1": (np.zeros((4, 1, 4, 4), np.float32), np.array([0, -1, 2, 1]), "range"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DATA)
+def test_bad_data_raises_data_error(case):
+    x, y, match = BAD_DATA[case]
+    good = (np.zeros((4, 1, 4, 4), np.float32), np.array([0, 1, 2, 0]))
+    net, params, state = tiny_net()
+    ts = init_train_state(net, params, state, TrainSettings(epochs=1, batch_size=2))
+    with pytest.raises(DataError, match=match):
+        train_epoch(ts, x, y)
+    with pytest.raises(DataError, match=match):
+        train_epoch(ts, *good, x, y)
+    with pytest.raises(DataError, match=match):
+        evaluate(net, params, state, x, y)
+    # a sweep records the error in its cell instead of stopping
+    for data in ((x, y) + good, good + (x, y)):
+        cell = run_cell(TINY, TrainSettings(epochs=1, batch_size=2), data)
+        assert not cell.ok and match in cell.error
