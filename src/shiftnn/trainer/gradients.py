@@ -47,14 +47,16 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
     dgate = gate * (1.0 - gate) / tau  # chain factor 1/tau applied once here
 
     out = np.zeros(k, dtype=np.float64)
-    a = -np.asarray(upstream, dtype=np.float64).reshape(F, n)
+    # a is C-ordered whatever upstream's layout, so the einsum's summation order is fixed
+    a = np.negative(upstream, dtype=np.float64, order="C").reshape(F, n)
     for l in range(k - 1, -1, -1):
         dt = dgate[l] * np.einsum("fn,fn->f", a, values[l])  # dL/dt_l per filter
         out[l] = dt.sum()
         if l == 0:
             break  # nothing reads round 0's adjoint update
         scale = np.divide(dt, norms[l], out=np.zeros(F), where=norms[l] > 0)
-        a = (1.0 - gate[l])[:, None] * a - scale[:, None] * residuals[l]
+        a *= (1.0 - gate[l])[:, None]
+        a -= scale[:, None] * residuals[l]
     return out
 
 
