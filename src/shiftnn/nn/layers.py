@@ -123,6 +123,9 @@ def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo, ws=None):
     laid out (C, N, 2*lo + H*P) in the TMP area and started at +0.0.  The
     result is an NCHW view of the plane.  When Wo == P (a same conv) a block
     is one run per (c, n), which numpy adds about twice as fast as (Ho, Wo).
+    Every sum keeps its bits, except where two NaNs meet: the result is a NaN
+    with one of their payloads, and which one depends on where numpy splits
+    the add's run into its SIMD body and scalar tail.
     """
     N, C, H, W = x_shape
     P = max(W, Wo)

@@ -72,31 +72,43 @@ def payload_bits(layer: QuantizedLayer) -> int:
 def _pack_fields(values: np.ndarray, width: int) -> np.ndarray:
     """Values below 2**width as width-bit fields, MSB-first, zero-padded to a byte.
 
-    Neighbours merge pairwise until 8 fields form one uint64 word of
-    8 * width bits, which is written as `width` big-endian bytes.
+    Neighbours merge pairwise until a group of g = 8 / gcd(8, width) fields
+    fills width * g / 8 whole bytes, written big-endian: 4-bit fields merge
+    once into single bytes, 2-bit fields twice, odd widths three times.
     """
     count = values.size
-    v = np.zeros(-(-count // 8) * 8, dtype=np.uint8)
-    v[:count] = values.reshape(-1)
-    v = (v[0::2].astype(np.uint16) << width) | v[1::2]
-    v = (v[0::2].astype(np.uint32) << 2 * width) | v[1::2]
-    v = (v[0::2].astype(np.uint64) << 4 * width) | v[1::2]
-    words = v.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width :]
+    g = 8 // math.gcd(8, width)
+    v = np.asarray(values, dtype=np.uint8).reshape(-1)
+    if count % g:  # zero-pad the last group
+        v = np.concatenate([v, np.zeros(g - count % g, dtype=np.uint8)])
+    bits = width
+    while bits < width * g:
+        merged = v[0::2].astype(np.min_scalar_type((1 << 2 * bits) - 1))
+        merged <<= bits
+        merged |= v[1::2]
+        v, bits = merged, 2 * bits
+    words = v.astype(v.dtype.newbyteorder(">"), copy=False).view(np.uint8)
+    words = words.reshape(-1, v.itemsize)[:, v.itemsize - bits // 8 :]
     return words.reshape(-1)[: -(-count * width // 8)]
 
 
 def _unpack_fields(data: np.ndarray, width: int, count: int) -> np.ndarray:
     """The first `count` width-bit fields of `data`, as _pack_fields lays them out."""
-    words = np.zeros((-(-count // 8), 8), dtype=np.uint8)
-    padded = np.zeros(words.shape[0] * width, dtype=np.uint8)
-    padded[: data.size] = data
-    words[:, 8 - width :] = padded.reshape(-1, width)
-    v = words.view(">u8").reshape(-1).astype(np.uint64)
-    for dtype, w in ((np.uint32, 4 * width), (np.uint16, 2 * width), (np.uint8, width)):
-        halves = np.empty(2 * v.size, dtype=dtype)
-        halves[0::2] = v >> w
-        halves[1::2] = v & ((1 << w) - 1)
-        v = halves
+    g = 8 // math.gcd(8, width)
+    nbytes = width * g // 8
+    if count % g:  # the last group is partial: zero-pad it
+        data = np.concatenate([data, np.zeros(-(-count // g) * nbytes - data.size, np.uint8)])
+    groups = data.reshape(-1, nbytes)
+    v = groups[:, 0].astype(np.min_scalar_type((1 << 8 * nbytes) - 1), copy=False)
+    for j in range(1, nbytes):  # a group's big-endian bytes as one word
+        v = (v << 8) | groups[:, j]
+    bits = width * g
+    while bits > width:
+        bits //= 2
+        halves = np.empty((v.size, 2), dtype=np.min_scalar_type((1 << bits) - 1))
+        np.right_shift(v, bits, out=halves[:, 0])
+        np.bitwise_and(v, (1 << bits) - 1, out=halves[:, 1])
+        v = halves.reshape(-1)
     return v[:count]
 
 
@@ -152,6 +164,7 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
 
     Raises PackingError, and only PackingError, on any malformed stream.
     """
+    data = bytes(data)  # the layers' codes may be views of it: never of a mutable buffer
     if data[: len(MAGIC)] != MAGIC:
         raise PackingError(f"bad magic {data[:len(MAGIC)]!r} at byte 0")
     (version, count), pos = _read("<BH", data, len(MAGIC), "stream header")

@@ -11,6 +11,7 @@ stream's format; ExponentRange.decode turns codes into values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +59,7 @@ class ExponentRange:
     @classmethod
     def for_weights(cls, w: np.ndarray, code_bits: int = DEFAULT_CODE_BITS) -> "ExponentRange":
         """Widest window whose top exponent is max |w| rounded as round_pow2 rounds."""
-        peak = np.max(np.abs(w), initial=0.0)
+        peak = np.maximum(np.max(w, initial=0.0), -np.min(w, initial=0.0))  # no |w| array
         if not np.isfinite(peak):
             raise NumericError("weights hold NaN or infinite values")
         e_max = int(nearest_exponent(peak, *_ANY_EXPONENT)) if peak > 0 else 0
@@ -66,11 +67,21 @@ class ExponentRange:
 
     def decode(self, codes, dtype=np.float64) -> np.ndarray:
         """Values of term codes: the one definition of the code format."""
-        half = 1 << (self.code_bits - 1)
-        magnitude = np.ldexp(1.0, self.e_max + 1 - np.arange(half))
-        magnitude[0] = 0.0
-        table = np.concatenate([magnitude, -magnitude]).astype(dtype)
-        return table.take(codes)
+        return _decode_table(self, np.dtype(dtype)).take(codes)
+
+
+@functools.lru_cache(maxsize=256)
+def _decode_table(rng: ExponentRange, dtype: np.dtype) -> np.ndarray:
+    """ExponentRange.decode's table: the value of every code of rng, indexed by code.
+
+    One read-only array per (rng, dtype), shared by every caller.
+    """
+    half = 1 << (rng.code_bits - 1)
+    magnitude = np.ldexp(1.0, rng.e_max + 1 - np.arange(half))
+    magnitude[0] = 0.0
+    table = np.concatenate([magnitude, -magnitude]).astype(dtype)
+    table.flags.writeable = False
+    return table
 
 
 class _FloatBits:
@@ -201,7 +212,7 @@ class QuantizedLayer:
     def dequantize(self, dtype=np.float64) -> np.ndarray:
         """Sum of kept terms, shaped (F, *filter_shape)."""
         out = np.zeros((self.num_filters, self.filter_size), dtype=dtype)
-        table = self.rng.decode(np.arange(1 << self.rng.code_bits), dtype)
+        table = _decode_table(self.rng, np.dtype(dtype))
         k_i = self.k_i.astype(np.int64)
         first = np.cumsum(k_i) - k_i  # row of each filter's first term
         all_live = int(k_i.min(initial=0))  # rounds that every filter kept
@@ -263,7 +274,7 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
         raise NumericError(
             f"{bad.size} filter(s) hold non-finite weights, the first is filter {bad[0]}"
         )
-    table = rng.decode(np.arange(1 << rng.code_bits), flat.dtype)
+    table = _decode_table(rng, flat.dtype)
     term = np.empty((F, n), dtype=flat.dtype)
     for j in range(k):
         codes[j] = round_pow2(residuals[j], rng)

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -85,6 +86,33 @@ def test_golden_stream():
     back = unpack_model(GOLDEN_STREAM)
     assert len(back) == len(model) and all(a == b for a, b in zip(back, model))
 
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_fields_match_bit_reference(width):
+    """_pack_fields and _unpack_fields against np.packbits/np.unpackbits, for every
+    count up to three whole byte-filling groups of g fields and one field more."""
+    g = 8 // math.gcd(8, width)
+    gen = np.random.default_rng(width)
+    for count in range(3 * g + 2):
+        values = gen.integers(0, 1 << width, count, dtype=np.uint8)
+        want = np.packbits(np.unpackbits(values[:, None], axis=1)[:, 8 - width :])
+        got = packing._pack_fields(values, width)
+        assert got.dtype == np.uint8 and got.tobytes() == want.tobytes(), count
+        # unpacking ignores the pad bits after the last field, whatever they hold
+        data = np.frombuffer(gen.bytes(want.size), dtype=np.uint8)
+        fields = np.unpackbits(data)[: count * width].reshape(count, width)
+        want = np.packbits(np.pad(fields, ((0, 0), (8 - width, 0))), axis=1).reshape(-1)
+        got = packing._unpack_fields(data, width, count)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), count
+
+
+def test_unpacked_codes_do_not_alias_a_mutable_stream():
+    # 8-bit codes that start on a byte boundary are read straight from the stream
+    model = golden_model()
+    stream = bytearray(pack_model(model))
+    back = unpack_model(stream)
+    stream[:] = bytes(len(stream))
+    assert all(a == b for a, b in zip(back, model))
 
 def test_empty_model_is_header_only():
     data = pack_model([])

@@ -134,6 +134,10 @@ class TestExponentRange:
         assert r.decode(np.arange(8)).tolist() == want
         assert r.decode(np.arange(8, 16)).tolist() == [-v for v in want]
         assert r.decode(np.array([[1, 9], [0, 3]]), np.float32).dtype == np.float32
+        # the table is cached per (range, dtype): what decode returns is the caller's own
+        values = r.decode(np.arange(8))
+        values[1] = 7.0
+        assert r.decode(np.arange(8)).tolist() == want
 
     def test_codes_are_stream_format(self):
         r = ExponentRange.widest(0, code_bits=4)

@@ -1,18 +1,23 @@
-"""Minor page faults, p50 time and peak memory of warm train steps and eval calls.
+"""Minor page faults, p50 time and peak memory of warm train steps, eval calls
+and export cycles.
 
-    PYTHONPATH=src python3 tools/warm_faults.py [PRESET ...]
+    PYTHONPATH=src python3 tools/warm_faults.py [mnist2 | net2 | export ...]
 
 Counts the faults of this process (resource.getrusage) around each call,
-after warm-up calls: first of train_batch, for mnist2 at B=64 and net2 at
-B=16, then of evaluate on one eval batch of quantized weights, for mnist2
-at B=128 and net2 at B=32 (the benchmark's batches), or for the presets
-named.  The counts depend on what ran before in the process (glibc's trim
-threshold follows the largest block freed so far), so probe one preset
-per process to read its own count.  Each line also gives the process's
-peak resident set so far (ru_maxrss), because fewer faults can cost a
-higher peak: memory kept across calls is not faulted in again.
+after warm-up calls.  For a preset: first of train_batch, for mnist2 at
+B=64 and net2 at B=16, then of evaluate on one eval batch of quantized
+weights, for mnist2 at B=128 and net2 at B=32 (the benchmark's batches).
+For export: of one quantize_weights -> pack_model -> unpack_model ->
+cost_report cycle of net2's weights at max_k=3, with per-filter scales
+that spread k_i over 0..3 as in the benchmark's export workload.  With no
+names, every probe runs.  The counts depend on what ran before in the
+process (glibc's trim threshold follows the largest block freed so far),
+so run one probe per process to read its own count.  Each line also gives
+the process's peak resident set so far (ru_maxrss), because fewer faults
+can cost a higher peak: memory kept across calls is not faulted in again.
 """
 
+import functools
 import resource
 import statistics
 import sys
@@ -20,6 +25,7 @@ import time
 
 import numpy as np
 
+from shiftnn import costmodel, packing
 from shiftnn.nn import Network, get_preset
 from shiftnn.trainer import loop
 
@@ -58,14 +64,37 @@ def probe(preset, batch, eval_batch, threshold, steps, warm=3):
     print(f"{preset} eval B={eval_batch}: {line}")
 
 
-# preset -> (train batch, eval batch, threshold_init, warm calls timed)
-PROBES = {"mnist2": (64, 128, 1.0, 30), "net2": (16, 32, 0.0, 10)}
+def probe_export(cycles, warm=3):
+    max_k = 3
+    net = Network(get_preset("net2"))
+    params = net.init_params(0)
+    rng = np.random.default_rng(0)
+    for name in net.weight_names:  # log-uniform filter scales
+        w = params[name]
+        scale = np.exp(rng.uniform(-3.5, 0.7, w.shape[0])).astype(w.dtype)
+        params[name] = w * scale.reshape((-1,) + (1,) * (w.ndim - 1))
+    settings = loop.TrainSettings(max_k=max_k, lambdas=(0.0,) * max_k)
+    thresholds = np.full((1, max_k), 0.1)
+
+    def cycle(i):
+        _, qinfo = loop.quantize_weights(net, params, thresholds, settings)
+        unpacked = packing.unpack_model(packing.pack_model([qinfo[n][0] for n in net.weight_names]))
+        costmodel.cost_report(net, dict(zip(net.weight_names, unpacked)))
+
+    print(f"net2 export max_k={max_k}: {warm_calls(cycle, warm, cycles, 'cycle')}")
+
+
+# name -> probe; a preset's arguments are its train batch, eval batch and threshold_init
+PROBES = {
+    "mnist2": functools.partial(probe, "mnist2", 64, 128, 1.0, steps=30),
+    "net2": functools.partial(probe, "net2", 16, 32, 0.0, steps=10),
+    "export": functools.partial(probe_export, cycles=30),
+}
 
 if __name__ == "__main__":
     names = sys.argv[1:] or list(PROBES)
     unknown = [name for name in names if name not in PROBES]
     if unknown:
-        sys.exit(f"unknown preset {unknown[0]!r}; choose from {sorted(PROBES)}")
+        sys.exit(f"unknown probe {unknown[0]!r}; choose from {sorted(PROBES)}")
     for name in names:
-        batch, eval_batch, threshold, steps = PROBES[name]
-        probe(name, batch, eval_batch, threshold, steps=steps)
+        PROBES[name]()
