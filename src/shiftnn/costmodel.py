@@ -53,12 +53,12 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
     per_layer = []
     shifts = adds = mults = 0
     for layer, out_shape in net.kernels():
-        name, has_bias = layer.weight_name, layer.bias
+        name = layer.weight_name
         P, V, F = math.prod(out_shape[1:]), layer.fan_in, out_shape[0]
         if multiply_baseline:
             l_shift = 0
             l_mult = P * V * F
-            l_add = P * F * (V - 1 + (1 if has_bias else 0))
+            l_add = P * F * (V - 1 + layer.bias)
         else:
             if k_map is None:
                 raise ConfigError("op_counts needs k_map unless multiply_baseline is set")
@@ -73,7 +73,7 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
             live = k_i > 0
             l_shift = int(P * V * k_i.sum())
             extra = int(P * V * np.maximum(k_i - 1, 0).sum())
-            acc = int(P * (V - 1 + (1 if has_bias else 0)) * live.sum())
+            acc = int(P * (V - 1 + layer.bias) * live.sum())
             l_mult = 0
             l_add = extra + acc
         per_layer.append(LayerCost(name, P, V, F, l_shift, l_add, l_mult))

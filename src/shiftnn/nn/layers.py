@@ -146,8 +146,9 @@ class Layer:
     """Defaults for a layer with no parameters or state that keeps its input's shape.
 
     Each concrete layer defines forward(x, params, state, train, ws=None) ->
-    (y, cache) and backward(dy, cache, params, ws=None) -> (dx, grads).  With
-    a Workspace ws, a layer may keep its cache, its temporaries and its dx in
+    (y, cache) and backward(dy, cache, params, ws=None) -> (dx, grads), which
+    reads only train caches: an eval forward may return None.  With a
+    Workspace ws, a layer may keep its cache, its temporaries and its dx in
     ws's arrays; without one it allocates them.
     """
 
@@ -168,16 +169,15 @@ class Layer:
 
 
 class Kernel(Layer):
-    """A conv or dense layer: one quantizable weight tensor and an optional bias.
+    """A conv or dense layer: one quantizable weight tensor, and a bias if the class has one.
 
     weight_shape is (filters, *filter_shape): each leading slice is one filter
     of fan_in weights.  Weights start He-normal and the bias at zero.
     """
 
-    def __init__(self, name, weight_shape, bias):
+    def __init__(self, name, weight_shape):
         super().__init__(name)
         self.weight_shape = weight_shape
-        self.bias = bias
 
     @property
     def weight_name(self):
@@ -207,6 +207,9 @@ CHUNK_BYTES = 1 << 20  # the most patch bytes a chunk of Conv2D's chunked GEMMs 
 class Conv2D(Kernel):
     """A 2-D convolution: one GEMM over the im2col patch matrix of its input.
 
+    It has no bias: every chain conv feeds a BatchNorm2D, whose batch mean cancels
+    one, so a bias would cost an add per output and drift on Adam-scaled noise.
+
     A patch matrix is k*k times its activation, too big for the cache.  The
     eval forward and the stride-1 input gradient read theirs (x's, dy's) in
     one GEMM only, so they build it in chunks of whole samples of at most
@@ -219,7 +222,9 @@ class Conv2D(Kernel):
     a later chunk reads may lie there.
     """
 
-    def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0, bias=True):
+    bias = False
+
+    def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0):
         for what, value, least in (
             ("in_channels", in_channels, 1),
             ("out_channels", out_channels, 1),
@@ -228,7 +233,7 @@ class Conv2D(Kernel):
             ("pad", pad, 0),
         ):
             _require_int(name, what, value, least)
-        super().__init__(name, (out_channels, in_channels, kernel, kernel), bias)
+        super().__init__(name, (out_channels, in_channels, kernel, kernel))
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
@@ -243,8 +248,8 @@ class Conv2D(Kernel):
             raise ConfigError(f"{self.name}: kernel does not fit {H}x{W} input")
         return (self.out_channels, Ho, Wo)
 
-    def _gemm(self, w2, a, stride, pad, out, ws, bias=None, chunked=True):
-        """Fills NCHW out with w2 @ im2col(a) + bias, in chunks (see the class) or in one.
+    def _gemm(self, w2, a, stride, pad, out, ws, chunked=True):
+        """Fills NCHW out with w2 @ im2col(a), in chunks (see the class) or in one.
 
         The patch matrices go to the array "<name>.cols"; returns the last.
         """
@@ -257,8 +262,6 @@ class Conv2D(Kernel):
             hi = min(lo + size, N)
             cols, _, _ = im2col(a[lo:hi], k, k, stride, pad, ws, f"{self.name}.cols")
             y = np.matmul(w2, cols, out=_array(ws, Workspace.TMP, (O, cols.shape[1]), out.dtype))
-            if bias is not None:
-                y += bias[:, None]
             out[lo:hi] = y.reshape(O, hi - lo, Ho, Wo).transpose(1, 0, 2, 3)
         return cols
 
@@ -266,25 +269,20 @@ class Conv2D(Kernel):
         w = params[self.weight_name]
         y = np.empty((x.shape[0],) + self.out_shape(x.shape[1:]), np.result_type(w, x))
         cols = self._gemm(w.reshape(self.out_channels, -1), x, self.stride, self.pad, y, ws,
-                          params[f"{self.name}.b"] if self.bias else None, chunked=not train)
-        # a train cache keeps the patch matrix; an eval cache keeps the input instead
-        return y, ((cols, x.shape, None) if train else (None, x.shape, x))
+                          chunked=not train)
+        return y, ((cols, x.shape) if train else None)
 
     def backward(self, dy, cache, params, ws=None):
-        cols, x_shape, x = cache
+        cols, x_shape = cache
         w = params[self.weight_name]
         k, O = self.kernel, self.out_channels
         N, C, H, W = x_shape
         _, Ho, Wo = self.out_shape(x_shape[1:])
-        if cols is None:
-            cols, _, _ = im2col(x, k, k, self.stride, self.pad, ws, f"{self.name}.cols")
         dy2 = _array(ws, Workspace.TMP, (O, N, Ho, Wo), dy.dtype)
         np.copyto(dy2, dy.transpose(1, 0, 2, 3))
         dy2 = dy2.reshape(O, N * Ho * Wo)
         # OpenBLAS runs cols @ dy2.T faster than dy2 @ cols.T when O is small
         grads = {self.weight_name: (cols @ dy2.T).T.reshape(w.shape)}
-        if self.bias:
-            grads[f"{self.name}.b"] = dy2.sum(axis=1)
         if self.stride == 1 and self.pad < k and O <= C:
             # A stride-1 input gradient is itself a convolution: dy padded by k-1-pad,
             # against the flipped kernel with in/out channels swapped; its patches
@@ -356,28 +354,25 @@ class BatchNorm2D(Layer):
         xhat *= invstd[None, :, None, None]  # centred in place into xhat
         y = g * xhat
         y += b
-        return y, (xhat, invstd.astype(x.dtype), train)
+        return y, ((xhat, invstd.astype(x.dtype)) if train else None)
 
     def backward(self, dy, cache, params, ws=None):
-        xhat, invstd, train = cache
+        xhat, invstd = cache
         g = params[f"{self.name}.gamma"]
         tmp = _array(ws, Workspace.TMP, dy.shape, np.result_type(dy, xhat))
         dgamma = np.multiply(dy, xhat, out=tmp).sum(axis=(0, 2, 3))
         dbeta = dy.sum(axis=(0, 2, 3))
         dx = _array(ws, f"{self.name}.dx", dy.shape, np.result_type(dy, g))
         np.multiply(dy, g[None, :, None, None], out=dx)  # dL/dxhat until the last line
-        if train:
-            # invstd/m * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), in place;
-            # the operand order is kept, so even NaN payloads match
-            m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-            s1 = dx.sum(axis=(0, 2, 3))[None, :, None, None]
-            s2 = np.multiply(dx, xhat, out=tmp).sum(axis=(0, 2, 3))[None, :, None, None]
-            dx *= m
-            dx -= s1
-            dx -= np.multiply(xhat, s2, out=tmp)
-            np.multiply(invstd[None, :, None, None] / m, dx, out=dx)
-        else:
-            dx *= invstd[None, :, None, None]
+        # invstd/m * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), in place;
+        # the operand order is kept, so even NaN payloads match
+        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+        s1 = dx.sum(axis=(0, 2, 3))[None, :, None, None]
+        s2 = np.multiply(dx, xhat, out=tmp).sum(axis=(0, 2, 3))[None, :, None, None]
+        dx *= m
+        dx -= s1
+        dx -= np.multiply(xhat, s2, out=tmp)
+        np.multiply(invstd[None, :, None, None] / m, dx, out=dx)
         grads = {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
         return dx, grads
 
@@ -395,7 +390,7 @@ class LeakyReLU(Layer):
         # NaNs np.maximum returns the first, so a NaN x passes through unchanged.
         y = np.multiply(np.asarray(self.slope, dtype=x.dtype), x)
         np.maximum(x, y, out=y)
-        return y, np.less(x, 0, out=_array(ws, f"{self.name}.mask", x.shape, bool))
+        return y, (np.less(x, 0, out=_array(ws, f"{self.name}.mask", x.shape, bool)) if train else None)
 
     def backward(self, dy, cache, params, ws=None):
         neg = cache
@@ -479,24 +474,20 @@ class Flatten(Layer):
 
 
 class Dense(Kernel):
-    def __init__(self, name, in_features, out_features, bias=True):
+    bias = True
+
+    def __init__(self, name, in_features, out_features):
         _require_int(name, "in_features", in_features, 1)
         _require_int(name, "out_features", out_features, 1)
-        super().__init__(name, (out_features, in_features), bias)
+        super().__init__(name, (out_features, in_features))
 
     def out_shape(self, s):
         return self.weight_shape[:1]
 
     def forward(self, x, params, state, train, ws=None):
-        y = x @ params[self.weight_name].T
-        if self.bias:
-            y = y + params[f"{self.name}.b"]
-        return y, x
+        return x @ params[self.weight_name].T + params[f"{self.name}.b"], x
 
     def backward(self, dy, cache, params, ws=None):
         x = cache
-        grads = {self.weight_name: dy.T @ x}
-        if self.bias:
-            grads[f"{self.name}.b"] = dy.sum(axis=0)
-        dx = dy @ params[self.weight_name]
-        return dx, grads
+        grads = {self.weight_name: dy.T @ x, f"{self.name}.b": dy.sum(axis=0)}
+        return dy @ params[self.weight_name], grads

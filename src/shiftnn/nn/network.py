@@ -139,7 +139,7 @@ class Network:
                 stride = s_src[1] // s_dst[1]
                 if stride * s_dst[1] != s_src[1] or stride * s_dst[2] != s_src[2]:
                     raise ConfigError(f"skip {j}: shapes {s_src} -> {s_dst} are incompatible")
-                proj = Conv2D(f"S{j}", s_src[0], s_dst[0], kernel=1, stride=stride, bias=False)
+                proj = Conv2D(f"S{j}", s_src[0], s_dst[0], kernel=1, stride=stride)
             self.skips[skip.dst] = (skip.src, proj)
         self._skip_srcs = {src for src, _ in self.skips.values()}
         self.weight_names = [layer.weight_name for layer, _ in self.kernels()]
@@ -195,10 +195,10 @@ class Network:
         """Run the network; returns (logits, cache) for a later backward.
 
         Only a train forward keeps the layer caches that backward reads; an
-        eval forward returns None as its cache.  A train cache serves one
-        backward, and only until the next train forward on this network:
-        both reuse its memory.  An eval forward leaves it valid; it keeps
-        no buffers, and drops those of the train steps that no cache holds.
+        eval forward builds none and returns None as its cache.  A train
+        cache serves one backward, and only until the next train forward on
+        this network: both reuse its memory.  An eval forward leaves it valid;
+        it keeps no buffers, and drops those of the train steps that no cache holds.
         """
         x = np.asarray(x)
         if x.shape[1:] != tuple(self.config.input_shape):

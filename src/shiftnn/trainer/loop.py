@@ -67,10 +67,18 @@ class TrainSettings:
         # tau = 0 makes every threshold gradient NaN, which prunes every filter; a NaN
         # threshold_init prunes them all at once, and a NaN clip_norm turns clipping off
         for what, value, low in (("tau", self.tau, 0), ("lr", self.lr, 0),
-                                 ("lr_decay", self.lr_decay, -np.inf),
+                                 ("lr_decay", self.lr_decay, 0),
                                  ("threshold_init", self.threshold_init, -np.inf)):
             if not (isinstance(value, numbers.Real) and low < value < np.inf):
                 raise ConfigError(f"{what} must lie in ({low}, inf), got {value!r}")
+        # a zero lr_decay and a NaN milestone validated, then raised bare ValueErrors mid-run
+        ms = self.lr_milestones
+        if not (isinstance(ms, (tuple, list))
+                and all(isinstance(f, numbers.Real) and 0 <= f <= 1 for f in ms)):
+            raise ConfigError(f"lr_milestones must be a sequence of numbers in [0, 1], got {ms!r}")
+        dump = self.dump_dir  # a missing directory turned NumericErrors into FileNotFoundError
+        if not (dump is None or isinstance(dump, (str, os.PathLike)) and os.path.isdir(dump)):
+            raise ConfigError(f"dump_dir must be None or an existing directory, got {dump!r}")
         clip = self.clip_norm
         if not (clip is None or isinstance(clip, numbers.Real) and clip >= 0):
             raise ConfigError(f"clip_norm must be None or >= 0, got {clip!r}")

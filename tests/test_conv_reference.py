@@ -9,13 +9,16 @@ pad >= kernel).  im2col and col2im copy every conv's patches through one
 plane with row pitch P = max(W, Wo); the wrapped entries read +0.0 and add
 -0.0.  The cases span its geometries: same convs (P = W = Wo, one run per
 tap), strided and valid convs (Wo < W), 1x1 convs (pad 0: x is the plane)
-and (1, 1, 1), whose output is wider than its input (P = Wo > W).
+and (1, 1, 1), whose output is wider than its input (P = Wo > W).  Each
+case runs with and without a Workspace; backward runs on train caches only,
+since an eval forward keeps none.
 """
 
 import numpy as np
 import pytest
 
 from shiftnn.nn import Conv2D
+from shiftnn.nn.layers import Workspace
 
 # (kernel, stride, pad)
 CASES = [
@@ -31,8 +34,8 @@ CASES = [
 TOLERANCE = {np.float64: 1e-12, np.float32: 1e-5}
 
 
-def reference_conv(x, w, b, dy, stride, pad):
-    """(y, dx, dW, db) of y = conv(x, w) + b in float64, tap by tap."""
+def reference_conv(x, w, dy, stride, pad):
+    """(y, dx, dW) of y = conv(x, w) in float64, tap by tap."""
     x, w, dy = (a.astype(np.float64) for a in (x, w, dy))
     N, C, H, W = x.shape
     O, _, kh, kw = w.shape
@@ -50,10 +53,7 @@ def reference_conv(x, w, b, dy, stride, pad):
             y += np.einsum("nchw,oc->nohw", tap, w[:, :, i, j])
             dW[:, :, i, j] = np.einsum("nohw,nchw->oc", dy, tap)
             dxp[:, :, rows, cols] += np.einsum("nohw,oc->nchw", dy, w[:, :, i, j])
-    db = dy.sum(axis=(0, 2, 3))
-    if b is not None:
-        y += b.astype(np.float64)[None, :, None, None]
-    return y, dxp[:, :, pad : pad + H, pad : pad + W], dW, db
+    return y, dxp[:, :, pad : pad + H, pad : pad + W], dW
 
 
 def rel_err(got, want):
@@ -62,33 +62,30 @@ def rel_err(got, want):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("train", [True, False])
-@pytest.mark.parametrize("batch,bias", [(1, False), (3, True)])
+@pytest.mark.parametrize("batch,workspace", [(1, False), (3, True)])
 @pytest.mark.parametrize("C,O", [(4, 3), (3, 4)])
 @pytest.mark.parametrize("kernel,stride,pad", CASES)
-def test_matches_direct_sum(kernel, stride, pad, C, O, batch, bias, train, dtype):
+def test_matches_direct_sum(kernel, stride, pad, C, O, batch, workspace, train, dtype):
     H, W = 7, 6
-    layer = Conv2D("L0", C, O, kernel, stride=stride, pad=pad, bias=bias)
+    layer = Conv2D("L0", C, O, kernel, stride=stride, pad=pad)
+    ws = Workspace() if workspace else None
     rng = np.random.default_rng(kernel * 100 + stride * 10 + pad)
     params = layer.init_params(rng, dtype)
-    if bias:
-        params["L0.b"] = rng.standard_normal(O).astype(dtype)
+    assert list(params) == ["L0.W"]  # a conv has no bias
     x = rng.standard_normal((batch, C, H, W)).astype(dtype)
-    y, cache = layer.forward(x, params, {}, train=train)
+    y, cache = layer.forward(x, params, {}, train=train, ws=ws)
     assert y.shape == (batch,) + layer.out_shape((C, H, W))
     dy = rng.standard_normal(y.shape).astype(dtype)
-    dx, grads = layer.backward(dy, cache, params)
-
-    ref_y, ref_dx, ref_dW, ref_db = reference_conv(
-        x, params["L0.W"], params.get("L0.b"), dy, stride, pad
-    )
+    ref_y, ref_dx, ref_dW = reference_conv(x, params["L0.W"], dy, stride, pad)
     tol = TOLERANCE[dtype]
-    assert y.dtype == dx.dtype == grads["L0.W"].dtype == dtype
-    assert dx.shape == x.shape
-    assert y.flags.c_contiguous and dx.flags.c_contiguous
+    assert y.dtype == dtype and y.flags.c_contiguous
     assert rel_err(y, ref_y) <= tol
+    if not train:
+        assert cache is None
+        return
+    dx, grads = layer.backward(dy, cache, params, ws=ws)
+    assert list(grads) == ["L0.W"]
+    assert dx.dtype == grads["L0.W"].dtype == dtype
+    assert dx.shape == x.shape and dx.flags.c_contiguous
     assert rel_err(dx, ref_dx) <= tol
     assert rel_err(grads["L0.W"], ref_dW) <= tol
-    if bias:
-        assert rel_err(grads["L0.b"], ref_db) <= tol
-    else:
-        assert "L0.b" not in grads

@@ -13,17 +13,19 @@ from shiftnn.quant import ExponentRange, QuantizedLayer
 def small_net():
     """Two convs on a 1x4x4 input, a 1x1 projection skip, and a dense head.
 
-    L0  conv 1->2, k3, pad 1, bias          -> (2, 4, 4)
+    L0  conv 1->2, k3, pad 1                -> (2, 4, 4)
     L1  leaky-relu                          -> (2, 4, 4)
     L2  conv 2->3, k3, stride 2, pad 1      -> (3, 2, 2), plus S0(node 1)
     S0  projection conv 2->3, k1, stride 2  -> (3, 2, 2)
     L4  dense 12->5, bias                   -> (5,)
+
+    Only the dense head has a bias: a conv has none.
     """
     conv = {"kernel": 3, "pad": 1}
     layers = [
         LayerSpec("conv2d", {"out_channels": 2, **conv}),
         LayerSpec("leaky-relu"),
-        LayerSpec("conv2d", {"out_channels": 3, "stride": 2, "bias": False, **conv}),
+        LayerSpec("conv2d", {"out_channels": 3, "stride": 2, **conv}),
         LayerSpec("flatten"),
         LayerSpec("dense", {"out_features": 5}),
     ]
@@ -50,8 +52,8 @@ def test_weight_order_and_projection():
     assert net.weight_names == ["L0.W", "L2.W", "L4.W", "S0.W"]
     assert net.skips[2][1] is not None
     # the weights, then every other parameter in param_shapes order
-    assert list(net.param_shapes()) == ["L0.W", "L0.b", "L2.W", "L4.W", "L4.b", "S0.W"]
-    assert net.param_names == ["L0.W", "L2.W", "L4.W", "S0.W", "L0.b", "L4.b"]
+    assert list(net.param_shapes()) == ["L0.W", "L2.W", "L4.W", "L4.b", "S0.W"]
+    assert net.param_names == ["L0.W", "L2.W", "L4.W", "S0.W", "L4.b"]
 
 
 def test_hand_counted_shift_adds():
@@ -59,17 +61,17 @@ def test_hand_counted_shift_adds():
     report = op_counts(net, K_MAP)
     by_name = {c.name: (c.shifts, c.adds) for c in report.per_layer}
     # L0: 16 positions x 9 taps.  Filter 0 spends 2 shifts per tap, 1 add to
-    # join them, and 8 + 1 (bias) accumulate adds; filter 1 is pruned.
-    assert by_name["L0.W"] == (16 * 9 * 2, 16 * 9 * 1 + 16 * 9)
-    # L2: 4 positions x 18 taps, no bias; k_i = 1 and 3, third filter pruned.
+    # join them, and 8 accumulate adds; filter 1 is pruned.
+    assert by_name["L0.W"] == (16 * 9 * 2, 16 * 9 * 1 + 16 * 8)
+    # L2: 4 positions x 18 taps; k_i = 1 and 3, third filter pruned.
     assert by_name["L2.W"] == (4 * 18 * 4, 4 * 18 * 2 + 2 * 4 * 17)
     # L4: one position, 12 taps plus bias, one term in each of 5 filters.
     assert by_name["L4.W"] == (12 * 5, 5 * 12)
-    # S0: 4 positions x 2 taps, no bias, two terms in each of 3 filters.
+    # S0: 4 positions x 2 taps, two terms in each of 3 filters.
     assert by_name["S0.W"] == (4 * 2 * 6, 4 * 2 * 3 + 3 * 4 * 1)
     assert report.shift_count == 288 + 288 + 60 + 48
     # plus one add per element of the (3, 2, 2) map the skip lands on
-    assert report.add_count == 288 + 280 + 60 + 36 + 12
+    assert report.add_count == 272 + 280 + 60 + 36 + 12
     assert report.multiply_count == 0
 
 
@@ -77,7 +79,7 @@ def test_cost_report_reads_k_i_and_packed_storage():
     net = small_net()
     qlayers = qlayers_for(net, K_MAP)
     report = cost_report(net, qlayers)
-    assert (report.shift_count, report.add_count) == (684, 676)
+    assert (report.shift_count, report.add_count) == (684, 660)
     # per layer: 2 bits per filter plus 4 bits per kept code, padded to bytes
     assert report.storage_bits == 80 + 296 + 256 + 56
     assert report.storage_bits == packing.storage_bits([qlayers[n] for n in net.weight_names])
@@ -88,8 +90,8 @@ def test_multiplier_baseline():
     report = cost_report(net)
     # one multiply per MAC: L0 16*9*2, L2 4*18*3, L4 12*5, S0 4*2*3
     assert report.multiply_count == 288 + 216 + 60 + 24
-    # V - 1 (+1 with bias) adds per output, plus the 12 shortcut adds
-    assert report.add_count == 16 * 2 * 9 + 4 * 3 * 17 + 5 * 12 + 4 * 3 * 1 + 12
+    # V - 1 adds per output (V with L4's bias), plus the 12 shortcut adds
+    assert report.add_count == 16 * 2 * 8 + 4 * 3 * 17 + 5 * 12 + 4 * 3 * 1 + 12
     assert report.shift_count == 0
     assert report.storage_bits == 32 * (18 + 54 + 60 + 6)
 
@@ -109,8 +111,12 @@ def test_preset_kernel_geometry_matches_param_shapes(preset):
 def test_preset_totals():
     net2 = Network(get_preset("net2"))
     k2 = op_counts(net2, dict.fromkeys(net2.weight_names, 2))
-    assert (k2.shift_count, k2.add_count) == (70_093_312, 70_140_416)
-    assert cost_report(net2).multiply_count == 35_046_656
+    # the 17 chain convs no longer add a bias: 139,264 adds fewer, one per output,
+    # P*F = 16,384 (stem) + 4*16,384 + 4*8,192 + 4*4,096 + 4*2,048.  So
+    # 70,140,416 - 139,264 at k = 2 and 35,093,760 - 139,264 in the baseline.
+    assert (k2.shift_count, k2.add_count) == (70_093_312, 70_001_152)
+    baseline = cost_report(net2)
+    assert (baseline.multiply_count, baseline.add_count) == (35_046_656, 34_954_496)
     mnist2 = Network(get_preset("mnist2"))
     assert op_counts(mnist2, dict.fromkeys(mnist2.weight_names, 1)).shift_count == 290_080
 

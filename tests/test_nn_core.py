@@ -6,6 +6,7 @@ from shiftnn.errors import ConfigError, NumericError
 from shiftnn.nn import layers
 from shiftnn.nn.layers import Workspace
 from shiftnn.nn import (
+    PRESETS,
     AdamState,
     BatchNorm2D,
     Conv2D,
@@ -23,7 +24,7 @@ from shiftnn.nn import (
 )
 
 
-def naive_conv2d(x, w, b, stride, pad):
+def naive_conv2d(x, w, stride, pad):
     """Direct scalar convolution, independent of the im2col path."""
     N, C, H, W = x.shape
     F, _, kh, kw = w.shape
@@ -40,7 +41,7 @@ def naive_conv2d(x, w, b, stride, pad):
                         for a in range(kh):
                             for bb in range(kw):
                                 acc += xp[n, c, i * stride + a, j * stride + bb] * w[f, c, a, bb]
-                    y[n, f, i, j] = acc + b[f]
+                    y[n, f, i, j] = acc
     return y
 
 
@@ -68,7 +69,7 @@ class TestForward:
     def test_identity_conv(self):
         layer = Conv2D("L0", 1, 1, kernel=1)
         x = np.random.default_rng(0).normal(size=(2, 1, 4, 4))
-        params = {"L0.W": np.ones((1, 1, 1, 1)), "L0.b": np.zeros(1)}
+        params = {"L0.W": np.ones((1, 1, 1, 1))}
         y, _ = layer.forward(x, params, {}, train=False)
         assert np.array_equal(y, x)
 
@@ -94,17 +95,15 @@ class TestForward:
         gen = np.random.default_rng(42)
         x = gen.normal(size=(2, 4, 8, 8)).astype(np.float32)
         w1 = gen.normal(size=(5, 4, 3, 3)).astype(np.float32)
-        b1 = gen.normal(size=5).astype(np.float32)
         conv1 = Conv2D("L0", 4, 5, kernel=3, stride=1, pad=1)
-        y1, _ = conv1.forward(x, {"L0.W": w1, "L0.b": b1}, {}, False)
-        ref1 = naive_conv2d(x.astype(np.float64), w1.astype(np.float64), b1.astype(np.float64), 1, 1)
+        y1, _ = conv1.forward(x, {"L0.W": w1}, {}, False)
+        ref1 = naive_conv2d(x.astype(np.float64), w1.astype(np.float64), 1, 1)
         assert np.abs(y1 - ref1).max() <= 1e-5 * max(1.0, np.abs(ref1).max())
 
         w2 = gen.normal(size=(3, 5, 3, 3)).astype(np.float32)
-        b2 = gen.normal(size=3).astype(np.float32)
         conv2 = Conv2D("L1", 5, 3, kernel=3, stride=2, pad=0)
-        y2, _ = conv2.forward(y1, {"L1.W": w2, "L1.b": b2}, {}, False)
-        ref2 = naive_conv2d(ref1, w2.astype(np.float64), b2.astype(np.float64), 2, 0)
+        y2, _ = conv2.forward(y1, {"L1.W": w2}, {}, False)
+        ref2 = naive_conv2d(ref1, w2.astype(np.float64), 2, 0)
         assert np.abs(y2 - ref2).max() <= 1e-5 * max(1.0, np.abs(ref2).max())
 
     def test_forward_determinism(self):
@@ -268,7 +267,7 @@ def preset_convs():
                  if isinstance(layer, Conv2D)]
         found += [(proj, net.node_shapes[src]) for src, proj in net.skips.values() if proj]
         for layer, shape in found:
-            key = (layer.out_channels, layer.kernel, layer.stride, layer.pad, layer.bias, shape)
+            key = (layer.out_channels, layer.kernel, layer.stride, layer.pad, shape)
             convs.setdefault(key, (preset, layer, shape))
     return list(convs.values())
 
@@ -311,8 +310,6 @@ class TestChunkedConv:
     def setup(self, layer, shape, batch, seed):
         gen = np.random.default_rng(seed)
         params = layer.init_params(gen, np.float32)
-        if layer.bias:
-            params[f"{layer.name}.b"] = gen.standard_normal(layer.out_channels).astype(np.float32)
         x = gen.standard_normal((batch,) + shape).astype(np.float32)
         return params, x
 
@@ -341,16 +338,12 @@ class TestChunkedConv:
         want_dx, want = layer.backward(dy, cache, params, ws=ws)
         _, cache = layer.forward(x, params, {}, train=True, ws=ws)
         _, H, W = shape
-        results = [chunked(monkeypatch, lambda: layer.backward(dy, cache, params, ws=ws),
-                           n, H * W, layer.out_channels * layer.kernel ** 2)]
-        # an eval forward's cache holds the input, from which backward rebuilds its patches
-        _, eval_cache = layer.forward(x, params, {}, train=False)
-        results.append(layer.backward(dy, eval_cache, params))
-        for dx, grads in results:
-            assert np.array_equal(bits(dx), bits(want_dx))
-            assert grads.keys() == want.keys()
-            for name in want:
-                assert np.array_equal(bits(grads[name]), bits(want[name])), name
+        dx, grads = chunked(monkeypatch, lambda: layer.backward(dy, cache, params, ws=ws),
+                            n, H * W, layer.out_channels * layer.kernel ** 2)
+        assert np.array_equal(bits(dx), bits(want_dx))
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(bits(grads[name]), bits(want[name])), name
 
 
 def out_size(H, W, k, stride, pad):
@@ -603,6 +596,14 @@ class TestLayerProperties:
         y, _ = layer.forward(x, {}, {}, False)
         assert np.array_equal(y, np.array([-0.02, -0.005, 0.0, 0.5, 3.0]))
 
+    @pytest.mark.parametrize("layer", [BatchNorm2D("L0", 3), LeakyReLU("L0")], ids=["batchnorm", "leaky-relu"])
+    def test_eval_forward_keeps_no_cache(self, layer):
+        # backward runs only on train caches, so an eval forward builds none
+        x = np.random.default_rng(33).normal(size=(2, 3, 4, 4))
+        params, state = layer.init_params(None, np.float64), layer.init_state(np.float64)
+        y, cache = layer.forward(x, params, state, False)
+        assert cache is None and y.shape == x.shape
+
     def test_maxpool_requires_divisible_input(self):
         layer = MaxPool2D("L0", size=2)
         with pytest.raises(ConfigError):
@@ -831,6 +832,16 @@ class TestBuildNetwork:
         assert proj.out_shape(net.node_shapes[src]) == net.node_shapes[dst]
         assert net.weight_names[-1] == "S0.W"
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_convs_feed_batchnorm_and_have_no_bias(self, preset):
+        # batch norm subtracts the batch mean, which would cancel a conv bias
+        net = Network(get_preset(preset))
+        for i, layer in enumerate(net.layers):
+            if isinstance(layer, Conv2D):
+                assert isinstance(net.layers[i + 1], BatchNorm2D), layer.name
+        dense = [layer.name for layer in net.layers if isinstance(layer, Dense)]
+        assert [n for n in net.param_names if n.endswith(".b")] == [f"{n}.b" for n in dense]
+
     def test_equal_shapes_skip_without_projection(self):
         net = Network(self.skip_config([(1, 2)]))
         assert net.skips == {2: (1, None)}
@@ -848,7 +859,8 @@ class TestBuildNetwork:
     @pytest.mark.parametrize(
         "index, key, kind",
         [(0, "strides", "conv2d"), (1, "momentun", "batchnorm"), (2, "negative_slope", "leaky-relu"),
-         (3, "stride", "maxpool"), (7, "start_dim", "flatten"), (8, "use_bias", "dense")],
+         (3, "stride", "maxpool"), (7, "start_dim", "flatten"), (8, "use_bias", "dense"),
+         (0, "bias", "conv2d")],
     )
     def test_unknown_layer_args_rejected(self, index, key, kind):
         # a misspelled "strides" once built a stride-1 conv without a word

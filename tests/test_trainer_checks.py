@@ -44,6 +44,18 @@ def test_tau_must_be_positive_and_finite(tau):
     ("clip_norm", float("nan"), "clip_norm"),
     ("lr_decay", float("inf"), "lr_decay"),
     ("lr_decay", float("nan"), "lr_decay"),
+    # these validated, then raised bare ValueErrors inside a run, which run_cell does
+    # not record: a zero decay from adam_step, a NaN milestone from int()
+    ("lr_decay", 0.0, "lr_decay"),
+    ("lr_decay", -0.5, "lr_decay"),
+    ("lr_milestones", (float("nan"),), "lr_milestones"),
+    ("lr_milestones", (0.5, 1.5), "lr_milestones"),
+    ("lr_milestones", (-0.25,), "lr_milestones"),
+    ("lr_milestones", ("0.5",), "lr_milestones"),
+    ("lr_milestones", 0.5, "lr_milestones"),
+    # a NaN weight then raised FileNotFoundError in place of its NumericError
+    ("dump_dir", "no-such-directory", "dump_dir"),
+    ("dump_dir", 3, "dump_dir"),
 ])
 def test_bad_settings_rejected_up_front(field, value, match):
     settings = TrainSettings(mode="fixed" if field == "fixed_k" else "flex", fixed_k=1)
@@ -156,3 +168,10 @@ def test_bad_data_raises_data_error(case):
     for data in ((x, y) + good, good + (x, y)):
         cell = run_cell(TINY, TrainSettings(epochs=1, batch_size=2), data)
         assert not cell.ok and match in cell.error
+
+
+def test_bad_settings_become_cell_errors():
+    # a zero decay once passed validate and stopped the sweep at the second epoch
+    data = (np.zeros((4, 1, 4, 4), np.float32), np.array([0, 1, 2, 0])) * 2
+    cell = run_cell(TINY, TrainSettings(epochs=2, batch_size=2, lr_decay=0.0), data)
+    assert not cell.ok and "lr_decay" in cell.error
