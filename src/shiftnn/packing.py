@@ -48,19 +48,14 @@ MAX_K = 3  # largest k_i the 2-bit per-filter header holds
 
 
 def _layer_header(layer: QuantizedLayer) -> bytes:
-    head = struct.pack("<IB", layer.num_filters, len(layer.filter_shape))
-    for d in layer.filter_shape:
-        head += struct.pack("<I", d)
-    head += struct.pack("<hB", layer.rng.e_max, layer.rng.code_bits)
-    return head
+    dims, rng = layer.filter_shape, layer.rng
+    fields = (layer.num_filters, len(dims), *dims, rng.e_max, rng.code_bits)
+    return struct.pack(f"<IB{len(dims)}IhB", *fields)
 
 
 def header_length(layers: list[QuantizedLayer]) -> int:
     """Bytes of fixed headers: global header plus per-layer tables."""
-    n = len(MAGIC) + 1 + 2
-    for layer in layers:
-        n += len(_layer_header(layer))
-    return n
+    return len(MAGIC) + 1 + 2 + sum(len(_layer_header(layer)) for layer in layers)
 
 
 def payload_bits(layer: QuantizedLayer) -> int:

@@ -170,7 +170,8 @@ class ResidualTrace:
     norms[j] its L2 norm, accumulated in float64.  fired[j, f] is the
     round-j gate of filter f.
     codes[j] holds the round-j codes R(r_j) for every filter, whether or
-    not the gate fired; rng decodes them.
+    not the gate fired; rng decodes them.  quantized is the quantized
+    weight w - r_k, with r_k the residual the last round leaves.
     """
 
     residuals: np.ndarray  # (k, F, n)
@@ -178,6 +179,7 @@ class ResidualTrace:
     fired: np.ndarray  # (k, F) bool
     codes: np.ndarray  # (k, F, n) uint8
     rng: ExponentRange
+    quantized: np.ndarray  # (F, n), w's dtype
 
 
 class QuantizedLayer:
@@ -210,18 +212,14 @@ class QuantizedLayer:
         return (int(self.k_i.astype(np.int64).sum()), self.filter_size)
 
     def dequantize(self, dtype=np.float64) -> np.ndarray:
-        """Sum of kept terms, shaped (F, *filter_shape)."""
+        """Sum of kept terms, shaped (F, *filter_shape): an unpacked stream's weights."""
         out = np.zeros((self.num_filters, self.filter_size), dtype=dtype)
         table = _decode_table(self.rng, np.dtype(dtype))
         k_i = self.k_i.astype(np.int64)
         first = np.cumsum(k_i) - k_i  # row of each filter's first term
-        all_live = int(k_i.min(initial=0))  # rounds that every filter kept
         for j in range(int(k_i.max(initial=0))):  # term j of every filter: a fixed summation order
-            if j < all_live:  # no gather and scatter of out
-                out += table.take(self.codes[first + j])
-            else:
-                live = np.flatnonzero(k_i > j)
-                out[live] += table.take(self.codes[first[live] + j])
+            live = np.flatnonzero(k_i > j)
+            out[live] += table.take(self.codes[first[live] + j])
         return out.reshape((self.num_filters,) + self.filter_shape)
 
     def __eq__(self, other) -> bool:
@@ -248,7 +246,8 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     w has shape (F, ...); each leading-axis slice is one filter.  Round j
     rounds the residual elementwise and keeps the term iff the residual's
     L2 norm strictly exceeds t[j]; only fired rounds subtract their term
-    from the running residual.  Returns (QuantizedLayer, ResidualTrace).
+    from the running residual.  Returns (QuantizedLayer, ResidualTrace);
+    the trace's quantized weight is w less the last residual r_k.
     Raises NumericError when any weight is NaN or infinite.
     """
     w = np.asarray(w)
@@ -275,22 +274,26 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
             f"{bad.size} filter(s) hold non-finite weights, the first is filter {bad[0]}"
         )
     table = _decode_table(rng, flat.dtype)
-    term = np.empty((F, n), dtype=flat.dtype)
+    term = np.empty((F, n), dtype=flat.dtype)  # each round's term, then r_k, then w - r_k
+    r = residuals[0]
     for j in range(k):
-        codes[j] = round_pow2(residuals[j], rng)
+        codes[j] = round_pow2(r, rng)
         fired[j] = norms[j] > t[j]
-        if j + 1 == k:  # nothing reads what the last round leaves
-            break
         # round_pow2 codes are all < 2**code_bits, so "wrap" never wraps; unlike
         # "raise" it writes into term without a buffer
         table.take(codes[j], out=term, mode="wrap")
         term[~fired[j]] = 0  # r - 0 is r, bit for bit: closed gates keep their residual
-        np.subtract(residuals[j], term, out=residuals[j + 1])
-        norms[j + 1] = np.sqrt(
-            np.einsum("fn,fn->f", residuals[j + 1], residuals[j + 1], dtype=np.float64)
-        )
+        r = np.subtract(r, term, out=residuals[j + 1] if j + 1 < k else term)
+        if j + 1 < k:
+            norms[j + 1] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
+    # w - r_k is dequantize's sum, bit for bit (+0.0 at k = 0), when no |w| rounds above
+    # 2**e_max (as with for_weights).  Each r - R(r) is exact by Sterbenz's lemma: R(r)
+    # is within a factor sqrt 2 of r, 2 at the e_min clamp, or 0.  So |r_j| never grows,
+    # every term is a multiple of ulp(w), and every partial sum w - r_j, of magnitude
+    # at most 2**(floor(log2 |w|) + 1), is a float: adding the terms rounds nowhere.
+    np.subtract(flat, r, out=term)
 
-    trace = ResidualTrace(residuals[:k], norms[:k], fired, codes, rng)
+    trace = ResidualTrace(residuals[:k], norms[:k], fired, codes, rng, term)
     # each filter's fired terms, filter by filter, as the packed stream holds them
     kept = codes.transpose(1, 0, 2)[fired.T]
     return QuantizedLayer(filter_shape, rng, fired.sum(axis=0).astype(np.int8), kept), trace

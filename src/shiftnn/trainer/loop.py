@@ -76,6 +76,9 @@ class TrainSettings:
         if not (isinstance(ms, (tuple, list))
                 and all(isinstance(f, numbers.Real) and 0 <= f <= 1 for f in ms)):
             raise ConfigError(f"lr_milestones must be a sequence of numbers in [0, 1], got {ms!r}")
+        # a rate decayed to 0 or inf failed mid-run; the schedule is monotone: check its ends
+        if not all(0 < lr_at(self, e) < np.inf for e in (0, self.epochs - 1)):
+            raise ConfigError(f"lr_decay {self.lr_decay!r} takes the learning rate out of (0, inf)")
         dump = self.dump_dir  # a missing directory turned NumericErrors into FileNotFoundError
         if not (dump is None or isinstance(dump, (str, os.PathLike)) and os.path.isdir(dump)):
             raise ConfigError(f"dump_dir must be None or an existing directory, got {dump!r}")
@@ -147,8 +150,8 @@ def init_train_state(net, params, bn_state, settings: TrainSettings) -> TrainSta
 def quantize_weights(net: Network, params: dict, thresholds: np.ndarray, settings: TrainSettings):
     """Quantize every conv/dense weight tensor against the thresholds.
 
-    Returns (qparams, qinfo) where qparams swaps each weight for its
-    dequantized value and qinfo maps weight name -> (qlayer, trace).
+    Returns (qparams, qinfo): qparams swaps each weight for its trace's
+    quantized weight w - r_k, and qinfo maps weight name -> (qlayer, trace).
     Dense weights are grouped per output row, convs per output channel.
     A NumericError names the weight tensor that raised it.
     """
@@ -162,23 +165,16 @@ def quantize_weights(net: Network, params: dict, thresholds: np.ndarray, setting
             qlayer, trace = quantize_layer(w, t, settings.max_k, rng)
         except NumericError as exc:
             raise NumericError(f"{name}: {exc}") from exc
-        qparams[name] = qlayer.dequantize(dtype=w.dtype).reshape(w.shape)
+        qparams[name] = trace.quantized.reshape(w.shape)
         qinfo[name] = (qlayer, trace)
     return qparams, qinfo
 
 
 def k_statistics(qinfo: dict, max_k: int):
     """Mean k_i and per-count histogram over every filter of the model."""
-    counts = np.zeros(max_k + 1, dtype=np.int64)
-    total = 0
-    ks = 0
-    for qlayer, _ in qinfo.values():
-        hist = np.bincount(qlayer.k_i, minlength=max_k + 1)
-        counts += hist[: max_k + 1]
-        total += qlayer.num_filters
-        ks += int(qlayer.k_i.astype(np.int64).sum())
-    mean = ks / total if total else 0.0
-    return mean, counts.tolist()
+    k_i = np.concatenate([np.zeros(0, np.int64)] + [q.k_i for q, _ in qinfo.values()])
+    counts = np.bincount(k_i, minlength=max_k + 1)[: max_k + 1]
+    return (int(k_i.sum()) / k_i.size if k_i.size else 0.0), counts.tolist()
 
 
 def lr_at(settings: TrainSettings, epoch: int) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..costmodel import CostReport, ParetoPoint, cost_report
-from ..errors import ShiftNNError
+from ..errors import ConfigError, ShiftNNError
 from ..nn.network import NetworkConfig, build_network
 from .loop import (
     TrainSettings,
@@ -50,8 +50,9 @@ def run_cell(net_config: NetworkConfig, settings: TrainSettings, data) -> SweepC
 
 def sweep_lambda(net_config, base: TrainSettings, data, lambda_list, seeds):
     """Grid of training runs; failures are recorded per cell, not raised."""
-    if not lambda_list:
-        raise ValueError("sweep needs at least one lambda setting")
+    lambda_list, seeds = list(lambda_list), list(seeds)  # seeds are read once per lambda
+    if not (lambda_list and seeds):
+        raise ConfigError(f"sweep needs lambdas and seeds, got {lambda_list!r} and {seeds!r}")
     cells = []
     for lambdas in lambda_list:
         for seed in seeds:

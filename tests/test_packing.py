@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from shiftnn import packing
 from shiftnn.errors import PackingError
+from shiftnn.nn import Network, get_preset
 from shiftnn.packing import (
     header_length,
     pack_model,
@@ -16,6 +17,7 @@ from shiftnn.packing import (
     unpack_model,
 )
 from shiftnn.quant import ExponentRange, QuantizedLayer, quantize_layer
+from shiftnn.trainer.loop import TrainSettings, quantize_weights
 
 
 def random_model(seed, n_layers=3, k=2):
@@ -266,6 +268,28 @@ def test_storage_bits_matches_payload_accounting():
     for layer in model:
         total += ((payload_bits(layer) + 7) // 8) * 8
     assert storage_bits(model) == total
+
+
+@pytest.mark.parametrize("max_k", [1, 2, 3])
+@pytest.mark.parametrize("preset", ["mnist2", "net2"])
+def test_trained_weights_are_the_streams_weights(preset, max_k):
+    # the weights a train step runs on are the ones an unpacked stream decodes to
+    net = Network(get_preset(preset))
+    params = net.init_params(3)
+    gen = np.random.default_rng(7)
+    for name in net.weight_names:  # log-uniform filter scales spread k_i over 0..max_k
+        w = params[name]
+        scale = np.exp(gen.uniform(-3.5, 0.7, size=w.shape[0]))
+        params[name] = (w * scale.reshape((-1,) + (1,) * (w.ndim - 1))).astype(w.dtype)
+    cfg = TrainSettings(max_k=max_k, lambdas=(0.0,) * max_k)
+    qparams, qinfo = quantize_weights(net, params, np.full((1, max_k), 0.1), cfg)
+    unpacked = unpack_model(pack_model([qinfo[name][0] for name in net.weight_names]))
+    k_all = np.concatenate([q.k_i for q in unpacked])
+    assert set(k_all.tolist()) == set(range(max_k + 1))
+    for name, layer in zip(net.weight_names, unpacked):
+        got, want = qparams[name], layer.dequantize(params[name].dtype)
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), name
 
 
 @st.composite

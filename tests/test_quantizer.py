@@ -327,8 +327,10 @@ class TestDequantize:
     def test_empty_terms(self, wide):
         ql, _ = quantize_one(np.zeros(3), [np.inf, np.inf], 2, wide)
         assert np.array_equal(ql.dequantize(), np.zeros((1, 3)))
-        empty, _ = quantize_layer(np.ones((2, 3)), [], 0, wide)
+        empty, trace = quantize_layer(np.ones((2, 3)), [], 0, wide)
         assert np.array_equal(empty.dequantize(), np.zeros((2, 3)))
+        # at k = 0 the weight is w - r_0 = w - w: +0.0, as dequantize gives
+        assert np.array_equal(bits(trace.quantized), bits(np.zeros((2, 3))))
 
     def test_direct_sum(self, wide):
         ql, _ = quantize_one(np.array([0.75]), [0.0, 0.0], 2, wide)
@@ -364,6 +366,11 @@ class TestDequantize:
         assert np.array_equal(ql.dequantize().ravel(), w.ravel())
 
 
+def bits(x):
+    """x's bit patterns, so that comparisons tell -0.0 from +0.0."""
+    return x.view(f"u{x.itemsize}")
+
+
 def gather_dequantize(ql, dtype):
     """dequantize with every round gathered and scattered through its live filters."""
     out = np.zeros((ql.num_filters, ql.filter_size), dtype=dtype)
@@ -377,7 +384,11 @@ def gather_dequantize(ql, dtype):
 
 
 class TestDequantizeFastPath:
-    """Rounds every filter kept skip the gather and scatter, bit for bit."""
+    """dequantize, its gather-loop mirror and the trace's w - r_k agree bit for bit.
+
+    dequantize once skipped the gather for rounds that every filter kept;
+    the cases still spread k_i from all live to all pruned.
+    """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
@@ -390,12 +401,36 @@ class TestDequantizeFastPath:
         # log-uniform filter scales against one threshold spread k_i over 0..3
         w = gen.normal(size=(64, 3, 3, 3)) * np.exp(gen.uniform(-3.5, 0.7, size=(64, 1, 1, 1)))
         rng = ExponentRange.for_weights(w, 4)
-        ql, _ = quantize_layer(w.astype(dtype), np.full(3, t), 3, rng)
+        ql, trace = quantize_layer(w.astype(dtype), np.full(3, t), 3, rng)
         assert set(ql.k_i.tolist()) == k_set
         got = ql.dequantize(dtype)
-        assert got.dtype == dtype
-        assert np.array_equal(got.view(f"u{got.itemsize}"),
-                              gather_dequantize(ql, dtype).view(f"u{got.itemsize}"))
+        assert got.dtype == trace.quantized.dtype == dtype
+        assert np.array_equal(bits(got), bits(gather_dequantize(ql, dtype)))
+        assert np.array_equal(bits(trace.quantized), bits(got.reshape(64, -1)))
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("code_bits", range(3, 9))
+def test_trace_weight_is_the_kept_terms_sum(code_bits, dtype, k):
+    # every code width the settings accept, up to the stream's 3 terms
+    gen = np.random.default_rng([code_bits, k, np.dtype(dtype).itemsize])
+    for _ in range(25):
+        F, n = gen.integers(1, 40), gen.integers(1, 30)
+        # full-mantissa weights, log-uniform filter scales from 1e-6 to 1e3, signed zeros
+        w = gen.normal(size=(F, n)) * np.exp(gen.uniform(np.log(1e-6), np.log(1e3), (F, 1)))
+        w[gen.random((F, n)) < 0.05] = 0.0
+        w[gen.random((F, n)) < 0.05] = -0.0
+        w = w.astype(dtype)
+        rng = ExponentRange.for_weights(w, code_bits)
+        # per round: gates all open, at zero, all closed, or at a norm inside the spread
+        t = [[-np.inf, 0.0, np.inf, np.exp(gen.uniform(np.log(1e-6), np.log(1e4)))][c]
+             for c in gen.integers(0, 4, k)]
+        ql, trace = quantize_layer(w, t, k, rng)
+        got = ql.dequantize(dtype).reshape(F, n)
+        assert trace.quantized.dtype == dtype
+        assert np.array_equal(bits(trace.quantized), bits(got))
+        assert np.array_equal(bits(got), bits(gather_dequantize(ql, dtype).reshape(F, n)))
 
 
 class TestSpecialCases:

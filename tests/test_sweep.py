@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from shiftnn.costmodel import pareto_front
+from shiftnn.errors import ConfigError
 from shiftnn.nn import Conv2D, build_network, get_preset
 from shiftnn.trainer import (
     TrainSettings,
@@ -135,6 +136,22 @@ def test_bad_label_cell_is_recorded_not_raised():
     assert not cell.ok
     assert "label out of range" in cell.error
     assert cell.accuracy is None and cell.cost is None
+
+
+@pytest.mark.parametrize("lambda_list, seeds", [([], [1]), ([(0.0, 0.0)], [])],
+                         ids=["no lambdas", "no seeds"])
+def test_empty_grid_rejected(lambda_list, seeds):
+    # an empty lambda list raised a bare ValueError, and no seeds returned [] silently
+    with pytest.raises(ConfigError, match="sweep needs"):
+        sweep_lambda(MNIST2, BASE, DATA, lambda_list, seeds)
+
+
+def test_seed_iterator_serves_every_lambda():
+    # a generator of seeds once ran out after the first lambda setting
+    wrong = (DATA[0][:, :, :27], *DATA[1:])  # cells fail fast, and are still recorded
+    cells = sweep_lambda(MNIST2, BASE, wrong, iter([(0.0, 0.0), (0.0, 1.0)]), iter([1, 2]))
+    assert [(c.lambdas, c.seed) for c in cells] == [
+        ((0.0, 0.0), 1), ((0.0, 0.0), 2), ((0.0, 1.0), 1), ((0.0, 1.0), 2)]
 
 
 def test_points_keep_every_lambda():

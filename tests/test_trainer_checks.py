@@ -56,6 +56,10 @@ def test_tau_must_be_positive_and_finite(tau):
     # a NaN weight then raised FileNotFoundError in place of its NumericError
     ("dump_dir", "no-such-directory", "dump_dir"),
     ("dump_dir", 3, "dump_dir"),
+    # a decay that underflowed the rate to 0.0 raised adam_step's bare ValueError, and
+    # one that overflowed it to inf ended in a NumericError state dump
+    ("lr_decay", 1e-200, "lr_decay"),
+    ("lr_decay", 1e200, "lr_decay"),
 ])
 def test_bad_settings_rejected_up_front(field, value, match):
     settings = TrainSettings(mode="fixed" if field == "fixed_k" else "flex", fixed_k=1)
@@ -174,4 +178,7 @@ def test_bad_settings_become_cell_errors():
     # a zero decay once passed validate and stopped the sweep at the second epoch
     data = (np.zeros((4, 1, 4, 4), np.float32), np.array([0, 1, 2, 0])) * 2
     cell = run_cell(TINY, TrainSettings(epochs=2, batch_size=2, lr_decay=0.0), data)
+    assert not cell.ok and "lr_decay" in cell.error
+    # a decay that underflows the rate to 0.0 by the last epoch stopped it at the fourth
+    cell = run_cell(TINY, TrainSettings(epochs=4, batch_size=2, lr_decay=1e-200), data)
     assert not cell.ok and "lr_decay" in cell.error
