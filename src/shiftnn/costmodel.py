@@ -62,6 +62,8 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
         else:
             if k_map is None:
                 raise ConfigError("op_counts needs k_map unless multiply_baseline is set")
+            if name not in k_map:
+                raise ConfigError(f"k map has no entry for {name}")
             k_i = np.asarray(k_map[name])
             k_i = np.full(F, k_i) if k_i.ndim == 0 else k_i
             if k_i.shape != (F,):

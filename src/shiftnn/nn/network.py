@@ -44,7 +44,6 @@ class SkipSpec:
 @dataclass
 class NetworkConfig:
     id: str
-    style: str
     input_shape: tuple
     classes: int
     layers: list

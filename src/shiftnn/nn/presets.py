@@ -40,7 +40,7 @@ def _vgg(net_id, conv_widths, pool_after, input_shape, classes, final_pool=None)
     if final_pool:
         layers.append(_pool(final_pool))
     layers += _head(classes)
-    return NetworkConfig(net_id, "VGG", input_shape, classes, layers, [])
+    return NetworkConfig(net_id, input_shape, classes, layers, [])
 
 
 def _resnet(net_id, widths, blocks_per_stage, input_shape, classes):
@@ -57,7 +57,7 @@ def _resnet(net_id, widths, blocks_per_stage, input_shape, classes):
     spatial = input_shape[1] // 2 ** (len(widths) - 1)
     layers.append(_pool(spatial))
     layers += _head(classes)
-    return NetworkConfig(net_id, "ResNet", input_shape, classes, layers, skips)
+    return NetworkConfig(net_id, input_shape, classes, layers, skips)
 
 
 def _build_net1():
@@ -74,7 +74,7 @@ def _build_net4():
 
 def _build_mnist2():
     layers = [_conv(8), _bn(), _act(), _pool(), _conv(16), _bn(), _act(), _pool()] + _head(10)
-    return NetworkConfig("mnist2", "VGG", (1, 28, 28), 10, layers, [])
+    return NetworkConfig("mnist2", (1, 28, 28), 10, layers, [])
 
 
 PRESETS = {

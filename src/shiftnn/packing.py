@@ -18,8 +18,8 @@ Stream layout (all multi-byte integers little-endian):
         payload padded with 0 bits to the next byte boundary.
 
 The codes are QuantizedLayer.codes written as they are; ExponentRange.decode
-is the one definition of what a code means.  Only e_max is stored, so a
-layer's range must be ExponentRange.widest(e_max, code_bits).
+is the one definition of what a code means.  e_max and code_bits are the
+whole ExponentRange: its e_min follows from them.
 
 The bytes before the first payload bit of each layer (global header and
 the per-layer tables) are "fixed headers"; storage accounting excludes
@@ -116,9 +116,6 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
     out += struct.pack("<BH", VERSION, len(layers))
     for idx, layer in enumerate(layers):
         rng = layer.rng
-        if rng != ExponentRange.widest(rng.e_max, rng.code_bits):
-            # the stream stores e_max only, so unpacking assumes the widest range
-            raise PackingError(f"layer {idx}: range {rng} is not the widest for its e_max")
         if not 0 <= int(layer.k_i.min(initial=0)) <= int(layer.k_i.max(initial=0)) <= MAX_K:
             raise PackingError(f"layer {idx}: k_i outside [0, {MAX_K}] does not fit 2 bits")
         codes = layer.codes
@@ -131,7 +128,10 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
                 f"layer {idx}: {int(bad.sum())} term code(s) outside the "
                 f"{rng.code_bits}-bit code set, the first is {codes[bad][0]}"
             )
-        out += _layer_header(layer)
+        try:
+            out += _layer_header(layer)
+        except struct.error as exc:  # a dim past u32, over 255 dims or e_max past i16
+            raise PackingError(f"layer {idx}: header field does not fit: {exc}") from exc
         head = _pack_fields(layer.k_i, 2)
         body = _pack_fields(codes, rng.code_bits)
         shift = 2 * layer.num_filters % 8
@@ -171,7 +171,7 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
         dims, pos = _read(f"<{ndim}I", data, pos, f"layer {idx} dims")
         (e_max, code_bits), pos = _read("<hB", data, pos, f"layer {idx} range")
         try:
-            rng = ExponentRange.widest(e_max, code_bits)
+            rng = ExponentRange(e_max, code_bits)
         except ConfigError as exc:
             raise PackingError(f"layer {idx}: bad range at byte {pos - 3}: {exc}") from exc
         n = math.prod(dims)

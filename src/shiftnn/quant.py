@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,46 +25,34 @@ DEFAULT_CODE_BITS = 4
 
 @dataclass(frozen=True)
 class ExponentRange:
-    """Encodable exponent window [e_min, e_max] for one layer's terms.
+    """Exponent window [e_min, e_max] of one layer's terms: the widest its codes hold.
 
     A term code is 1 sign bit (set for negative terms) above
     code_bits - 1 value bits.  Value 0 is the zero code, whose sign bit
-    is clear; value c >= 1 means magnitude 2**(e_max - c + 1).  So at
-    most 2**(code_bits - 1) - 1 exponents fit.
+    is clear; value c >= 1 means magnitude 2**(e_max - c + 1).  The
+    packed stream stores e_max and code_bits; e_min follows from them.
     """
 
     e_max: int
-    e_min: int
     code_bits: int = DEFAULT_CODE_BITS
 
     def __post_init__(self):
-        if not 2 <= self.code_bits <= 8:  # codes are held in uint8
-            raise ConfigError(f"code_bits must be in [2, 8], got {self.code_bits}")
-        if self.e_min >= self.e_max:
-            raise ConfigError(f"need e_min < e_max, got [{self.e_min}, {self.e_max}]")
-        if self.num_exponents + 1 > 2 ** (self.code_bits - 1):
-            raise ConfigError(
-                f"{self.num_exponents} exponents + zero code do not fit in "
-                f"{self.code_bits}-bit codes"
-            )
+        # codes are held in uint8; 2-bit codes would name a single exponent
+        if not (isinstance(self.code_bits, numbers.Integral) and 3 <= self.code_bits <= 8):
+            raise ConfigError(f"code_bits must be an integer in [3, 8], got {self.code_bits!r}")
 
     @property
-    def num_exponents(self) -> int:
-        return self.e_max - self.e_min + 1
-
-    @classmethod
-    def widest(cls, e_max: int, code_bits: int = DEFAULT_CODE_BITS) -> "ExponentRange":
-        """Largest window ending at e_max that the code width allows."""
-        return cls(e_max, e_max - (2 ** (code_bits - 1) - 2), code_bits)
+    def e_min(self) -> int:
+        return self.e_max - (2 ** (self.code_bits - 1) - 2)
 
     @classmethod
     def for_weights(cls, w: np.ndarray, code_bits: int = DEFAULT_CODE_BITS) -> "ExponentRange":
-        """Widest window whose top exponent is max |w| rounded as round_pow2 rounds."""
+        """The window whose top exponent is max |w| rounded as round_pow2 rounds."""
         peak = np.maximum(np.max(w, initial=0.0), -np.min(w, initial=0.0))  # no |w| array
         if not np.isfinite(peak):
             raise NumericError("weights hold NaN or infinite values")
         e_max = int(nearest_exponent(peak, *_ANY_EXPONENT)) if peak > 0 else 0
-        return cls.widest(e_max, code_bits)
+        return cls(e_max, code_bits)
 
     def decode(self, codes, dtype=np.float64) -> np.ndarray:
         """Values of term codes: the one definition of the code format."""
@@ -72,14 +61,12 @@ class ExponentRange:
 
 @functools.lru_cache(maxsize=256)
 def _decode_table(rng: ExponentRange, dtype: np.dtype) -> np.ndarray:
-    """ExponentRange.decode's table: the value of every code of rng, indexed by code.
-
-    One read-only array per (rng, dtype), shared by every caller.
-    """
+    """ExponentRange.decode's table, indexed by code: one read-only array per (rng, dtype)."""
     half = 1 << (rng.code_bits - 1)
-    magnitude = np.ldexp(1.0, rng.e_max + 1 - np.arange(half))
-    magnitude[0] = 0.0
-    table = np.concatenate([magnitude, -magnitude]).astype(dtype)
+    with np.errstate(over="ignore"):  # a power of 2 past dtype's range is inf, as IEEE rounds it
+        magnitude = np.ldexp(1.0, rng.e_max + 1 - np.arange(half))
+        magnitude[0] = 0.0
+        table = np.concatenate([magnitude, -magnitude]).astype(dtype)
     table.flags.writeable = False
     return table
 

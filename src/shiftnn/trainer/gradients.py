@@ -15,12 +15,10 @@ from ..quant import ResidualTrace
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
+    """1 / (1 + exp(-x)) as float64, from one exp that never overflows."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))  # exp(-|x|); a NaN keeps its sign, as x's own exp does
+    return (np.where(pos, 1.0, e) / (1.0 + e)).astype(np.float64, copy=False)
 
 
 def threshold_grad(residuals, norms, values, upstream, t, tau):

@@ -23,7 +23,7 @@ from ..nn.losses import cross_entropy
 from ..nn.network import Network
 from ..nn.optim import AdamState, adam_step
 from ..packing import MAX_K
-from ..quant import ExponentRange, quantize_layer
+from ..quant import DEFAULT_CODE_BITS, ExponentRange, quantize_layer
 from .gradients import threshold_grad_from_trace
 from .regularizer import check_lambdas, layer_reg_grad, layer_reg_loss
 
@@ -46,7 +46,7 @@ class TrainSettings:
     fixed_k: int | None = None
     threshold_init: float = 0.0
     per_layer_thresholds: bool = False
-    code_bits: int = 4
+    code_bits: int = DEFAULT_CODE_BITS
     dump_dir: str | None = None
 
     def validate(self):
@@ -63,7 +63,7 @@ class TrainSettings:
         if self.mode == "fixed" and not (isinstance(self.fixed_k, numbers.Integral)
                                          and 0 <= self.fixed_k <= self.max_k):
             raise ConfigError(f"fixed mode needs an integer fixed_k in [0, {self.max_k}]")
-        ExponentRange.widest(0, self.code_bits)  # raises ConfigError on a bad code width
+        ExponentRange(0, self.code_bits)  # raises ConfigError on a bad code width
         # tau = 0 makes every threshold gradient NaN, which prunes every filter; a NaN
         # threshold_init prunes them all at once, and a NaN clip_norm turns clipping off
         for what, value, low in (("tau", self.tau, 0), ("lr", self.lr, 0),

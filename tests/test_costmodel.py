@@ -29,7 +29,7 @@ def small_net():
         LayerSpec("flatten"),
         LayerSpec("dense", {"out_features": 5}),
     ]
-    return Network(NetworkConfig("small", "test", (1, 4, 4), 5, layers, [SkipSpec(1, 2)]))
+    return Network(NetworkConfig("small", (1, 4, 4), 5, layers, [SkipSpec(1, 2)]))
 
 
 K_MAP = {"L0.W": [2, 0], "L2.W": [1, 3, 0], "L4.W": 1, "S0.W": 2}
@@ -43,7 +43,7 @@ def qlayers_for(net, k_map):
         F, *filter_shape = shapes[name]
         k_i = np.broadcast_to(np.asarray(k_map[name], dtype=np.int8), (F,)).copy()
         codes = np.zeros((int(k_i.sum()), int(np.prod(filter_shape))), dtype=np.uint8)
-        out[name] = QuantizedLayer(filter_shape, ExponentRange.widest(0), k_i, codes)
+        out[name] = QuantizedLayer(filter_shape, ExponentRange(0), k_i, codes)
     return out
 
 
@@ -127,6 +127,11 @@ def test_k_map_shape_checked():
         op_counts(net, {**K_MAP, "L0.W": [1, 1, 1]})
     with pytest.raises(ConfigError):
         op_counts(net)
+    # a weight missing from the map raised KeyError
+    with pytest.raises(ConfigError, match="L0.W"):
+        op_counts(net, {})
+    with pytest.raises(ConfigError, match="L0.W"):
+        cost_report(net, {})
 
 
 @pytest.mark.parametrize("k", [-1, 4, [1, -1, 0], [1.7] * 3, 1.0, [True] * 3])

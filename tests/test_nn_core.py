@@ -62,7 +62,7 @@ def two_conv_config(in_shape=(4, 8, 8), classes=3):
         LayerSpec("flatten", {}),
         LayerSpec("dense", {"out_features": classes}),
     ]
-    return NetworkConfig("twoconv", "VGG", in_shape, classes, layers, [])
+    return NetworkConfig("twoconv", in_shape, classes, layers, [])
 
 
 class TestForward:
@@ -83,14 +83,6 @@ class TestForward:
         assert np.array_equal(logits, np.zeros_like(logits))
 
     def test_conv_net_matches_scalar_oracle(self):
-        cfg = NetworkConfig(
-            "convonly",
-            "VGG",
-            (4, 8, 8),
-            6 * 8 * 8 // 64,
-            [],
-            [],
-        )
         # check the layer directly on both convs of a small net
         gen = np.random.default_rng(42)
         x = gen.normal(size=(2, 4, 8, 8)).astype(np.float32)
@@ -244,7 +236,7 @@ class TestWorkspace:
 
     def test_layer_first_network_returns_no_workspace_memory(self):
         # a leaky relu first returns its input gradient from its own buffer
-        cfg = NetworkConfig("act-first", "VGG", (2, 4, 4), 2, [
+        cfg = NetworkConfig("act-first", (2, 4, 4), 2, [
             LayerSpec("leaky-relu", {}),
             LayerSpec("maxpool", {"size": 4}),
             LayerSpec("flatten", {}),
@@ -556,7 +548,7 @@ class TestGradientChecks:
             LayerSpec("flatten", {}),
             LayerSpec("dense", {"out_features": 3}),
         ]
-        cfg = NetworkConfig("skipnet", "ResNet", (2, 6, 6), 3, layers, [SkipSpec(2, 4)])
+        cfg = NetworkConfig("skipnet", (2, 6, 6), 3, layers, [SkipSpec(2, 4)])
         net = Network(cfg)
         params = float64(net.init_params(22))
         state = float64(net.init_state())
@@ -805,7 +797,7 @@ class TestBuildNetwork:
             LayerSpec("flatten", {}),
             LayerSpec("dense", {"out_features": 3}),
         ]
-        return NetworkConfig("skips", "ResNet", (2, size, size), 3, layers,
+        return NetworkConfig("skips", (2, size, size), 3, layers,
                              [SkipSpec(src, dst) for src, dst in skips])
 
     @pytest.mark.parametrize(
@@ -854,7 +846,7 @@ class TestBuildNetwork:
 
     def test_empty_layer_list_rejected(self):
         with pytest.raises(ConfigError, match="has no layers"):
-            Network(NetworkConfig("e", "x", (1, 4, 4), 3, []))
+            Network(NetworkConfig("e", (1, 4, 4), 3, []))
 
     @pytest.mark.parametrize(
         "index, key, kind",

@@ -67,7 +67,7 @@ def golden_model():
             for e in range(n):
                 term[e] = canonical[(7 * i + 3) % len(canonical)]
                 i += 1
-        rng = ExponentRange.widest(e_max, code_bits)
+        rng = ExponentRange(e_max, code_bits)
         layers.append(QuantizedLayer(shape, rng, np.array(k_i, np.int8), codes))
     return layers
 
@@ -126,7 +126,7 @@ def test_empty_model_is_header_only():
 def test_known_size_single_term():
     # 1000 weights, k_i = 1, 4-bit codes: 4000 payload bits + one 2-bit header
     w = np.linspace(0.1, 1.0, 1000).reshape(1, 1000)
-    ql, _ = quantize_layer(w, [-np.inf], 1, ExponentRange.widest(0))
+    ql, _ = quantize_layer(w, [-np.inf], 1, ExponentRange(0))
     assert payload_bits(ql) == 4000 + 2
     assert storage_bits([ql]) == ((4000 + 2 + 7) // 8) * 8
 
@@ -182,7 +182,7 @@ def test_trailing_bytes_rejected():
 
 
 def test_out_of_range_exponent_rejected():
-    # every value of a 4-bit code names an exponent of the widest range, so
+    # every value of a 4-bit code names an exponent of the window, so
     # an exponent below e_min needs a code that does not fit in 4 bits
     ql = random_model(4, n_layers=1)[0]
     assert ql.codes.size
@@ -199,18 +199,23 @@ def test_non_canonical_zero_code_rejected():
         pack_model([ql])
 
 
-def test_non_widest_range_rejected():
-    # the stream stores only e_max; this range would unpack with e_min = -6
-    w = np.array([[0.9, -0.3, 0.05]])
-    ql, _ = quantize_layer(w, [0.0], 1, ExponentRange(0, -3, 4))
-    with pytest.raises(PackingError, match="widest"):
-        pack_model([ql])
+@pytest.mark.parametrize("filter_shape, e_max", [
+    ((1 << 32,), 0),  # a dim past u32: a fully pruned layer holds no codes of it
+    ((1,) * 256, 0),  # a dim count past u8
+    ((2,), 40000),  # e_max past i16
+], ids=["dim", "ndim", "e_max"])
+def test_header_field_that_does_not_fit_rejected(filter_shape, e_max):
+    # each raised a bare struct.error
+    ql = QuantizedLayer(filter_shape, ExponentRange(e_max), np.zeros(2, np.int8),
+                        np.zeros((0, math.prod(filter_shape)), np.uint8))
+    with pytest.raises(PackingError, match="layer 1: header"):
+        pack_model(random_model(4, n_layers=1) + [ql])
 
 
 def test_oversized_k_rejected():
     w = np.random.default_rng(5).normal(size=(2, 4))
     rng = ExponentRange.for_weights(w)
-    ql, _ = quantize_layer(w, [-np.inf] * 4, 4, ExponentRange(rng.e_max, rng.e_min, 4))
+    ql, _ = quantize_layer(w, [-np.inf] * 4, 4, rng)
     with pytest.raises(PackingError, match="k_i"):
         pack_model([ql])
 
@@ -237,7 +242,7 @@ def test_codes_shape_must_match_k_i(extra):
 def test_layer_code_bound(monkeypatch):
     # one k_i = 3 filter and one pruned filter of 4 weights: max k_i * F * n = 24
     codes = np.ones((3, 4), dtype=np.uint8)
-    ql = QuantizedLayer((4,), ExponentRange.widest(0), np.array([3, 0], np.int8), codes)
+    ql = QuantizedLayer((4,), ExponentRange(0), np.array([3, 0], np.int8), codes)
     data = pack_model([ql])
     monkeypatch.setattr(packing, "MAX_LAYER_CODES", 24)
     assert unpack_model(data)[0] == ql
@@ -296,7 +301,7 @@ def test_trained_weights_are_the_streams_weights(preset, max_k):
 def layers(draw):
     """A random valid layer: k_i in 0..3, each kept term any canonical codes."""
     code_bits = draw(st.integers(3, 8))
-    rng = ExponentRange.widest(draw(st.integers(-40, 40)), code_bits)
+    rng = ExponentRange(draw(st.integers(-(1 << 15), (1 << 15) - 1)), code_bits)  # any i16
     shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
     F = draw(st.integers(0, 6))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -315,7 +320,9 @@ def test_random_layers_roundtrip(model):
     assert len(back) == len(model)
     for a, b in zip(model, back):
         assert a == b
-        assert np.array_equal(a.dequantize(), b.dequantize())
+        # bit patterns: past float64's exponents terms decode to 0 or inf, and inf - inf is NaN
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(a.dequantize().view(np.uint64), b.dequantize().view(np.uint64))
     assert pack_model(back) == data
     assert storage_bits(model) == 8 * (len(data) - header_length(model))
 

@@ -13,9 +13,6 @@ from shiftnn.quant import (
     ungated_residual_trace,
 )
 
-WIDE = ExponentRange.widest(8)  # exponents [2, 8]... wide enough for unit inputs?
-
-
 def exact_exponent(x):
     """The integer E with 2**(2E - 1) <= x**2 < 2**(2E + 1), in exact arithmetic."""
     sq = Fraction(float(x)) ** 2
@@ -90,7 +87,7 @@ def oracle_codes(xs, exps, floors, rng):
 
 @pytest.fixture
 def wide():
-    return ExponentRange(e_max=20, e_min=-40, code_bits=8)
+    return ExponentRange(e_max=20, code_bits=8)
 
 
 def rounded(x, rng):
@@ -110,26 +107,24 @@ def shift_count(w_i, t, k, rng) -> int:
 
 class TestExponentRange:
     def test_widest_window_is_full(self):
-        r = ExponentRange.widest(0, code_bits=4)
-        assert (r.e_min, r.e_max) == (-6, 0)
-        assert r.num_exponents + 1 == 2**3
+        # every nonzero code names one exponent of [e_min, e_max], and each exponent has one
+        for code_bits in range(3, 9):
+            r = ExponentRange(5, code_bits)
+            half = 1 << (code_bits - 1)
+            exponents = list(range(r.e_max, r.e_min - 1, -1))
+            assert len(exponents) == half - 1
+            assert r.decode(np.arange(1, half)).tolist() == [2.0**e for e in exponents]
+            assert r.decode(np.arange(half + 1, 2 * half)).tolist() == [-(2.0**e) for e in exponents]
 
-    def test_rejects_overfull_window(self):
-        with pytest.raises(ConfigError):
-            ExponentRange(e_max=0, e_min=-7, code_bits=4)
-
-    def test_rejects_inverted_window(self):
-        with pytest.raises(ConfigError):
-            ExponentRange(e_max=0, e_min=0, code_bits=4)
-
-    @pytest.mark.parametrize("code_bits", [1, 9])
+    # 2-bit codes name one exponent, 9-bit codes do not fit uint8, 4.5 is no width
+    @pytest.mark.parametrize("code_bits", [1, 2, 9, 4.5])
     def test_rejects_code_width_outside_uint8(self, code_bits):
         with pytest.raises(ConfigError, match="code_bits"):
-            ExponentRange(e_max=0, e_min=-1, code_bits=code_bits)
+            ExponentRange(e_max=0, code_bits=code_bits)
 
     def test_decode_table(self):
         # 1 sign bit above 3 value bits: 0 is zero, c >= 1 is 2**(e_max - c + 1)
-        r = ExponentRange.widest(2, code_bits=4)
+        r = ExponentRange(2, code_bits=4)
         want = [0.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.125, 0.0625]
         assert r.decode(np.arange(8)).tolist() == want
         assert r.decode(np.arange(8, 16)).tolist() == [-v for v in want]
@@ -139,8 +134,15 @@ class TestExponentRange:
         values[1] = 7.0
         assert r.decode(np.arange(8)).tolist() == want
 
+    def test_decode_past_the_dtype_range(self):
+        # the stream's i16 e_max reaches past every float: such terms decode to inf or 0
+        assert ExponentRange(1100).decode(np.arange(1, 8)).tolist() == [np.inf] * 7
+        assert ExponentRange(-1100).decode(np.arange(1, 8)).tolist() == [0.0] * 7
+        top = ExponentRange(128, 3).decode(np.arange(5, 8), np.float32)
+        assert top.tolist() == [-np.inf, -(2.0**127), -(2.0**126)]
+
     def test_codes_are_stream_format(self):
-        r = ExponentRange.widest(0, code_bits=4)
+        r = ExponentRange(0, code_bits=4)
         codes = round_pow2(np.array([1.0, -1.0, 0.25, -2.0**-6, 0.0]), r)
         assert codes.dtype == np.uint8
         assert codes.tolist() == [0b0001, 0b1001, 0b0011, 0b1111, 0b0000]
@@ -186,17 +188,17 @@ class TestRoundPow2:
         at_threshold = 2.0 ** (wide.e_min - 1)
         assert rounded(at_threshold, wide) == 2.0**wide.e_min
         # a threshold below float32's smallest subnormal still zeroes float32 input
-        deep = ExponentRange(e_max=-100, e_min=-160, code_bits=8)
+        deep = ExponentRange(e_max=-100, code_bits=8)
         tiny32 = np.array([0.0, -0.0, 2.0**-149], dtype=np.float32)
         assert deep.decode(round_pow2(tiny32, deep)).tolist() == [0.0, 0.0, 2.0**-149]
 
     def test_clamps_to_range(self):
-        r = ExponentRange(e_max=2, e_min=-2, code_bits=4)
+        r = ExponentRange(e_max=2, code_bits=3)  # exponents [0, 2]
         assert rounded(100.0, r) == 4.0
-        # log2(0.13) ~ -2.94 rounds to -3, clamped up to e_min
-        assert rounded(0.13, r) == 0.25
-        # below 2^(e_min - 1) = 0.125 the value underflows to the zero code
-        assert round_pow2(np.float64(0.11), r) == 0
+        # log2(0.6) ~ -0.74 rounds to -1, clamped up to e_min
+        assert rounded(0.6, r) == 1.0
+        # below 2^(e_min - 1) = 0.5 the value underflows to the zero code
+        assert round_pow2(np.float64(0.45), r) == 0
 
     def test_matches_oracle_on_random_scalars(self, wide):
         xs = np.random.default_rng(7).uniform(-4, 4, size=2000)
@@ -231,7 +233,7 @@ class TestRoundPow2Exactness:
         info = np.finfo(dtype)
         lowest = info.minexp - info.nmant
         for e_max in range(info.maxexp + 100, lowest - 1, -60):
-            rng = ExponentRange(e_max, e_max - 126, 8)
+            rng = ExponentRange(e_max, 8)
             got = round_pow2(xs, rng)
             want = oracle_codes(xs, exps, floors, rng)
             assert np.array_equal(got, want), (e_max, xs[got != want][:4])
@@ -239,7 +241,7 @@ class TestRoundPow2Exactness:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("e_max", [40, -1, -100, -1000])
     def test_signed_zero_is_the_zero_code(self, dtype, e_max):
-        rng = ExponentRange(e_max, e_max - 126, 8)
+        rng = ExponentRange(e_max, 8)
         assert round_pow2(np.array([0.0, -0.0], dtype=dtype), rng).tolist() == [0, 0]
 
     def test_shapes_strides_and_integer_input(self, wide):
@@ -296,7 +298,7 @@ class TestQuantizeFilter:
 
     def test_residual_contraction(self, wide):
         w = np.random.default_rng(3).normal(size=(16, 27)).astype(np.float64)
-        _, trace = quantize_layer(w, [-np.inf] * 3, 3, ExponentRange(16, -40, 8))
+        _, trace = quantize_layer(w, [-np.inf] * 3, 3, ExponentRange(16, 8))
         norms = trace.norms
         assert (norms[1:] <= norms[:-1] + 1e-12).all()
 
@@ -354,7 +356,7 @@ class TestDequantize:
         assert np.array_equal(ql2.dequantize(), w)
 
     def test_exact_representation_of_two_term_sums(self):
-        rng = ExponentRange(e_max=4, e_min=-8, code_bits=8)
+        rng = ExponentRange(e_max=4, code_bits=8)
         gen = np.random.default_rng(13)
         # greedy order: second exponent at least 2 below the first
         e1 = gen.integers(-4, 4, size=200)

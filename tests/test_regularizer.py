@@ -5,7 +5,7 @@ from shiftnn.errors import ConfigError
 from shiftnn.quant import ExponentRange
 from shiftnn.trainer.regularizer import check_lambdas, layer_reg_grad, layer_reg_loss
 
-WIDE = ExponentRange(e_max=16, e_min=-40, code_bits=8)
+WIDE = ExponentRange(e_max=16, code_bits=8)
 
 
 def test_all_zero_weights():

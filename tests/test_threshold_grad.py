@@ -4,7 +4,7 @@ import pytest
 from shiftnn.quant import ExponentRange, quantize_layer, round_pow2
 from shiftnn.trainer.gradients import sigmoid, threshold_grad, threshold_grad_from_trace
 
-WIDE = ExponentRange(e_max=16, e_min=-40, code_bits=8)
+WIDE = ExponentRange(e_max=16, code_bits=8)
 
 
 def reference_threshold_grad(residuals, norms, values, upstream, t, tau):
@@ -176,6 +176,16 @@ def test_matches_finite_differences_of_relaxed_surrogate():
     assert worst < 1e-4, f"worst relative error {worst}"
 
 
+def two_branch_sigmoid(x):
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) otherwise, one exp per branch."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def test_sigmoid_stable_at_extremes():
     x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4, np.inf, -np.inf])
     s = sigmoid(x)
@@ -183,3 +193,12 @@ def test_sigmoid_stable_at_extremes():
     assert s[0] == 0.0 and s[4] == 1.0
     assert s[5] == 1.0 and s[6] == 0.0
     assert s[2] == 0.5
+    gen = np.random.default_rng(53)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 709.8, -709.8, 745.2, -745.2,
+                      tiny, -tiny, 1e-310, -1e-310, np.nan, -np.nan])
+    for x in [gen.normal(size=300_000) * 10, gen.normal(size=300_000) * 800, edges]:
+        got = sigmoid(x)
+        assert got.dtype == np.float64
+        # bit patterns: the sign of a NaN result and of every zero count too
+        assert np.array_equal(got.view(np.uint64), two_branch_sigmoid(x).view(np.uint64))

@@ -15,7 +15,7 @@ class TestCodeBits:
     @pytest.mark.parametrize("code_bits", [1, 2, 9])
     def test_rejected_up_front(self, code_bits):
         # 9 bits do not fit a uint8 code; 2 bits hold one exponent, too few for a window
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="code_bits"):
             TrainSettings(code_bits=code_bits).validate()
 
 
@@ -68,7 +68,7 @@ def test_bad_settings_rejected_up_front(field, value, match):
         settings.validate()
 
 
-TINY = NetworkConfig("tiny", "test", (1, 4, 4), 3, [
+TINY = NetworkConfig("tiny", (1, 4, 4), 3, [
     LayerSpec("conv2d", {"out_channels": 2, "kernel": 3, "pad": 1}),
     LayerSpec("flatten"),
     LayerSpec("dense", {"out_features": 3}),
