@@ -146,10 +146,12 @@ class Layer:
     """Defaults for a layer with no parameters or state that keeps its input's shape.
 
     Each concrete layer defines forward(x, params, state, train, ws=None) ->
-    (y, cache) and backward(dy, cache, params, ws=None) -> (dx, grads), which
-    reads only train caches: an eval forward may return None.  With a
-    Workspace ws, a layer may keep its cache, its temporaries and its dx in
-    ws's arrays; without one it allocates them.
+    (y, cache) and backward(dy, cache, params, ws=None, need_dx=True) ->
+    (dx, grads), which reads only train caches: an eval forward may return
+    None.  With need_dx false, backward skips the input gradient and returns
+    None for dx; the parameter gradients keep their bits.  With a Workspace
+    ws, a layer may keep its cache, its temporaries and its dx in ws's
+    arrays; without one it allocates them.
     """
 
     def __init__(self, name):
@@ -272,7 +274,7 @@ class Conv2D(Kernel):
                           chunked=not train)
         return y, ((cols, x.shape) if train else None)
 
-    def backward(self, dy, cache, params, ws=None):
+    def backward(self, dy, cache, params, ws=None, need_dx=True):
         cols, x_shape = cache
         w = params[self.weight_name]
         k, O = self.kernel, self.out_channels
@@ -283,6 +285,8 @@ class Conv2D(Kernel):
         dy2 = dy2.reshape(O, N * Ho * Wo)
         # OpenBLAS runs cols @ dy2.T faster than dy2 @ cols.T when O is small
         grads = {self.weight_name: (cols @ dy2.T).T.reshape(w.shape)}
+        if not need_dx:
+            return None, grads
         if self.stride == 1 and self.pad < k and O <= C:
             # A stride-1 input gradient is itself a convolution: dy padded by k-1-pad,
             # against the flipped kernel with in/out channels swapped; its patches
@@ -356,12 +360,14 @@ class BatchNorm2D(Layer):
         y += b
         return y, ((xhat, invstd.astype(x.dtype)) if train else None)
 
-    def backward(self, dy, cache, params, ws=None):
+    def backward(self, dy, cache, params, ws=None, need_dx=True):
         xhat, invstd = cache
         g = params[f"{self.name}.gamma"]
         tmp = _array(ws, Workspace.TMP, dy.shape, np.result_type(dy, xhat))
         dgamma = np.multiply(dy, xhat, out=tmp).sum(axis=(0, 2, 3))
         dbeta = dy.sum(axis=(0, 2, 3))
+        if not need_dx:
+            return None, {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
         dx = _array(ws, f"{self.name}.dx", dy.shape, np.result_type(dy, g))
         np.multiply(dy, g[None, :, None, None], out=dx)  # dL/dxhat until the last line
         # invstd/m * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), in place;
@@ -373,8 +379,7 @@ class BatchNorm2D(Layer):
         dx -= s1
         dx -= np.multiply(xhat, s2, out=tmp)
         np.multiply(invstd[None, :, None, None] / m, dx, out=dx)
-        grads = {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
-        return dx, grads
+        return dx, {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
 
 
 class LeakyReLU(Layer):
@@ -392,7 +397,9 @@ class LeakyReLU(Layer):
         np.maximum(x, y, out=y)
         return y, (np.less(x, 0, out=_array(ws, f"{self.name}.mask", x.shape, bool)) if train else None)
 
-    def backward(self, dy, cache, params, ws=None):
+    def backward(self, dy, cache, params, ws=None, need_dx=True):
+        if not need_dx:
+            return None, {}
         neg = cache
         # take works on intp indices and would convert the mask into a new array
         idx = _array(ws, Workspace.TMP, neg.shape, np.intp)
@@ -442,7 +449,9 @@ class MaxPool2D(Layer):
                 np.copyto(y, v, where=nan & np.isnan(v))
         return y, (x, y)
 
-    def backward(self, dy, cache, params, ws=None):
+    def backward(self, dy, cache, params, ws=None, need_dx=True):
+        if not need_dx:
+            return None, {}
         x, y = cache
         # y holds the bits of its window's first maximum, so the first element
         # with the same bits is the one to route dy to (this also finds NaNs).
@@ -469,8 +478,8 @@ class Flatten(Layer):
     def forward(self, x, params, state, train, ws=None):
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dy, cache, params, ws=None):
-        return dy.reshape(cache), {}
+    def backward(self, dy, cache, params, ws=None, need_dx=True):
+        return (dy.reshape(cache) if need_dx else None), {}
 
 
 class Dense(Kernel):
@@ -487,7 +496,7 @@ class Dense(Kernel):
     def forward(self, x, params, state, train, ws=None):
         return x @ params[self.weight_name].T + params[f"{self.name}.b"], x
 
-    def backward(self, dy, cache, params, ws=None):
+    def backward(self, dy, cache, params, ws=None, need_dx=True):
         x = cache
         grads = {self.weight_name: dy.T @ x, f"{self.name}.b": dy.sum(axis=0)}
-        return dy @ params[self.weight_name], grads
+        return (dy @ params[self.weight_name] if need_dx else None), grads

@@ -246,9 +246,10 @@ class Network:
                      "skip_caches": skip_caches, "batch": x.shape[0]}
 
     def backward(self, cache, dlogits, params):
-        """Gradients of every parameter plus the input, from a forward cache.
+        """The gradient of every parameter, by name, from a forward cache.
 
-        The cache must come from this network's latest train forward and not
+        The input gradient is not computed: layer 0 is asked for none.  The
+        cache must come from this network's latest train forward and not
         have been through backward yet: either would have overwritten the
         arrays it points to.  None of the returned arrays is workspace memory.
         """
@@ -268,23 +269,17 @@ class Network:
             g = node_grads[i]
             if i in self.skips:
                 src, proj = self.skips[i]
-                if proj is None:
-                    branch_grad = g
-                else:
-                    branch_grad, pgrads = proj.backward(g, cache["skip_caches"][i], params, ws=ws)
-                    grads.update(pgrads)
-                if node_grads[src] is None:
-                    node_grads[src] = branch_grad.copy()
-                else:
-                    node_grads[src] = node_grads[src] + branch_grad
-            dx, layer_grads = self.layers[i].backward(g, caches[i], params, ws=ws)
+                branch_grad, pgrads = ((g, {}) if proj is None
+                                       else proj.backward(g, cache["skip_caches"][i], params, ws=ws))
+                grads.update(pgrads)
+                before = node_grads[src]
+                node_grads[src] = branch_grad.copy() if before is None else before + branch_grad
+            dx, layer_grads = self.layers[i].backward(g, caches[i], params, ws=ws, need_dx=i > 0)
             grads.update(layer_grads)  # each parameter belongs to one layer
             if i > 0:
-                if node_grads[i - 1] is None:
-                    node_grads[i - 1] = dx
-                else:
-                    node_grads[i - 1] = node_grads[i - 1] + dx
-        return (dx.copy() if ws.holds(dx) else dx), grads
+                before = node_grads[i - 1]
+                node_grads[i - 1] = dx if before is None else before + dx
+        return grads
 
 
 def build_network(config: NetworkConfig, seed):

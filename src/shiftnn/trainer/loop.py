@@ -223,7 +223,7 @@ def train_batch(ts: TrainState, xb, yb):
     if not np.isfinite(total):
         raise _dump_state(ts, f"non-finite loss (ce={ce}, reg={reg})")
 
-    _, net_grads = net.backward(cache, dlogits, qparams)
+    net_grads = net.backward(cache, dlogits, qparams)
 
     # dL/dw^q applies to the master weights (straight-through).  net.param_names,
     # then thresholds: the clip norm sums in this order.

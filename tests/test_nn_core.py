@@ -11,6 +11,7 @@ from shiftnn.nn import (
     BatchNorm2D,
     Conv2D,
     Dense,
+    Flatten,
     LeakyReLU,
     MaxPool2D,
     Network,
@@ -134,8 +135,7 @@ class TestBackward:
         params, state = float64(params), float64(state)
         x = np.random.default_rng(6).normal(size=(2, 4, 8, 8))
         logits, cache = net.forward(x, params, state, train=True)
-        dx, grads = net.backward(cache, np.zeros_like(logits), params)
-        assert np.array_equal(dx, np.zeros_like(x))
+        grads = net.backward(cache, np.zeros_like(logits), params)
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
     def test_dense_scalar_weight_grad_is_input(self):
@@ -156,6 +156,35 @@ class TestBackward:
         with pytest.raises(ValueError):
             net.backward({"net": None}, np.zeros_like(logits), params)
 
+    @pytest.mark.parametrize("layer,shape", [
+        pytest.param(Conv2D("L0", 4, 3, kernel=3, pad=1), (4, 6, 6), id="conv2d-gemm"),
+        pytest.param(Conv2D("L0", 3, 4, kernel=3, pad=1), (3, 6, 6), id="conv2d-col2im"),
+        pytest.param(Conv2D("L0", 3, 2, kernel=3, stride=2), (3, 7, 7), id="conv2d-strided"),
+        pytest.param(BatchNorm2D("L0", 3), (3, 5, 5), id="batchnorm"),
+        pytest.param(LeakyReLU("L0"), (3, 4, 4), id="leaky-relu"),
+        pytest.param(MaxPool2D("L0", size=2), (3, 4, 4), id="maxpool"),
+        pytest.param(Flatten("L0"), (3, 4, 4), id="flatten"),
+        pytest.param(Dense("L0", 7, 3), (7,), id="dense"),
+    ])
+    def test_backward_without_dx_keeps_parameter_gradients(self, layer, shape):
+        # the network asks its first layer for no input gradient
+        gen = np.random.default_rng(44)
+        params = layer.init_params(gen, np.float32)
+        params = {k: v + gen.standard_normal(v.shape).astype(np.float32) for k, v in params.items()}
+        x = gen.standard_normal((4,) + shape).astype(np.float32)
+        ws = Workspace()
+        results = []
+        for need_dx in (True, False):
+            y, cache = layer.forward(x, params, layer.init_state(np.float32), True, ws=ws)
+            dy = np.random.default_rng(45).standard_normal(y.shape).astype(np.float32)
+            dx, grads = layer.backward(dy, cache, params, ws=ws, need_dx=need_dx)
+            results.append((dx, {k: g.copy() for k, g in grads.items()}))
+        (dx, want), (no_dx, got) = results
+        assert dx.shape == x.shape and no_dx is None
+        assert got.keys() == want.keys() == params.keys()
+        for name in want:
+            assert np.array_equal(bits(got[name]), bits(want[name])), name
+
     def test_eval_forward_keeps_no_cache(self):
         # net2 has identity and projection skips, which an eval forward still adds
         net, params, state = build_network(get_preset("net2"), seed=7)
@@ -167,11 +196,10 @@ class TestBackward:
 
 
 def train_step(net, params, state, x, labels):
-    """One train forward and backward: (logits, input gradient, parameter gradients)."""
+    """One train forward and backward: (logits, parameter gradients)."""
     logits, cache = net.forward(x, params, state, train=True)
     _, dlogits = cross_entropy(logits, labels)
-    dx, grads = net.backward(cache, dlogits, params)
-    return logits, dx, grads
+    return logits, net.backward(cache, dlogits, params)
 
 
 class TestWorkspace:
@@ -189,15 +217,15 @@ class TestWorkspace:
         logits, cache = net.forward(x[1], params, state, train=True)
         cols = cache["caches"][0][0]  # L0's patch matrix
         _, dlogits = cross_entropy(logits, y[1])
-        dx, grads = net.backward(cache, dlogits, params)
-        kept = [a.copy() for a in (logits, dx, *grads.values())]
+        grads = net.backward(cache, dlogits, params)
+        kept = [a.copy() for a in (logits, *grads.values())]
 
         logits2, cache2 = net.forward(x[2], params, state, train=True)
         cols2 = cache2["caches"][0][0]
         assert cols2.__array_interface__["data"][0] == cols.__array_interface__["data"][0]
-        _, grads2 = net.backward(cache2, cross_entropy(logits2, y[2])[1], params)
+        grads2 = net.backward(cache2, cross_entropy(logits2, y[2])[1], params)
         assert not np.array_equal(grads2["L0.W"], grads["L0.W"])
-        for was, now in zip(kept, (logits, dx, *grads.values())):
+        for was, now in zip(kept, (logits, *grads.values())):
             assert np.array_equal(was, now)
 
     def test_backward_on_an_older_cache_raises(self):
@@ -228,14 +256,13 @@ class TestWorkspace:
                 net.forward(x[2], params, dict(state), train=False)
             _, dlogits = cross_entropy(logits, y[1])
             results.append(net.backward(cache, dlogits, params))
-        (dx_a, grads_a), (dx_b, grads_b) = results
-        assert np.array_equal(dx_a, dx_b)
+        grads_a, grads_b = results
         assert grads_a.keys() == grads_b.keys()
         for name in grads_a:
             assert np.array_equal(grads_a[name], grads_b[name]), name
 
     def test_layer_first_network_returns_no_workspace_memory(self):
-        # a leaky relu first returns its input gradient from its own buffer
+        # the max pool's output lies in its own buffer, and flatten passes it on as the logits
         cfg = NetworkConfig("act-first", (2, 4, 4), 2, [
             LayerSpec("leaky-relu", {}),
             LayerSpec("maxpool", {"size": 4}),
@@ -243,10 +270,10 @@ class TestWorkspace:
         ])
         net, params, state = build_network(cfg, seed=38)
         x, y = self.batches(net, 2, 3, seed=39)
-        logits, dx, _ = train_step(net, params, state, x[0], y[0])
-        kept = logits.copy(), dx.copy()
+        logits, _ = train_step(net, params, state, x[0], y[0])
+        kept = logits.copy()
         train_step(net, params, state, x[1], y[1])
-        assert np.array_equal(kept[0], logits) and np.array_equal(kept[1], dx)
+        assert np.array_equal(kept, logits)
 
 
 def preset_convs():
@@ -563,8 +590,8 @@ class TestGradientChecks:
 
         logits, cache = net.forward(x, params, state, train=True)
         _, dlogits = cross_entropy(logits, labels)
-        dx, grads = net.backward(cache, dlogits, params)
-        worst = probe_gradient(loss, x, dx, 60, seed=24)
+        grads = net.backward(cache, dlogits, params)
+        worst = 0.0
         for k in sorted(grads):
             worst = max(worst, probe_gradient(loss, params[k], grads[k], 40, seed=25))
         assert worst < 1e-4, f"worst relative error {worst}"
