@@ -362,24 +362,20 @@ class BatchNorm2D(Layer):
 
     def backward(self, dy, cache, params, ws=None, need_dx=True):
         xhat, invstd = cache
-        g = params[f"{self.name}.gamma"]
         tmp = _array(ws, Workspace.TMP, dy.shape, np.result_type(dy, xhat))
         dgamma = np.multiply(dy, xhat, out=tmp).sum(axis=(0, 2, 3))
         dbeta = dy.sum(axis=(0, 2, 3))
+        grads = {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
         if not need_dx:
-            return None, {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
-        dx = _array(ws, f"{self.name}.dx", dy.shape, np.result_type(dy, g))
-        np.multiply(dy, g[None, :, None, None], out=dx)  # dL/dxhat until the last line
-        # invstd/m * (m*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)), in place;
-        # the operand order is kept, so even NaN payloads match
-        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-        s1 = dx.sum(axis=(0, 2, 3))[None, :, None, None]
-        s2 = np.multiply(dx, xhat, out=tmp).sum(axis=(0, 2, 3))[None, :, None, None]
-        dx *= m
-        dx -= s1
-        dx -= np.multiply(xhat, s2, out=tmp)
-        np.multiply(invstd[None, :, None, None] / m, dx, out=dx)
-        return dx, {f"{self.name}.gamma": dgamma, f"{self.name}.beta": dbeta}
+            return None, grads
+        # (g*invstd/m) * (m*dy - dbeta - xhat*dgamma), Ioffe & Szegedy: in place, in this order
+        g = params[f"{self.name}.gamma"]
+        m = dy.size // dy.shape[1]
+        dx = np.multiply(dy, m, out=_array(ws, f"{self.name}.dx", dy.shape, np.result_type(dy, g)))
+        dx -= dbeta[None, :, None, None]
+        dx -= np.multiply(xhat, dgamma[None, :, None, None], out=tmp)
+        dx *= (g * invstd / m)[None, :, None, None]
+        return dx, grads
 
 
 class LeakyReLU(Layer):

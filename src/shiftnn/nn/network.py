@@ -261,7 +261,6 @@ class Network:
             raise ValueError("logit gradient batch size does not match the cached forward")
         cache["generation"] = None
         ws = self._workspace
-        caches = cache["caches"]
         grads = {}
         node_grads = [None] * len(self.layers)
         node_grads[-1] = dlogits
@@ -274,7 +273,7 @@ class Network:
                 grads.update(pgrads)
                 before = node_grads[src]
                 node_grads[src] = branch_grad.copy() if before is None else before + branch_grad
-            dx, layer_grads = self.layers[i].backward(g, caches[i], params, ws=ws, need_dx=i > 0)
+            dx, layer_grads = self.layers[i].backward(g, cache["caches"][i], params, ws=ws, need_dx=i > 0)
             grads.update(layer_grads)  # each parameter belongs to one layer
             if i > 0:
                 before = node_grads[i - 1]

@@ -714,11 +714,10 @@ def reference_batchnorm(x, g, b, dy, eps):
     invstd = 1.0 / np.sqrt(var + eps)
     xhat = (x - mean[c]) * invstd[c]
     y = g[c] * xhat + b[c]
-    dxhat = dy * g[c]
     m = x.shape[0] * x.shape[2] * x.shape[3]
-    s1, s2 = dxhat.sum(axis=(0, 2, 3)), (dxhat * xhat).sum(axis=(0, 2, 3))
-    dx = invstd[c] / m * (m * dxhat - s1[c] - xhat * s2[c])
-    return y, mean, var, dx, (dy * xhat).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
+    dgamma, dbeta = (dy * xhat).sum(axis=(0, 2, 3)), dy.sum(axis=(0, 2, 3))
+    dx = (g * invstd / m)[c] * (m * dy - dbeta[c] - xhat * dgamma[c])
+    return y, mean, var, dx, dgamma, dbeta
 
 
 class TestBatchNormBits:
