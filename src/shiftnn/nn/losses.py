@@ -18,6 +18,8 @@ def cross_entropy(logits, labels):
     n, c = logits.shape
     if labels.shape != (n,):
         raise DataError(f"labels shape {labels.shape} does not match batch {n}")
+    if not np.issubdtype(labels.dtype, np.integer):  # bool is not an integer dtype
+        raise DataError(f"labels must have an integer dtype, got {labels.dtype}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= c:
         raise DataError(f"label out of range [0, {c})")
     z = logits - logits.max(axis=1, keepdims=True)

@@ -260,9 +260,11 @@ def train_batch(ts: TrainState, xb, yb):
 
 
 def _check_data(net: Network, x, y):
-    """Raise DataError unless x holds samples and y one label in [0, classes) for each."""
+    """Raise DataError unless x holds samples and y one integer label in [0, classes) for each."""
     if len(x) == 0 or np.shape(y) != (len(x),):
         raise DataError(f"need samples with one label each, got {len(x)} and labels {np.shape(y)}")
+    if not np.issubdtype(np.asarray(y).dtype, np.integer):  # float labels scored 0, bools 0.5
+        raise DataError(f"labels must have an integer dtype, got {np.asarray(y).dtype}")
     if np.min(y) < 0 or np.max(y) >= net.config.classes:  # the range cross_entropy accepts
         raise DataError(f"label out of range [0, {net.config.classes})")
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import probe_gradient
-from shiftnn.errors import ConfigError, NumericError
+from shiftnn.errors import ConfigError, DataError, NumericError
 from shiftnn.nn import layers
 from shiftnn.nn.layers import Workspace
 from shiftnn.nn import (
@@ -1001,6 +1001,13 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 1.0], [True, False]],
+                             ids=["fractional", "float", "bool"])
+    def test_non_integer_labels_rejected(self, labels):
+        # float and bool labels raised a bare IndexError
+        with pytest.raises(DataError, match="integer dtype"):
+            cross_entropy(np.zeros((2, 3)), np.array(labels))
 
 
 class TestAdam:

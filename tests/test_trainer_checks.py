@@ -153,6 +153,10 @@ BAD_DATA = {
     "short labels": (np.zeros((4, 1, 4, 4), np.float32), np.zeros(3, int), "labels"),
     "label 99": (np.zeros((4, 1, 4, 4), np.float32), np.array([0, 1, 2, 99]), "range"),
     "label -1": (np.zeros((4, 1, 4, 4), np.float32), np.array([0, -1, 2, 1]), "range"),
+    # float labels made evaluate score 0.0 and bool labels 0.5, and train_epoch raise a bare
+    # IndexError for both
+    "float labels": (np.zeros((4, 1, 4, 4), np.float32), np.array([0.5, 1.0, 2.0, 3.0]), "integer"),
+    "bool labels": (np.zeros((4, 1, 4, 4), np.float32), np.array([True, False, True, False]), "integer"),
 }
 
 
