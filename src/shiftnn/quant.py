@@ -47,11 +47,19 @@ class ExponentRange:
 
     @classmethod
     def for_weights(cls, w: np.ndarray, code_bits: int = DEFAULT_CODE_BITS) -> "ExponentRange":
-        """The window whose top exponent is max |w| rounded as round_pow2 rounds."""
+        """The window whose top exponent is max |w| rounded as round_pow2 rounds.
+
+        NumericError if w holds NaN or inf, or if 2**e_max is not a float of w's type.
+        """
+        w = _as_float(w)
         peak = np.maximum(np.max(w, initial=0.0), -np.min(w, initial=0.0))  # no |w| array
         if not np.isfinite(peak):
             raise NumericError("weights hold NaN or infinite values")
         e_max = int(nearest_exponent(peak, *_ANY_EXPONENT)) if peak > 0 else 0
+        top = _FLOAT_BITS[w.dtype].emax - 1
+        if e_max > top:
+            raise NumericError(f"peak weight magnitude {peak} rounds to 2**{e_max}, past the "
+                               f"largest finite power of 2 of {w.dtype}, 2**{top}")
         return cls(e_max, code_bits)
 
     def decode(self, codes, dtype=np.float64) -> np.ndarray:
@@ -235,7 +243,8 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     L2 norm strictly exceeds t[j]; only fired rounds subtract their term
     from the running residual.  Returns (QuantizedLayer, ResidualTrace);
     the trace's quantized weight is w less the last residual r_k.
-    Raises NumericError when any weight is NaN or infinite.
+    Raises NumericError when any weight is NaN or infinite, or when a
+    filter's L2 norm overflows float64.
     """
     w = np.asarray(w)
     if k < 0:
@@ -257,9 +266,10 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     bad = np.flatnonzero(~np.isfinite(norms[0]))
     if bad.size:
         # a NaN norm never exceeds a threshold, so the filter would look pruned
+        held = bad[~np.isfinite(flat[bad]).all(axis=1)]
         raise NumericError(
-            f"{bad.size} filter(s) hold non-finite weights, the first is filter {bad[0]}"
-        )
+            f"{held.size} filter(s) hold non-finite weights, the first is filter {held[0]}"
+            if held.size else f"the L2 norm of filter {bad[0]} overflows float64")
     table = _decode_table(rng, flat.dtype)
     term = np.empty((F, n), dtype=flat.dtype)  # each round's term, then r_k, then w - r_k
     r = residuals[0]
@@ -274,10 +284,11 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
         if j + 1 < k:
             norms[j + 1] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
     # w - r_k is dequantize's sum, bit for bit (+0.0 at k = 0), when no |w| rounds above
-    # 2**e_max (as with for_weights).  Each r - R(r) is exact by Sterbenz's lemma: R(r)
-    # is within a factor sqrt 2 of r, 2 at the e_min clamp, or 0.  So |r_j| never grows,
-    # every term is a multiple of ulp(w), and every partial sum w - r_j, of magnitude
-    # at most 2**(floor(log2 |w|) + 1), is a float: adding the terms rounds nowhere.
+    # 2**e_max, a float of w's dtype (as with for_weights).  Each r - R(r) is exact by
+    # Sterbenz's lemma: R(r) is within a factor sqrt 2 of r, 2 at the e_min clamp, or 0.
+    # So |r_j| never grows, every term is a multiple of ulp(w), and every partial sum
+    # w - r_j is a float, of magnitude at most 2**(floor(log2 |w|) + 1) and below 2**(e_max + 1)
+    # (|r_j| <= |w| - 2**e_max where |w| >= 2**e_max): adding the terms rounds nowhere.
     np.subtract(flat, r, out=term)
 
     trace = ResidualTrace(residuals[:k], norms[:k], fired, codes, rng, term)

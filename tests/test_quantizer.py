@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from shiftnn.errors import ConfigError, NumericError
+from shiftnn.packing import pack_model, unpack_model
 from shiftnn.quant import (
     ExponentRange,
     QuantizedLayer,
@@ -165,6 +166,16 @@ class TestExponentRange:
     def test_for_weights_rejects_nonfinite(self, bad):
         with pytest.raises(NumericError):
             ExponentRange.for_weights(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_for_weights_rejects_a_peak_past_the_largest_power(self, dtype):
+        # a float32 peak once gave e_max = 128, whose term decoded to inf: the
+        # quantized weight of [[max, 1.0]] at k = 2 was [[nan, 0.]]
+        info = np.finfo(dtype)
+        top = info.maxexp - 1
+        with pytest.raises(NumericError, match=rf"2\*\*{top + 1}, past the largest finite power of 2"):
+            ExponentRange.for_weights(np.array([[info.max, 1.0]], dtype), 2)
+        assert ExponentRange.for_weights(np.array([[np.ldexp(dtype(1.25), top), 1.0]], dtype)).e_max == top
 
     def test_for_weights_of_empty_or_zero_tensor(self):
         assert ExponentRange.for_weights(np.zeros(0)).e_max == 0
@@ -462,6 +473,15 @@ class TestSpecialCases:
         assert np.array_equal(tr.residuals, tr2.residuals)
         assert tr.fired.all()
 
+    def test_overflowing_filter_norm_is_named(self, wide):
+        # finite weights whose squared norm overflows float64 were blamed on non-finite weights
+        w = np.array([[1e200, 1.0], [1.0, 2.0]])
+        with pytest.raises(NumericError, match="norm of filter 0 overflows float64"):
+            quantize_layer(w, [0.0, 0.0], 2, wide)
+        w[1, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite weights, the first is filter 1"):
+            quantize_layer(w, [0.0, 0.0], 2, wide)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_weight_rejected(self, wide, bad):
         # a NaN filter norm fails every gate, so it would otherwise pass as pruned
@@ -471,3 +491,45 @@ class TestSpecialCases:
             quantize_layer(w, [0.0, 0.0], 2, wide)
         with pytest.raises(NumericError):
             quantize_layer(w, [], 0, wide)
+
+
+@pytest.mark.parametrize("code_bits", [3, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_quantizer_over_every_binade(dtype, code_bits):
+    """A layer whose peak lies in any binade, subnormals included, quantizes to a finite
+    weight equal to dequantize's and to the unpacked stream's, or raises NumericError
+    naming the cause: a peak that rounds past the largest finite power of 2, or a filter
+    norm that overflows float64."""
+    info = np.finfo(dtype)
+    top = info.maxexp - 1
+    below_sqrt2 = dtype(math.sqrt(2))
+    while Fraction(float(below_sqrt2)) ** 2 >= 2:
+        below_sqrt2 = np.nextafter(below_sqrt2, dtype(0))
+    mantissas = [dtype(1.0), dtype(1.25), below_sqrt2, np.nextafter(below_sqrt2, dtype(2)),
+                 np.nextafter(dtype(2), dtype(0))]
+    gen = np.random.default_rng([code_bits, info.bits])
+    binades = range(info.minexp - info.nmant, info.maxexp)
+    for e in binades:
+        # every mantissa in the three lowest and highest binades, one in each other
+        edge = e < binades[3] or e > binades[-4]
+        for m in mantissas if edge else mantissas[e % len(mantissas)::len(mantissas)]:
+            v = m * gen.uniform(-1, 1, (3, 5))
+            v[0, 0] = m * gen.choice([-1, 1])
+            # filter f sits 10*f binades below the peak, so the low binades hold zero filters
+            w = np.stack([np.ldexp(v[f].astype(dtype), e - 10 * f) for f in range(3)])
+            peak = np.abs(w).max()
+            try:
+                rng = ExponentRange.for_weights(w, code_bits)
+                ql, trace = quantize_layer(w, np.zeros(3), 3, rng)
+            except NumericError as exc:
+                past = exact_exponent(peak) > top
+                assert past or (dtype is np.float64 and e >= 510), (e, m, str(exc))
+                cause = "largest finite power of 2" if past else "overflows float64"
+                assert cause in str(exc)
+                continue
+            assert exact_exponent(peak) <= top and not (dtype is np.float64 and e >= 512), (e, m)
+            q = trace.quantized.reshape(w.shape)
+            assert np.isfinite(q).all(), (e, m)
+            assert np.array_equal(bits(q), bits(ql.dequantize(dtype))), (e, m)
+            (back,) = unpack_model(pack_model([ql]))
+            assert back == ql and np.array_equal(bits(back.dequantize(dtype)), bits(q)), (e, m)
