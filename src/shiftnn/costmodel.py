@@ -40,14 +40,13 @@ class CostReport:
     per_layer: list = field(default_factory=list)
 
 
-def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
+def op_counts(net: Network, k_map=None) -> CostReport:
     """Per-inference operation counts for one input image.
 
     k_map maps each weight name to a per-filter k_i vector (or a scalar
-    applied to every filter) of integers in [0, packing.MAX_K].  With
-    multiply_baseline=True the model is costed as a multiplier design
-    (full-precision or fixed-point): one multiply per MAC and no shifts.
-    Pruned filters (k_i = 0) drop both their shifts and their accumulation
+    applied to every filter) of integers in [0, packing.MAX_K].  With no
+    k_map the model is costed as a multiplier design (full-precision or
+    fixed-point): one multiply per MAC and no shifts.  Pruned filters (k_i = 0) drop both their shifts and their accumulation
     adds.  Shortcut adds count one add per element of the destination map.
     """
     per_layer = []
@@ -55,13 +54,11 @@ def op_counts(net: Network, k_map=None, multiply_baseline=False) -> CostReport:
     for layer, out_shape in net.kernels():
         name = layer.weight_name
         P, V, F = math.prod(out_shape[1:]), layer.fan_in, out_shape[0]
-        if multiply_baseline:
+        if k_map is None:
             l_shift = 0
             l_mult = P * V * F
             l_add = P * F * (V - 1 + layer.bias)
         else:
-            if k_map is None:
-                raise ConfigError("op_counts needs k_map unless multiply_baseline is set")
             if name not in k_map:
                 raise ConfigError(f"k map has no entry for {name}")
             k_i = np.asarray(k_map[name])
@@ -100,12 +97,12 @@ def cost_report(net: Network, qlayers_by_name: dict | None = None, bits_per_weig
     The baseline stores every quantizable weight in bits_per_weight bits.
     """
     if qlayers_by_name is None:
-        report = op_counts(net, multiply_baseline=True)
+        report = op_counts(net)
         weights = sum(math.prod(layer.weight_shape) for layer, _ in net.kernels())
         report.storage_bits = weights * bits_per_weight
         return report
     k_map = {name: q.k_i for name, q in qlayers_by_name.items()}
-    report = op_counts(net, k_map=k_map)
+    report = op_counts(net, k_map)
     report.storage_bits = packing.storage_bits([qlayers_by_name[name] for name in net.weight_names])
     return report
 

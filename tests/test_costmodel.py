@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,8 +126,8 @@ def test_k_map_shape_checked():
     net = small_net()
     with pytest.raises(ConfigError, match="L0.W"):
         op_counts(net, {**K_MAP, "L0.W": [1, 1, 1]})
-    with pytest.raises(ConfigError):
-        op_counts(net)
+    # with no k map, the multiplier design that cost_report prices
+    assert op_counts(net) == replace(cost_report(net), storage_bits=0)
     # a weight missing from the map raised KeyError
     with pytest.raises(ConfigError, match="L0.W"):
         op_counts(net, {})
