@@ -46,8 +46,9 @@ def op_counts(net: Network, k_map=None) -> CostReport:
     k_map maps each weight name to a per-filter k_i vector (or a scalar
     applied to every filter) of integers in [0, packing.MAX_K].  With no
     k_map the model is costed as a multiplier design (full-precision or
-    fixed-point): one multiply per MAC and no shifts.  Pruned filters (k_i = 0) drop both their shifts and their accumulation
-    adds.  Shortcut adds count one add per element of the destination map.
+    fixed-point): one multiply per MAC and no shifts.  Pruned filters
+    (k_i = 0) drop both their shifts and their accumulation adds.
+    Shortcut adds count one add per element of the destination map.
     """
     per_layer = []
     shifts = adds = mults = 0
