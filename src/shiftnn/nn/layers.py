@@ -27,12 +27,13 @@ class Workspace:
     holds what was last written there until the next request for that key.
     A layer keys the arrays that outlive its call by its own name: what its
     train cache keeps and, but for Conv2D, the input gradient it returns.
-    Conv2D.backward writes the patch matrix of dy over the forward's, which
-    it no longer needs.  Temporaries that live only inside one call share
+    Every Conv2D builds its patch matrices in the one area COLS, which none
+    keeps past its call.  Temporaries that live only inside one call share
     the area TMP.
     """
 
     TMP = "tmp"
+    COLS = "cols"
 
     def __init__(self):
         self._areas = {}
@@ -48,6 +49,10 @@ class Workspace:
     def holds(self, a):
         """Whether a may lie in one of the areas."""
         return any(np.may_share_memory(a, area) for area in self._areas.values())
+
+    def areas(self):
+        """The byte array of each key's area, by key."""
+        return dict(self._areas)
 
 
 def _array(ws, key, shape, dtype):
@@ -213,15 +218,15 @@ class Conv2D(Kernel):
     one, so a bias would cost an add per output and drift on Adam-scaled noise.
 
     A patch matrix is k*k times its activation, too big for the cache.  The
-    eval forward and the stride-1 input gradient read theirs (x's, dy's) in
-    one GEMM only, so they build it in chunks of whole samples of at most
+    forward and the stride-1 input gradient read theirs (x's, dy's) in one
+    GEMM only, so they build it in chunks of whole samples of at most
     CHUNK_BYTES, each chunk followed by its columns of the GEMM.  That split
     leaves every output's sum as it was, and each chunk but the last spans a
     multiple of 64 columns, so that OpenBLAS tiles it as the whole product:
-    the results keep their bits.  The train forward keeps its whole patch
-    matrix for dW, whose GEMM sums over every column; a split there would
-    reorder the sums.  Each chunk overwrites Workspace.TMP, so no array that
-    a later chunk reads may lie there.
+    the results keep their bits.  dW's GEMM sums over every column, so the
+    train cache keeps x, and backward rebuilds its whole patch matrix in
+    Workspace.COLS, one conv's at a time.  Each chunk overwrites
+    Workspace.TMP, so no array that a later chunk reads may lie there.
     """
 
     bias = False
@@ -250,36 +255,31 @@ class Conv2D(Kernel):
             raise ConfigError(f"{self.name}: kernel does not fit {H}x{W} input")
         return (self.out_channels, Ho, Wo)
 
-    def _gemm(self, w2, a, stride, pad, out, ws, chunked=True):
-        """Fills NCHW out with w2 @ im2col(a), in chunks (see the class) or in one.
-
-        The patch matrices go to the array "<name>.cols"; returns the last.
-        """
+    def _gemm(self, w2, a, stride, pad, out, ws):
+        """Fills NCHW out with w2 @ im2col(a), in chunks (see the class)."""
         N, O, Ho, Wo = out.shape
         step = 64 // math.gcd(64, Ho * Wo)
-        size = (max(1, CHUNK_BYTES // (w2.shape[1] * Ho * Wo * a.itemsize * step)) * step
-                if chunked else N)
+        size = max(1, CHUNK_BYTES // (w2.shape[1] * Ho * Wo * a.itemsize * step)) * step
         k = self.kernel
         for lo in range(0, N, size):
             hi = min(lo + size, N)
-            cols, _, _ = im2col(a[lo:hi], k, k, stride, pad, ws, f"{self.name}.cols")
+            cols, _, _ = im2col(a[lo:hi], k, k, stride, pad, ws, Workspace.COLS)
             y = np.matmul(w2, cols, out=_array(ws, Workspace.TMP, (O, cols.shape[1]), out.dtype))
             out[lo:hi] = y.reshape(O, hi - lo, Ho, Wo).transpose(1, 0, 2, 3)
-        return cols
 
     def forward(self, x, params, state, train, ws=None):
         w = params[self.weight_name]
         y = np.empty((x.shape[0],) + self.out_shape(x.shape[1:]), np.result_type(w, x))
-        cols = self._gemm(w.reshape(self.out_channels, -1), x, self.stride, self.pad, y, ws,
-                          chunked=not train)
-        return y, ((cols, x.shape) if train else None)
+        self._gemm(w.reshape(self.out_channels, -1), x, self.stride, self.pad, y, ws)
+        return y, (x if train else None)
 
     def backward(self, dy, cache, params, ws=None, need_dx=True):
-        cols, x_shape = cache
+        x = cache
         w = params[self.weight_name]
         k, O = self.kernel, self.out_channels
-        N, C, H, W = x_shape
-        _, Ho, Wo = self.out_shape(x_shape[1:])
+        N, C, H, W = x.shape
+        # before dy2 takes TMP, which im2col's plane overwrites
+        cols, Ho, Wo = im2col(x, k, k, self.stride, self.pad, ws, Workspace.COLS)
         dy2 = _array(ws, Workspace.TMP, (O, N, Ho, Wo), dy.dtype)
         np.copyto(dy2, dy.transpose(1, 0, 2, 3))
         dy2 = dy2.reshape(O, N * Ho * Wo)
@@ -293,13 +293,13 @@ class Conv2D(Kernel):
             # overwrite the spent cols.  They have O*k*k rows to the forward's C*k*k,
             # so a widening conv (O > C) keeps the col2im scatter: faster and smaller.
             wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, O * k * k)
-            dx = np.empty(x_shape, np.result_type(wt, dy))
+            dx = np.empty(x.shape, np.result_type(wt, dy))
             self._gemm(wt, dy, 1, k - 1 - self.pad, dx, ws)
         else:
             w2 = w.reshape(O, -1).T
-            dcols = _array(ws, f"{self.name}.cols", cols.shape, np.result_type(w2, dy2))
+            dcols = _array(ws, Workspace.COLS, cols.shape, np.result_type(w2, dy2))
             np.matmul(w2, dy2, out=dcols)
-            dx = col2im(dcols, x_shape, k, k, self.stride, self.pad, Ho, Wo, ws).copy()  # TMP view
+            dx = col2im(dcols, x.shape, k, k, self.stride, self.pad, Ho, Wo, ws).copy()  # TMP view
         return dx, grads
 
 

@@ -196,8 +196,10 @@ class Network:
         Only a train forward keeps the layer caches that backward reads; an
         eval forward builds none and returns None as its cache.  A train
         cache serves one backward, and only until the next train forward on
-        this network: both reuse its memory.  An eval forward leaves it valid;
-        it keeps no buffers, and drops those of the train steps that no cache holds.
+        this network: both reuse its memory.  It refers to each conv's input,
+        x among them, not a copy, so x must not change before backward.  An
+        eval forward leaves it valid; it keeps no buffers, and drops those of
+        the train steps that no cache holds.
         """
         x = np.asarray(x)
         if x.shape[1:] != tuple(self.config.input_shape):

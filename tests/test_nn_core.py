@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -214,19 +216,39 @@ class TestWorkspace:
         net, params, state = build_network(get_preset("mnist2"), seed=30)
         x, y = self.batches(net, 3, 8, seed=31)
         train_step(net, params, state, x[0], y[0])  # cold: the buffers are allocated
-        logits, cache = net.forward(x[1], params, state, train=True)
-        cols = cache["caches"][0][0]  # L0's patch matrix
+        cols = net._workspace.areas()[Workspace.COLS]  # the convs' shared patch area
+        x1 = x[1]
+        logits, cache = net.forward(x1, params, state, train=True)
+        assert cache["caches"][0] is x1  # L0's train cache is its input, not a copy
         _, dlogits = cross_entropy(logits, y[1])
         grads = net.backward(cache, dlogits, params)
         kept = [a.copy() for a in (logits, *grads.values())]
 
         logits2, cache2 = net.forward(x[2], params, state, train=True)
-        cols2 = cache2["caches"][0][0]
-        assert cols2.__array_interface__["data"][0] == cols.__array_interface__["data"][0]
         grads2 = net.backward(cache2, cross_entropy(logits2, y[2])[1], params)
+        assert net._workspace.areas()[Workspace.COLS] is cols
         assert not np.array_equal(grads2["L0.W"], grads["L0.W"])
         for was, now in zip(kept, (logits, *grads.values())):
             assert np.array_equal(was, now)
+
+    def test_warm_net2_step_keeps_one_patch_area(self):
+        # no conv keeps its patch matrix from forward to backward: each is built
+        # in one shared area, whole at most for the conv whose backward runs
+        net, params, state = build_network(get_preset("net2"), seed=40)
+        x, y = self.batches(net, 2, 16, seed=41)
+        train_step(net, params, state, x[0], y[0])
+        logits, cache = net.forward(x[1], params, state, train=True)
+        net.backward(cache, cross_entropy(logits, y[1])[1], params)
+        areas = net._workspace.areas()
+        assert [key for key in areas if key.split(".")[-1] == "cols"] == [Workspace.COLS]
+        largest = max(layer.fan_in * 16 * math.prod(shape[1:]) * 4
+                      for layer, shape in net.kernels() if isinstance(layer, Conv2D))
+        assert largest < 10e6 and areas[Workspace.COLS].nbytes <= largest
+        inputs = [c for layer, c in zip(net.layers, cache["caches"]) if isinstance(layer, Conv2D)]
+        inputs += [c for c in cache["skip_caches"].values() if c is not None]  # projections
+        assert len(inputs) == len(net.kernels()) - 1  # every conv: all kernels but the dense
+        for conv_input in inputs:
+            assert not np.may_share_memory(conv_input, areas[Workspace.TMP])
 
     def test_backward_on_an_older_cache_raises(self):
         net, params, state = build_network(two_conv_config(), seed=32)
@@ -298,8 +320,9 @@ CONVS = [pytest.param(preset, layer, shape, id=f"{preset}-{layer.name}")
 
 
 def chunked(monkeypatch, call, n, sample_cols, rows):
-    """call() with CHUNK_BYTES set so that its n samples run in three or more
-    chunks, the last one partial; checks the chunks that ran.
+    """call() with CHUNK_BYTES set so that a chunked GEMM over n samples runs in
+    three or more chunks, the last one partial; returns call()'s result and the
+    sample count of each patch matrix built, in order.
 
     The budget holds step - 1 samples more than a chunk of whole multiples of
     64 columns, which the chunks must not take: on mnist2's 14x14 conv, a
@@ -318,9 +341,21 @@ def chunked(monkeypatch, call, n, sample_cols, rows):
         m.setattr(layers, "CHUNK_BYTES", (size + step - 1) * rows * sample_cols * 4)
         m.setattr(layers, "im2col", recording)
         result = call()
+    return result, batches
+
+
+def check_chunks(batches, sample_cols):
+    """The chunks of one chunked GEMM: three or more, of whole multiples of 64
+    columns but the last, which is partial."""
     assert len(batches) >= 3 and 0 < batches[-1] < batches[0]
     assert all(b * sample_cols % 64 == 0 for b in batches[:-1])
-    return result
+
+
+def one_chunk(monkeypatch, call):
+    """call() with a CHUNK_BYTES that holds every patch matrix whole."""
+    with monkeypatch.context() as m:
+        m.setattr(layers, "CHUNK_BYTES", 1 << 40)
+        return call()
 
 
 class TestChunkedConv:
@@ -337,28 +372,35 @@ class TestChunkedConv:
     def test_eval_forward_matches_train_forward(self, monkeypatch, preset, layer, shape, ragged):
         n = 37 if ragged else EVAL_BATCH[preset]
         params, x = self.setup(layer, shape, n, seed=40)
-        want, _ = layer.forward(x, params, {}, train=True, ws=Workspace())
+        want, _ = one_chunk(monkeypatch, lambda: layer.forward(x, params, {}, train=False))
         _, Ho, Wo = layer.out_shape(shape)
-        got, _ = chunked(monkeypatch, lambda: layer.forward(x, params, {}, train=False),
-                         n, Ho * Wo, layer.fan_in)
-        assert got.flags.c_contiguous
-        assert np.array_equal(bits(got), bits(want))
+        for train, ws in ((True, Workspace()), (False, None)):
+            (got, cache), batches = chunked(
+                monkeypatch, lambda: layer.forward(x, params, {}, train=train, ws=ws),
+                n, Ho * Wo, layer.fan_in)
+            check_chunks(batches, Ho * Wo)
+            assert got.flags.c_contiguous
+            assert np.array_equal(bits(got), bits(want)), train
+            assert cache is (x if train else None)
 
-    @pytest.mark.parametrize("preset,layer,shape", [
-        p for p in CONVS if p.values[1].stride == 1 and p.values[1].out_channels <= p.values[2][0]
-    ])
+    @pytest.mark.parametrize("preset,layer,shape", CONVS)
     def test_chunked_input_gradient_matches_one_chunk(self, monkeypatch, preset, layer, shape):
+        # dW's GEMM takes the whole patch matrix of x, rebuilt; the input gradient of a
+        # stride-1 conv that does not widen is a chunked conv of dy, the others scatter
         n = 37
         params, x = self.setup(layer, shape, n, seed=41)
         ws = Workspace()
         y, cache = layer.forward(x, params, {}, train=True, ws=ws)
         dy = np.random.default_rng(42).standard_normal(y.shape).astype(np.float32)
-        monkeypatch.setattr(layers, "CHUNK_BYTES", 1 << 40)
-        want_dx, want = layer.backward(dy, cache, params, ws=ws)
-        _, cache = layer.forward(x, params, {}, train=True, ws=ws)
+        want_dx, want = one_chunk(monkeypatch, lambda: layer.backward(dy, cache, params, ws=ws))
         _, H, W = shape
-        dx, grads = chunked(monkeypatch, lambda: layer.backward(dy, cache, params, ws=ws),
-                            n, H * W, layer.out_channels * layer.kernel ** 2)
+        (dx, grads), batches = chunked(monkeypatch, lambda: layer.backward(dy, cache, params, ws=ws),
+                                       n, H * W, layer.out_channels * layer.kernel ** 2)
+        assert batches[0] == n
+        if layer.stride == 1 and layer.out_channels <= shape[0]:
+            check_chunks(batches[1:], H * W)
+        else:
+            assert batches == [n]
         assert np.array_equal(bits(dx), bits(want_dx))
         assert grads.keys() == want.keys()
         for name in want:
