@@ -235,6 +235,26 @@ def _as_thresholds(t, k: int) -> np.ndarray:
     return t[:k]
 
 
+def _norms(r):
+    """The L2 norm of each row of r, accumulated in float64.
+
+    A float64 row's squares under- or overflow where its norm lies outside
+    [2**-500, 2**500]; such a row is summed again scaled by the power of 2
+    that brings its peak into [1/2, 1), and its norm scaled back.  A scale
+    for the whole layer would underflow the squares of its other rows.
+    float32 squares never leave that range.
+    """
+    norms = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
+    if r.dtype == np.float64:
+        far = np.flatnonzero(~((2.0**-500 <= norms) & (norms <= 2.0**500)))
+        if far.size:
+            e = np.frexp(np.abs(r[far]).max(axis=1))[1]
+            scaled = np.ldexp(r[far], -e[:, None])
+            with np.errstate(over="ignore"):  # a norm past float64's range is inf
+                norms[far] = np.ldexp(np.sqrt(np.einsum("fn,fn->f", scaled, scaled)), e)
+    return norms
+
+
 def quantize_layer(w, t, k: int, rng: ExponentRange):
     """Threshold-gated recursive quantization of a whole layer.
 
@@ -262,7 +282,7 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     codes = np.empty((k, F, n), dtype=np.uint8)
 
     residuals[0] = flat
-    norms[0] = np.sqrt(np.einsum("fn,fn->f", flat, flat, dtype=np.float64))
+    norms[0] = _norms(flat)
     bad = np.flatnonzero(~np.isfinite(norms[0]))
     if bad.size:
         # a NaN norm never exceeds a threshold, so the filter would look pruned
@@ -282,7 +302,7 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
         term[~fired[j]] = 0  # r - 0 is r, bit for bit: closed gates keep their residual
         r = np.subtract(r, term, out=residuals[j + 1] if j + 1 < k else term)
         if j + 1 < k:
-            norms[j + 1] = np.sqrt(np.einsum("fn,fn->f", r, r, dtype=np.float64))
+            norms[j + 1] = _norms(r)
     # w - r_k is dequantize's sum, bit for bit (+0.0 at k = 0), when no |w| rounds above
     # 2**e_max, a float of w's dtype (as with for_weights).  Each r - R(r) is exact by
     # Sterbenz's lemma: R(r) is within a factor sqrt 2 of r, 2 at the e_min clamp, or 0.

@@ -474,13 +474,31 @@ class TestSpecialCases:
         assert tr.fired.all()
 
     def test_overflowing_filter_norm_is_named(self, wide):
-        # finite weights whose squared norm overflows float64 were blamed on non-finite weights
-        w = np.array([[1e200, 1.0], [1.0, 2.0]])
+        # finite weights whose norm overflows float64 were blamed on non-finite weights
+        w = np.array([[1.5e308, 1.5e308], [1.0, 2.0]])
         with pytest.raises(NumericError, match="norm of filter 0 overflows float64"):
             quantize_layer(w, [0.0, 0.0], 2, wide)
         w[1, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite weights, the first is filter 1"):
             quantize_layer(w, [0.0, 0.0], 2, wide)
+
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_far_filter_norms_scale_exactly(self, shift):
+        # float64 squares of 2**-600 underflow to 0, which pruned such a filter at
+        # threshold 0, and those of 2**600 overflow; a 2**shift copy of a layer must
+        # quantize as the layer does, with norms 2**shift times as large, bit for bit
+        gen = np.random.default_rng(31)
+        w = gen.normal(size=(6, 9)) * np.exp2(gen.integers(-4, 5, size=(6, 1)))
+        w[5] = 0.0
+        t = np.exp2(gen.integers(-3, 4, size=3).astype(float))
+        t[0] = 0.0
+        rng = ExponentRange.for_weights(w)
+        want_ql, want = quantize_layer(w, t, 3, rng)
+        got_ql, got = quantize_layer(np.ldexp(w, shift), np.ldexp(t, shift), 3,
+                                     ExponentRange(rng.e_max + shift))
+        assert np.array_equal(got_ql.k_i, want_ql.k_i) and np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.norms, np.ldexp(want.norms, shift))
+        assert (got.fired[0] == (w != 0).any(axis=1)).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_weight_rejected(self, wide, bad):
@@ -517,17 +535,18 @@ def test_quantizer_over_every_binade(dtype, code_bits):
             v[0, 0] = m * gen.choice([-1, 1])
             # filter f sits 10*f binades below the peak, so the low binades hold zero filters
             w = np.stack([np.ldexp(v[f].astype(dtype), e - 10 * f) for f in range(3)])
-            peak = np.abs(w).max()
+            past = exact_exponent(np.abs(w).max()) > top
+            overflows = any(math.isinf(math.hypot(*row)) for row in w.astype(np.float64))
             try:
                 rng = ExponentRange.for_weights(w, code_bits)
                 ql, trace = quantize_layer(w, np.zeros(3), 3, rng)
             except NumericError as exc:
-                past = exact_exponent(peak) > top
-                assert past or (dtype is np.float64 and e >= 510), (e, m, str(exc))
+                assert past or overflows, (e, m, str(exc))
                 cause = "largest finite power of 2" if past else "overflows float64"
                 assert cause in str(exc)
                 continue
-            assert exact_exponent(peak) <= top and not (dtype is np.float64 and e >= 512), (e, m)
+            assert not (past or overflows), (e, m)
+            assert (trace.fired[0] == (w != 0).any(axis=1)).all(), (e, m)  # no norm reads 0
             q = trace.quantized.reshape(w.shape)
             assert np.isfinite(q).all(), (e, m)
             assert np.array_equal(bits(q), bits(ql.dequantize(dtype))), (e, m)
