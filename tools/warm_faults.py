@@ -15,6 +15,8 @@ process (glibc's trim threshold follows the largest block freed so far),
 so run one probe per process to read its own count.  Each line also gives
 the process's peak resident set so far (ru_maxrss), because fewer faults
 can cost a higher peak: memory kept across calls is not faulted in again.
+A train line adds the bytes of the network's train workspace, which warm
+steps reuse, and its largest area.
 """
 
 import functools
@@ -46,6 +48,15 @@ def warm_calls(call, warm, calls, what):
             f"peak RSS {peak_mb:.1f} MB")
 
 
+def workspace_size(net):
+    """The bytes of net's train workspace and of its largest area, in MB as peak RSS is.
+
+    Keeps no reference to an area: the next evaluate call drops them."""
+    sizes = {key: area.nbytes / 2**20 for key, area in net._workspace.areas().items()}
+    largest = max(sizes, key=sizes.get)
+    return f"train workspace {sum(sizes.values()):.1f} MB, largest area {largest!r} {sizes[largest]:.1f} MB"
+
+
 def probe(preset, batch, eval_batch, threshold, steps, warm=3):
     net = Network(get_preset(preset))
     settings = loop.TrainSettings(batch_size=batch, lambdas=(1e-4, 1e-3), threshold_init=threshold)
@@ -54,7 +65,7 @@ def probe(preset, batch, eval_batch, threshold, steps, warm=3):
     x = rng.standard_normal((2, batch) + tuple(net.config.input_shape)).astype(np.float32)
     y = rng.integers(0, net.config.classes, (2, batch))
     line = warm_calls(lambda i: loop.train_batch(ts, x[i % 2], y[i % 2]), warm, steps, "step")
-    print(f"{preset} B={batch}: {line}")
+    print(f"{preset} B={batch}: {line}, {workspace_size(net)}")
 
     qparams, _ = loop.quantize_weights(net, ts.params, ts.thresholds, settings)
     xe = rng.standard_normal((eval_batch,) + tuple(net.config.input_shape)).astype(np.float32)
