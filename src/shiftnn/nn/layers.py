@@ -25,15 +25,18 @@ class Workspace:
 
     array(key, shape, dtype) is a view of one grow-only area per key, so it
     holds what was last written there until the next request for that key.
-    A layer keys the arrays that outlive its call by its own name: what its
-    train cache keeps and, but for Conv2D, the input gradient it returns.
-    Every Conv2D builds its patch matrices in the one area COLS, which none
-    keeps past its call.  Temporaries that live only inside one call share
-    the area TMP.
+    A layer keys what its train cache keeps by its own name.  A backward
+    writes its input gradient into the GRADS area that its dy does not lie
+    in, and Network.backward sums a node gradient that skips read in a skip
+    slot, SKIP.format(k).  Every Conv2D builds its patch matrices in the one
+    area COLS, which none keeps past its call.  Temporaries that live only
+    inside one call share the area TMP.
     """
 
     TMP = "tmp"
     COLS = "cols"
+    GRADS = ("grad0", "grad1")
+    SKIP = "skip{}"
 
     def __init__(self):
         self._areas = {}
@@ -58,6 +61,14 @@ class Workspace:
 def _array(ws, key, shape, dtype):
     """The workspace's array for key, or a new array when there is no workspace."""
     return np.empty(shape, dtype) if ws is None else ws.array(key, shape, dtype)
+
+
+def _grad(ws, dy, shape, dtype):
+    """The array for the input gradient from dy: ws's GRADS area that dy does not lie in."""
+    if ws is None:
+        return np.empty(shape, dtype)
+    first = ws.areas().get(Workspace.GRADS[0], np.empty(0))
+    return ws.array(Workspace.GRADS[np.may_share_memory(dy, first)], shape, dtype)
 
 
 def _taps(plane, channels, P, kh, kw, stride, Ho, Wo):
@@ -155,8 +166,8 @@ class Layer:
     (dx, grads), which reads only train caches: an eval forward may return
     None.  With need_dx false, backward skips the input gradient and returns
     None for dx; the parameter gradients keep their bits.  With a Workspace
-    ws, a layer may keep its cache, its temporaries and its dx in ws's
-    arrays; without one it allocates them.
+    ws, a layer may keep its cache and temporaries in ws's arrays, and its dx
+    in the GRADS area that dy does not lie in; without one it allocates them.
     """
 
     def __init__(self, name):
@@ -287,19 +298,19 @@ class Conv2D(Kernel):
         grads = {self.weight_name: (cols @ dy2.T).T.reshape(w.shape)}
         if not need_dx:
             return None, grads
+        dx = _grad(ws, dy, x.shape, np.result_type(w, dy))
         if self.stride == 1 and self.pad < k and O <= C:
             # A stride-1 input gradient is itself a convolution: dy padded by k-1-pad,
             # against the flipped kernel with in/out channels swapped; its patches
             # overwrite the spent cols.  They have O*k*k rows to the forward's C*k*k,
             # so a widening conv (O > C) keeps the col2im scatter: faster and smaller.
             wt = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, O * k * k)
-            dx = np.empty(x.shape, np.result_type(wt, dy))
             self._gemm(wt, dy, 1, k - 1 - self.pad, dx, ws)
         else:
             w2 = w.reshape(O, -1).T
-            dcols = _array(ws, Workspace.COLS, cols.shape, np.result_type(w2, dy2))
+            dcols = _array(ws, Workspace.COLS, cols.shape, dx.dtype)
             np.matmul(w2, dy2, out=dcols)
-            dx = col2im(dcols, x.shape, k, k, self.stride, self.pad, Ho, Wo, ws).copy()  # TMP view
+            np.copyto(dx, col2im(dcols, x.shape, k, k, self.stride, self.pad, Ho, Wo, ws))
         return dx, grads
 
 
@@ -371,7 +382,7 @@ class BatchNorm2D(Layer):
         # (g*invstd/m) * (m*dy - dbeta - xhat*dgamma), Ioffe & Szegedy: in place, in this order
         g = params[f"{self.name}.gamma"]
         m = dy.size // dy.shape[1]
-        dx = np.multiply(dy, m, out=_array(ws, f"{self.name}.dx", dy.shape, np.result_type(dy, g)))
+        dx = np.multiply(dy, m, out=_grad(ws, dy, dy.shape, np.result_type(dy, g)))
         dx -= dbeta[None, :, None, None]
         dx -= np.multiply(xhat, dgamma[None, :, None, None], out=tmp)
         dx *= (g * invstd / m)[None, :, None, None]
@@ -400,7 +411,7 @@ class LeakyReLU(Layer):
         # take works on intp indices and would convert the mask into a new array
         idx = _array(ws, Workspace.TMP, neg.shape, np.intp)
         np.copyto(idx, neg)
-        dx = _array(ws, f"{self.name}.dx", neg.shape, dy.dtype)
+        dx = _grad(ws, dy, neg.shape, dy.dtype)
         # mode="raise" would make take write into a temporary and copy it to dx
         np.array([1, self.slope], dtype=dy.dtype).take(idx, out=dx, mode="clip")
         dx *= dy
@@ -454,7 +465,7 @@ class MaxPool2D(Layer):
         # Each gradient is its bit pattern times the 0/1 hit mask: exactly dy or
         # +0.0, with no 0*inf and no -0.0.
         ybits, dybits = y.view(f"u{y.itemsize}"), dy.view(f"u{dy.itemsize}")
-        dx = _array(ws, f"{self.name}.dx", x.shape, dy.dtype)
+        dx = _grad(ws, dy, x.shape, dy.dtype)
         xw, dxw = self._windows(x.view(ybits.dtype)), self._windows(dx.view(dybits.dtype))
         todo, hit = _array(ws, Workspace.TMP, (2,) + y.shape, bool)
         todo.fill(True)

@@ -254,6 +254,9 @@ class Network:
         cache must come from this network's latest train forward and not
         have been through backward yet: either would have overwritten the
         arrays it points to.  None of the returned arrays is workspace memory.
+        Node gradients live in the workspace until their layer has run backward:
+        the chain's in two GRADS areas, those that skips read in the lowest free
+        skip slot, where later gradients add in place (the bits of before + dx).
         """
         if not isinstance(cache, dict) or cache.get("net") is not self:
             raise ValueError("cache does not belong to this network's forward pass")
@@ -264,8 +267,8 @@ class Network:
         cache["generation"] = None
         ws = self._workspace
         grads = {}
-        node_grads = [None] * len(self.layers)
-        node_grads[-1] = dlogits
+        node_grads = [None] * (len(self.layers) - 1) + [dlogits]
+        slots = {}  # node -> the skip slot that holds its gradient
         for i in range(len(self.layers) - 1, -1, -1):
             g = node_grads[i]
             if i in self.skips:
@@ -273,13 +276,19 @@ class Network:
                 branch_grad, pgrads = ((g, {}) if proj is None
                                        else proj.backward(g, cache["skip_caches"][i], params, ws=ws))
                 grads.update(pgrads)
-                before = node_grads[src]
-                node_grads[src] = branch_grad.copy() if before is None else before + branch_grad
+                if node_grads[src] is None:  # skips reach src before its chain gradient does
+                    slots[src] = min(set(range(len(slots) + 1)) - set(slots.values()))
+                    key = Workspace.SKIP.format(slots[src])
+                    node_grads[src] = ws.array(key, branch_grad.shape, branch_grad.dtype)
+                    np.copyto(node_grads[src], branch_grad)
+                else:
+                    node_grads[src] += branch_grad
             dx, layer_grads = self.layers[i].backward(g, cache["caches"][i], params, ws=ws, need_dx=i > 0)
             grads.update(layer_grads)  # each parameter belongs to one layer
+            slots.pop(i, None)
             if i > 0:
                 before = node_grads[i - 1]
-                node_grads[i - 1] = dx if before is None else before + dx
+                node_grads[i - 1] = dx if before is None else np.add(before, dx, out=before)
         return grads
 
 

@@ -228,15 +228,15 @@ def train_batch(ts: TrainState, xb, yb):
     # dL/dw^q applies to the master weights (straight-through).  net.param_names,
     # then thresholds: the clip norm sums in this order.
     grads = {name: net_grads[name] for name in net.param_names}
-    for name, g in reg_grads.items():
-        grads[name] = grads[name] + g
-    if s.mode == "flex":
+    if s.mode == "flex":  # from dL/dw^q, before the regularizer adds into it
         tgrad = np.zeros_like(ts.thresholds)
         for g, name in enumerate(net.weight_names):
             upstream = net_grads[name].reshape(net_grads[name].shape[0], -1)
             row = _threshold_row(s, g)
             tgrad[row] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[row], s.tau)
         grads["t"] = tgrad
+    for name, g in reg_grads.items():
+        grads[name] += g
 
     if s.clip_norm and s.clip_norm > 0:
         sq = 0.0
@@ -246,8 +246,8 @@ def train_batch(ts: TrainState, xb, yb):
             sq += float((g * g).sum()) if name == "t" else float(np.einsum("i,i->", g, g))
         norm = np.sqrt(sq)
         if norm > s.clip_norm:
-            scale = s.clip_norm / norm
-            grads = {k: g * np.asarray(scale, dtype=g.dtype) for k, g in grads.items()}
+            for g in grads.values():
+                g *= np.asarray(s.clip_norm / norm, dtype=g.dtype)
 
     params = {k: ts.params[k] for k in net.param_names}
     if s.mode == "flex":

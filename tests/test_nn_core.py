@@ -204,6 +204,41 @@ def train_step(net, params, state, x, labels):
     return logits, net.backward(cache, dlogits, params)
 
 
+def overlapping_skips_config():
+    """Skips 0->4 and 2->7 overlap, node 2 feeds two skips (2->5 too), and node 5
+    takes one and feeds another (5->10): backward needs two skip slots."""
+    def block(channels, stride=1):
+        return [LayerSpec("conv2d", {"out_channels": channels, "kernel": 3, "stride": stride,
+                                     "pad": 1}),
+                LayerSpec("batchnorm", {}), LayerSpec("leaky-relu", {})]
+    layers = (block(4) + block(4) + block(6, stride=2) + block(6)
+              + [LayerSpec("flatten", {}), LayerSpec("dense", {"out_features": 3})])
+    skips = [SkipSpec(0, 4), SkipSpec(2, 5), SkipSpec(2, 7), SkipSpec(5, 10)]
+    return NetworkConfig("overlap", (2, 6, 6), 3, layers, skips)
+
+
+def reference_backward(net, cache, dlogits, params):
+    """Network.backward without a workspace: every layer allocates its input
+    gradient and every sum is a new array, in the same order."""
+    grads = {}
+    node_grads = [None] * len(net.layers)
+    node_grads[-1] = dlogits
+    for i in range(len(net.layers) - 1, -1, -1):
+        g = node_grads[i]
+        if i in net.skips:
+            src, proj = net.skips[i]
+            branch = g
+            if proj is not None:
+                branch, pgrads = proj.backward(g, cache["skip_caches"][i], params)
+                grads.update(pgrads)
+            node_grads[src] = branch if node_grads[src] is None else node_grads[src] + branch
+        dx, layer_grads = net.layers[i].backward(g, cache["caches"][i], params, need_dx=i > 0)
+        grads.update(layer_grads)
+        if i > 0:
+            node_grads[i - 1] = dx if node_grads[i - 1] is None else node_grads[i - 1] + dx
+    return grads
+
+
 class TestWorkspace:
     """Train steps reuse the network's buffers; what they return stays the caller's."""
 
@@ -249,6 +284,39 @@ class TestWorkspace:
         assert len(inputs) == len(net.kernels()) - 1  # every conv: all kernels but the dense
         for conv_input in inputs:
             assert not np.may_share_memory(conv_input, areas[Workspace.TMP])
+
+    @pytest.mark.parametrize("config,batch", [
+        pytest.param(get_preset("mnist2"), 4, id="mnist2"),
+        pytest.param(get_preset("net2"), 4, id="net2"),
+        pytest.param(overlapping_skips_config(), 3, id="overlapping-skips"),
+    ])
+    def test_rotating_gradient_areas_keep_every_gradient(self, config, batch):
+        net, params, state = build_network(config, seed=42)
+        x, y = self.batches(net, 2, batch, seed=43)
+        for step in range(2):  # cold, then warm: the areas are reused
+            logits, cache = net.forward(x[step], params, state, train=True)
+            _, dlogits = cross_entropy(logits, y[step])
+            want = reference_backward(net, cache, dlogits, params)
+            got = net.backward(cache, dlogits, params)
+            assert got.keys() == want.keys() == params.keys()
+            for name in want:
+                assert np.array_equal(bits(got[name]), bits(want[name])), (step, name)
+        slots = [key for key in net._workspace.areas() if key.startswith("skip")]
+        assert len(slots) == {"mnist2": 0, "net2": 1, "overlap": 2}[config.id]
+
+    def test_warm_net2_step_holds_two_gradient_areas_and_one_skip_slot(self):
+        # node gradients live in two shared areas and a skip slot, not one area per layer
+        net, params, state = build_network(get_preset("net2"), seed=44)
+        x, y = self.batches(net, 2, 16, seed=45)
+        for step in range(2):
+            train_step(net, params, state, x[step], y[step])
+        areas = net._workspace.areas()
+        assert not [key for key in areas if key.endswith(".dx")]
+        largest = max(16 * math.prod(shape) * 4 for shape in net.node_shapes)
+        assert largest == 16 * 16 * 32 * 32 * 4
+        assert all(areas[key].nbytes <= largest for key in Workspace.GRADS)
+        assert [key for key in areas if key.startswith("skip")] == [Workspace.SKIP.format(0)]
+        assert sum(area.nbytes for area in areas.values()) < 26 * 2**20
 
     def test_backward_on_an_older_cache_raises(self):
         net, params, state = build_network(two_conv_config(), seed=32)
@@ -393,6 +461,7 @@ class TestChunkedConv:
         y, cache = layer.forward(x, params, {}, train=True, ws=ws)
         dy = np.random.default_rng(42).standard_normal(y.shape).astype(np.float32)
         want_dx, want = one_chunk(monkeypatch, lambda: layer.backward(dy, cache, params, ws=ws))
+        want_dx = want_dx.copy()  # the next backward from dy writes its dx into the same area
         _, H, W = shape
         (dx, grads), batches = chunked(monkeypatch, lambda: layer.backward(dy, cache, params, ws=ws),
                                        n, H * W, layer.out_channels * layer.kernel ** 2)
@@ -405,6 +474,27 @@ class TestChunkedConv:
         assert grads.keys() == want.keys()
         for name in want:
             assert np.array_equal(bits(grads[name]), bits(want[name])), name
+
+
+# the benchmark's train batch per preset (net4 and net1 are not benchmarked)
+TRAIN_BATCH = {"mnist2": 64, "net2": 16, "net4": 32, "net1": 16}
+
+
+@pytest.mark.parametrize("preset,layer,shape", CONVS)
+def test_conv_weight_gradient_is_one_gemm(preset, layer, shape):
+    # the same BLAS call on the same operands, so the check holds on any BLAS build;
+    # a dW summed in another order, such as two column halves, fails it
+    gen = np.random.default_rng(46)
+    params = layer.init_params(gen, np.float32)
+    x = gen.standard_normal((TRAIN_BATCH[preset],) + shape).astype(np.float32)
+    for ws in (Workspace(), None):
+        y, cache = layer.forward(x, params, {}, train=True, ws=ws)
+        dy = gen.standard_normal(y.shape).astype(np.float32)
+        _, grads = layer.backward(dy, cache, params, ws=ws)
+        cols = reference_im2col(x, layer.kernel, layer.stride, layer.pad)
+        dy2 = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(layer.out_channels, -1)
+        want = (cols @ dy2.T).T.reshape(layer.weight_shape)
+        assert np.array_equal(bits(grads[layer.weight_name]), bits(want))
 
 
 def out_size(H, W, k, stride, pad):

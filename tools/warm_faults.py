@@ -16,7 +16,8 @@ so run one probe per process to read its own count.  Each line also gives
 the process's peak resident set so far (ru_maxrss), because fewer faults
 can cost a higher peak: memory kept across calls is not faulted in again.
 A train line adds the bytes of the network's train workspace, which warm
-steps reuse, and its largest area.
+steps reuse, in all and by kind: layer caches, backward's two gradient
+areas, skip slots, the conv patch area cols and the temporaries' area tmp.
 """
 
 import functools
@@ -29,6 +30,7 @@ import numpy as np
 
 from shiftnn import costmodel, packing
 from shiftnn.nn import Network, get_preset
+from shiftnn.nn.layers import Workspace
 from shiftnn.trainer import loop
 
 
@@ -48,13 +50,25 @@ def warm_calls(call, warm, calls, what):
             f"peak RSS {peak_mb:.1f} MB")
 
 
+def area_kind(key):
+    """What a workspace area holds, by its key (see Workspace)."""
+    if key in Workspace.GRADS:
+        return "gradient areas"
+    if key.startswith(Workspace.SKIP.format("")):
+        return "skip slots"
+    return key if key in (Workspace.COLS, Workspace.TMP) else "layer caches"
+
+
 def workspace_size(net):
-    """The bytes of net's train workspace and of its largest area, in MB as peak RSS is.
+    """The bytes of net's train workspace, in all and by kind, in MB as peak RSS is.
 
     Keeps no reference to an area: the next evaluate call drops them."""
-    sizes = {key: area.nbytes / 2**20 for key, area in net._workspace.areas().items()}
-    largest = max(sizes, key=sizes.get)
-    return f"train workspace {sum(sizes.values()):.1f} MB, largest area {largest!r} {sizes[largest]:.1f} MB"
+    kinds = dict.fromkeys(["layer caches", "gradient areas", "skip slots", Workspace.COLS,
+                           Workspace.TMP], 0.0)
+    for key, area in net._workspace.areas().items():
+        kinds[area_kind(key)] += area.nbytes / 2**20
+    parts = ", ".join(f"{kind} {mb:.1f}" for kind, mb in kinds.items())
+    return f"train workspace {sum(kinds.values()):.1f} MB ({parts})"
 
 
 def probe(preset, batch, eval_batch, threshold, steps, warm=3):
