@@ -408,12 +408,12 @@ class LeakyReLU(Layer):
         if not need_dx:
             return None, {}
         neg = cache
-        # take works on intp indices and would convert the mask into a new array
-        idx = _array(ws, Workspace.TMP, neg.shape, np.intp)
-        np.copyto(idx, neg)
         dx = _grad(ws, dy, neg.shape, dy.dtype)
-        # mode="raise" would make take write into a temporary and copy it to dx
-        np.array([1, self.slope], dtype=dy.dtype).take(idx, out=dx, mode="clip")
+        # the factor's bits, one's where x >= 0 and slope's where x < 0, built in dx
+        # itself as bits(1) ^ (neg * (bits(1) ^ bits(slope))): no index array
+        one, slope = np.array([1, self.slope], dtype=dy.dtype).view(f"u{dy.itemsize}")
+        bits = np.multiply(neg, one ^ slope, out=dx.view(one.dtype))
+        bits ^= one
         dx *= dy
         return dx, {}
 

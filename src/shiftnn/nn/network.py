@@ -197,9 +197,9 @@ class Network:
         eval forward builds none and returns None as its cache.  A train
         cache serves one backward, and only until the next train forward on
         this network: both reuse its memory.  It refers to each conv's input,
-        x among them, not a copy, so x must not change before backward.  An
-        eval forward leaves it valid; it keeps no buffers, and drops those of
-        the train steps that no cache holds.
+        x among them, not a copy, so x must not change before backward, which
+        consumes the cache.  An eval forward leaves it valid; it keeps no
+        buffers, and drops those of the train steps that no cache holds.
         """
         x = np.asarray(x)
         if x.shape[1:] != tuple(self.config.input_shape):
@@ -253,7 +253,9 @@ class Network:
         The input gradient is not computed: layer 0 is asked for none.  The
         cache must come from this network's latest train forward and not
         have been through backward yet: either would have overwritten the
-        arrays it points to.  None of the returned arrays is workspace memory.
+        arrays it points to.  It consumes the cache, dropping each layer's entry
+        once that layer has run, so activations are freed as it goes.  None of
+        the returned arrays is workspace memory.
         Node gradients live in the workspace until their layer has run backward:
         the chain's in two GRADS areas, those that skips read in the lowest free
         skip slot, where later gradients add in place (the bits of before + dx).
@@ -266,6 +268,11 @@ class Network:
             raise ValueError("logit gradient batch size does not match the cached forward")
         cache["generation"] = None
         ws = self._workspace
+        # sized before any activation is freed: an area grown later takes a freed activation's
+        # place, and the next step's activations land at the heap top, trimmed and refaulted
+        size = cache["batch"] * max((int(np.prod(s)) for s in self.node_shapes[:-1]), default=0)
+        for key in Workspace.GRADS:
+            ws.array(key, (size,), dlogits.dtype)
         grads = {}
         node_grads = [None] * (len(self.layers) - 1) + [dlogits]
         slots = {}  # node -> the skip slot that holds its gradient
@@ -273,8 +280,8 @@ class Network:
             g = node_grads[i]
             if i in self.skips:
                 src, proj = self.skips[i]
-                branch_grad, pgrads = ((g, {}) if proj is None
-                                       else proj.backward(g, cache["skip_caches"][i], params, ws=ws))
+                pcache = cache["skip_caches"].pop(i)
+                branch_grad, pgrads = (g, {}) if proj is None else proj.backward(g, pcache, params, ws=ws)
                 grads.update(pgrads)
                 if node_grads[src] is None:  # skips reach src before its chain gradient does
                     slots[src] = min(set(range(len(slots) + 1)) - set(slots.values()))
@@ -284,6 +291,7 @@ class Network:
                 else:
                     node_grads[src] += branch_grad
             dx, layer_grads = self.layers[i].backward(g, cache["caches"][i], params, ws=ws, need_dx=i > 0)
+            cache["caches"][i] = None  # frees the activations only this layer read
             grads.update(layer_grads)  # each parameter belongs to one layer
             slots.pop(i, None)
             if i > 0:

@@ -27,7 +27,7 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr):
-    """Bias-corrected Adam update, applied in place; returns (params, state)."""
+    """Bias-corrected Adam update, in place via two scratch arrays per tensor; returns (params, state)."""
     if lr <= 0:
         raise ValueError(f"lr must be > 0, got {lr}")
     state.check(params, grads)
@@ -38,7 +38,9 @@ def adam_step(params, grads, state: AdamState, lr):
         g = grads[k]
         m = state.m[k]
         v = state.v[k]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        a, b = np.empty_like(p), np.empty_like(p)
+        m += np.multiply(1.0 - state.beta1, np.subtract(g, m, out=a), out=a)
+        v += np.multiply(1.0 - state.beta2, np.subtract(np.multiply(g, g, out=a), v, out=a), out=a)
+        np.multiply(lr, np.divide(m, c1, out=a), out=a)
+        p -= np.divide(a, np.add(np.sqrt(np.divide(v, c2, out=b), out=b), state.eps, out=b), out=a)
     return params, state

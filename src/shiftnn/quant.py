@@ -159,22 +159,33 @@ def round_pow2(x, rng: ExponentRange) -> np.ndarray:
 
 @dataclass
 class ResidualTrace:
-    """Per-round residuals of one layer's filters, flattened to (F, n).
+    """One layer's gated rounds, its filters flattened to (F, n); replay rebuilds the residuals.
 
-    residuals[j] is the residual entering round j (residuals[0] = w) and
-    norms[j] its L2 norm, accumulated in float64.  fired[j, f] is the
-    round-j gate of filter f.
-    codes[j] holds the round-j codes R(r_j) for every filter, whether or
-    not the gate fired; rng decodes them.  quantized is the quantized
-    weight w - r_k, with r_k the residual the last round leaves.
+    w is the layer's weight, not a copy: the trace holds while w is unchanged.
+    norms[j] is the L2 norm of the residual r_j entering round j (r_0 = w),
+    in float64, and fired[j, f] the round-j gate of filter f.  codes[j]
+    holds R(r_j) for every filter, whether or not the gate fired; rng
+    decodes them.  quantized is the quantized weight w - r_k.
     """
 
-    residuals: np.ndarray  # (k, F, n)
+    w: np.ndarray  # (F, n)
     norms: np.ndarray  # (k, F) float64
     fired: np.ndarray  # (k, F) bool
     codes: np.ndarray  # (k, F, n) uint8
     rng: ExponentRange
     quantized: np.ndarray  # (F, n), w's dtype
+
+    def replay(self, dtype=None):
+        """(residuals, values), both (k, F, n) in dtype, w's by default: each round's
+        r_j and decoded codes.  r_j is rebuilt from w as quantize_layer ran the rounds;
+        each fired r - R(r) is exact, so it has the bits seen there, widened or not."""
+        values = self.rng.decode(self.codes, self.w.dtype if dtype is None else dtype)
+        residuals = np.empty_like(values)
+        residuals[:1] = self.w
+        for j in range(len(values) - 1):
+            np.subtract(residuals[j], values[j], out=residuals[j + 1])
+            residuals[j + 1][~self.fired[j]] = residuals[j][~self.fired[j]]  # closed gates keep theirs
+        return residuals, values
 
 
 class QuantizedLayer:
@@ -261,8 +272,9 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     w has shape (F, ...); each leading-axis slice is one filter.  Round j
     rounds the residual elementwise and keeps the term iff the residual's
     L2 norm strictly exceeds t[j]; only fired rounds subtract their term
-    from the running residual.  Returns (QuantizedLayer, ResidualTrace);
-    the trace's quantized weight is w less the last residual r_k.
+    from the running residual, which every round rewrites in one buffer.
+    Returns (QuantizedLayer, ResidualTrace); the trace refers to w, keeps
+    no residual and holds the quantized weight w less the last residual r_k.
     Raises NumericError when any weight is NaN or infinite, or when a
     filter's L2 norm overflows float64.
     """
@@ -275,13 +287,11 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     flat = w.reshape(F, -1)
     n = flat.shape[1]
 
-    # round 0's residual and norm are w's own, also at k = 0 for the check below
-    residuals = np.empty((max(k, 1), F, n), dtype=flat.dtype)
+    # round 0's norm is w's own, also at k = 0 for the check below
     norms = np.empty((max(k, 1), F), dtype=np.float64)
     fired = np.empty((k, F), dtype=bool)
     codes = np.empty((k, F, n), dtype=np.uint8)
 
-    residuals[0] = flat
     norms[0] = _norms(flat)
     bad = np.flatnonzero(~np.isfinite(norms[0]))
     if bad.size:
@@ -291,8 +301,8 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
             f"{held.size} filter(s) hold non-finite weights, the first is filter {held[0]}"
             if held.size else f"the L2 norm of filter {bad[0]} overflows float64")
     table = _decode_table(rng, flat.dtype)
-    term = np.empty((F, n), dtype=flat.dtype)  # each round's term, then r_k, then w - r_k
-    r = residuals[0]
+    r, res = flat, np.empty((F, n), dtype=flat.dtype)
+    term = np.empty((F, n), dtype=flat.dtype)  # each round's term, then w - r_k
     for j in range(k):
         codes[j] = round_pow2(r, rng)
         fired[j] = norms[j] > t[j]
@@ -300,7 +310,7 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
         # "raise" it writes into term without a buffer
         table.take(codes[j], out=term, mode="wrap")
         term[~fired[j]] = 0  # r - 0 is r, bit for bit: closed gates keep their residual
-        r = np.subtract(r, term, out=residuals[j + 1] if j + 1 < k else term)
+        r = np.subtract(r, term, out=res)
         if j + 1 < k:
             norms[j + 1] = _norms(r)
     # w - r_k is dequantize's sum, bit for bit (+0.0 at k = 0), when no |w| rounds above
@@ -311,7 +321,7 @@ def quantize_layer(w, t, k: int, rng: ExponentRange):
     # (|r_j| <= |w| - 2**e_max where |w| >= 2**e_max): adding the terms rounds nowhere.
     np.subtract(flat, r, out=term)
 
-    trace = ResidualTrace(residuals[:k], norms[:k], fired, codes, rng, term)
+    trace = ResidualTrace(flat, norms[:k], fired, codes, rng, term)
     # each filter's fired terms, filter by filter, as the packed stream holds them
     kept = codes.transpose(1, 0, 2)[fired.T]
     return QuantizedLayer(filter_shape, rng, fired.sum(axis=0).astype(np.int8), kept), trace

@@ -59,7 +59,8 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
 
 
 def threshold_grad_from_trace(trace: ResidualTrace, upstream, t, tau):
-    """Production form: relaxed gradient evaluated on the hard forward trace."""
-    values = trace.rng.decode(trace.codes)
-    return threshold_grad(trace.residuals, trace.norms, values, upstream, t, tau)
+    """Production form: relaxed gradient evaluated on the hard forward trace,
+    its residuals rebuilt in float64 (so the trace's w must be unchanged)."""
+    residuals, values = trace.replay(np.float64)
+    return threshold_grad(residuals, trace.norms, values, upstream, t, tau)
 

@@ -198,7 +198,10 @@ def _dump_state(ts: TrainState, reason: str) -> NumericError:
 
 
 def train_batch(ts: TrainState, xb, yb):
-    """One optimization step; returns (ce, reg, total, correct)."""
+    """One optimization step; returns (ce, reg, total, correct).
+
+    The threshold gradient reads the traces, which refer to the master weights,
+    before the regularizer adds into dL/dw^q and Adam moves the weights."""
     s = ts.settings
     net = ts.net
 
@@ -211,18 +214,6 @@ def train_batch(ts: TrainState, xb, yb):
     except NumericError as exc:
         raise _dump_state(ts, str(exc)) from exc
     ce, dlogits = cross_entropy(logits, yb)
-
-    reg = 0.0
-    reg_grads = {}
-    if s.mode != "float" and any(l != 0.0 for l in s.lambdas):
-        for name in net.weight_names:
-            rng = qinfo[name][0].rng
-            reg += layer_reg_loss(ts.params[name], s.lambdas, rng)
-            reg_grads[name] = layer_reg_grad(ts.params[name], s.lambdas, rng)
-    total = ce + reg
-    if not np.isfinite(total):
-        raise _dump_state(ts, f"non-finite loss (ce={ce}, reg={reg})")
-
     net_grads = net.backward(cache, dlogits, qparams)
 
     # dL/dw^q applies to the master weights (straight-through).  net.param_names,
@@ -235,8 +226,15 @@ def train_batch(ts: TrainState, xb, yb):
             row = _threshold_row(s, g)
             tgrad[row] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[row], s.tau)
         grads["t"] = tgrad
-    for name, g in reg_grads.items():
-        grads[name] += g
+    reg = 0.0
+    if s.mode != "float" and any(l != 0.0 for l in s.lambdas):
+        for name in net.weight_names:
+            rng = qinfo[name][0].rng
+            reg += layer_reg_loss(ts.params[name], s.lambdas, rng)
+            grads[name] += layer_reg_grad(ts.params[name], s.lambdas, rng)
+    total = ce + reg
+    if not np.isfinite(total):
+        raise _dump_state(ts, f"non-finite loss (ce={ce}, reg={reg})")
 
     if s.clip_norm and s.clip_norm > 0:
         sq = 0.0

@@ -48,5 +48,5 @@ def layer_reg_grad(w, lambdas, rng: ExponentRange) -> np.ndarray:
     trace = ungated_residual_trace(w, len(lam), rng)
     norms = trace.norms
     scale = np.divide(lam[:, None], norms, out=np.zeros_like(norms), where=norms > 0)
-    grad = np.einsum("jf,jfn->fn", scale, trace.residuals)
+    grad = np.einsum("jf,jfn->fn", scale, trace.replay()[0])
     return grad.reshape(w.shape).astype(w.dtype, copy=False)

@@ -273,14 +273,15 @@ class TestWorkspace:
         x, y = self.batches(net, 2, 16, seed=41)
         train_step(net, params, state, x[0], y[0])
         logits, cache = net.forward(x[1], params, state, train=True)
+        # collected before backward, which drops them from the cache
+        inputs = [c for layer, c in zip(net.layers, cache["caches"]) if isinstance(layer, Conv2D)]
+        inputs += [c for c in cache["skip_caches"].values() if c is not None]  # projections
         net.backward(cache, cross_entropy(logits, y[1])[1], params)
         areas = net._workspace.areas()
         assert [key for key in areas if key.split(".")[-1] == "cols"] == [Workspace.COLS]
         largest = max(layer.fan_in * 16 * math.prod(shape[1:]) * 4
                       for layer, shape in net.kernels() if isinstance(layer, Conv2D))
         assert largest < 10e6 and areas[Workspace.COLS].nbytes <= largest
-        inputs = [c for layer, c in zip(net.layers, cache["caches"]) if isinstance(layer, Conv2D)]
-        inputs += [c for c in cache["skip_caches"].values() if c is not None]  # projections
         assert len(inputs) == len(net.kernels()) - 1  # every conv: all kernels but the dense
         for conv_input in inputs:
             assert not np.may_share_memory(conv_input, areas[Workspace.TMP])
@@ -303,6 +304,22 @@ class TestWorkspace:
                 assert np.array_equal(bits(got[name]), bits(want[name])), (step, name)
         slots = [key for key in net._workspace.areas() if key.startswith("skip")]
         assert len(slots) == {"mnist2": 0, "net2": 1, "overlap": 2}[config.id]
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(get_preset("mnist2"), id="mnist2"),
+        pytest.param(get_preset("net2"), id="net2"),
+        pytest.param(overlapping_skips_config(), id="overlapping-skips"),
+    ])
+    def test_backward_consumes_the_cache(self, config):
+        # each entry goes once its layer has run backward, freeing what only it held
+        net, params, state = build_network(config, seed=46)
+        x, y = self.batches(net, 1, 3, seed=47)
+        logits, cache = net.forward(x[0], params, state, train=True)
+        assert cache["skip_caches"].keys() == net.skips.keys()
+        net.backward(cache, cross_entropy(logits, y[0])[1], params)
+        assert len(cache["caches"]) == len(net.layers)
+        assert all(entry is None for entry in cache["caches"])
+        assert cache["skip_caches"] == {}
 
     def test_warm_net2_step_holds_two_gradient_areas_and_one_skip_slot(self):
         # node gradients live in two shared areas and a skip slot, not one area per layer

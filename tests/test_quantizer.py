@@ -291,7 +291,7 @@ class TestQuantizeFilter:
         assert wide.decode(ql.codes[:, 0]).tolist() == [1.0, -0.25]
         assert ql.dequantize()[0, 0] == 0.75
         assert trace.norms[:, 0].tolist() == [0.75, 0.25]  # the norms entering each round
-        assert trace.residuals[1, 0, 0] == -0.25
+        assert trace.replay()[0][1, 0, 0] == -0.25
 
     def test_hand_recursion_second_gate_closed(self, wide):
         # residual norm 0.25 <= 0.3 closes the second gate
@@ -446,6 +446,67 @@ def test_trace_weight_is_the_kept_terms_sum(code_bits, dtype, k):
         assert np.array_equal(bits(got), bits(gather_dequantize(ql, dtype).reshape(F, n)))
 
 
+def reference_recursion(w, fired, rng):
+    """The gated residual recursion in w's float type, written out term by term:
+    (the residual entering each round, the terms R(r_j), the last residual)."""
+    r = w.copy()
+    residuals, terms = [], []
+    for gate in fired:
+        # 0 codes to +0.0; oracle_round cannot tell it from 2**(e_min - 1) when that underflows
+        term = np.array([[oracle_round(v, rng) if v else 0.0 for v in row] for row in r.tolist()],
+                        w.dtype)
+        residuals.append(r)
+        terms.append(term)
+        r = np.where(gate[:, None], r - term, r)  # a closed gate keeps its residual's bits
+    shape = (len(fired),) + w.shape
+    return np.array(residuals, w.dtype).reshape(shape), np.array(terms, w.dtype).reshape(shape), r
+
+
+class TestReplay:
+    """The trace keeps no residuals; replay rebuilds the ones quantize_layer saw."""
+
+    def case(self, dtype, scale, gates, k, code_bits):
+        gen = np.random.default_rng([k, code_bits, np.dtype(dtype).itemsize])
+        F, n = 8, 5
+        # filter scales 4**f apart keep the norms distinct; -0.0 and subnormal weights
+        w = gen.normal(size=(F, n)) * 4.0 ** np.arange(F)[:, None]
+        w[0, 0], w[1, 1], w[2, 2] = -0.0, 0.0, -1e-300 if dtype == np.float64 else -1e-40
+        w = w.astype(dtype)
+        if scale == "subnormal":  # the whole layer in the subnormal range: so are its terms
+            w = np.ldexp(w, np.finfo(dtype).minexp - 11)
+        rng = ExponentRange.for_weights(w, code_bits)
+        t = np.full(k, {"all": -np.inf, "none": np.inf, "mixed": np.inf}[gates])
+        if gates == "mixed":  # round j's threshold splits its norms at a quantile of its own
+            for j in range(k):
+                t[j] = np.quantile(quantize_layer(w, t, k, rng)[1].norms[j], [0.25, 0.75, 0.5][j])
+        return w, quantize_layer(w, t, k, rng)[1]
+
+    @pytest.mark.parametrize("code_bits", [3, 4, 8])
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("gates", ["all", "none", "mixed"])
+    @pytest.mark.parametrize("scale", ["unit", "subnormal"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_recursion_bit_for_bit(self, dtype, scale, gates, k, code_bits):
+        w, trace = self.case(dtype, scale, gates, k, code_bits)
+        if scale == "subnormal":
+            assert (np.abs(w[np.abs(w) > 0]) < np.finfo(dtype).tiny).any()
+        if gates == "mixed" and k:
+            assert trace.fired.any(axis=1).all() and not trace.fired.all(axis=1).any()
+            if k > 1:  # and some filter fires in one round and not in another
+                assert (trace.fired.any(axis=0) & ~trace.fired.all(axis=0)).any()
+        assert np.shares_memory(trace.w, w)  # the trace refers to the weight, not a copy
+        want, terms, last = reference_recursion(w, trace.fired, trace.rng)
+        residuals, values = trace.replay()
+        assert residuals.dtype == values.dtype == dtype
+        assert np.array_equal(bits(values), bits(terms))
+        assert np.array_equal(bits(residuals), bits(want))
+        assert np.array_equal(bits(trace.quantized), bits(w - last))
+        wide_residuals, wide_values = trace.replay(np.float64)
+        assert wide_residuals.dtype == wide_values.dtype == np.float64
+        assert np.array_equal(bits(wide_values), bits(terms.astype(np.float64)))
+        assert np.array_equal(bits(wide_residuals), bits(want.astype(np.float64)))
+
+
 class TestSpecialCases:
     def test_all_inf_thresholds_is_pruning(self, wide):
         w = np.random.default_rng(17).normal(size=(6, 9))
@@ -470,7 +531,7 @@ class TestSpecialCases:
         w = np.random.default_rng(23).normal(size=(4, 6))
         tr = ungated_residual_trace(w, 2, wide)
         _, tr2 = quantize_layer(w, [-np.inf, -np.inf], 2, wide)
-        assert np.array_equal(tr.residuals, tr2.residuals)
+        assert np.array_equal(tr.replay()[0], tr2.replay()[0])
         assert tr.fired.all()
 
     def test_overflowing_filter_norm_is_named(self, wide):

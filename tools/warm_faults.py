@@ -15,6 +15,9 @@ process (glibc's trim threshold follows the largest block freed so far),
 so run one probe per process to read its own count.  Each line also gives
 the process's peak resident set so far (ru_maxrss), because fewer faults
 can cost a higher peak: memory kept across calls is not faulted in again.
+Then one more call runs under tracemalloc, and the line ends with the peak
+of the heap bytes it allocated above what was live before it (numpy reports
+its buffers to tracemalloc; the train workspace is already allocated).
 A train line adds the bytes of the network's train workspace, which warm
 steps reuse, in all and by kind: layer caches, backward's two gradient
 areas, skip slots, the conv patch area cols and the temporaries' area tmp.
@@ -25,6 +28,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -35,7 +39,9 @@ from shiftnn.trainer import loop
 
 
 def warm_calls(call, warm, calls, what):
-    """Median minor faults and time of the calls call(i) after the first warm ones."""
+    """Median minor faults and time of the calls call(i) after the first warm ones,
+    then the tracemalloc peak of one more call, made after the counted ones so that
+    tracing moves no count."""
     faults, times = [], []
     for i in range(warm + calls):
         f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
@@ -45,9 +51,15 @@ def warm_calls(call, warm, calls, what):
             faults.append(f1 - f0)
             times.append(t1 - t0)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+    tracemalloc.start()
+    try:
+        call(warm + calls)
+        traced_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
     return (f"{statistics.median(faults):.0f} minor faults per warm {what} (max {max(faults)}), "
             f"p50 {1e3 * statistics.median(times):.1f} ms, {calls} {what}s, "
-            f"peak RSS {peak_mb:.1f} MB")
+            f"peak RSS {peak_mb:.1f} MB, traced peak of one more {what} {traced_mb:.1f} MB")
 
 
 def area_kind(key):
