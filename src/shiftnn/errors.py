@@ -5,7 +5,7 @@ class ShiftNNError(Exception):
     """Base class for all shiftnn errors."""
 
 
-class ConfigError(ShiftNNError):
+class ConfigError(ShiftNNError, ValueError):
     """Invalid network/run configuration or incompatible shapes."""
 
 

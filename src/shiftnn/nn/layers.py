@@ -71,8 +71,8 @@ def _grad(ws, dy, shape, dtype):
     return ws.array(Workspace.GRADS[np.may_share_memory(dy, first)], shape, dtype)
 
 
-def _taps(plane, channels, P, kh, kw, stride, Ho, Wo):
-    """The view (C, kh, kw, N, Ho, Wo) of a contiguous plane (N, C, L) or (C, N, L).
+def _taps(plane, channels, P, k, stride, Ho, Wo):
+    """The view (C, k, k, N, Ho, Wo) of a contiguous plane (N, C, L) or (C, N, L).
 
     Entry (c, i, j, n, ho, wo) lies at offset (stride*ho + i)*P + stride*wo + j
     of plane row (n, c), whose C axis is `channels`; when Wo == P, (Ho, Wo) is
@@ -82,56 +82,53 @@ def _taps(plane, channels, P, kh, kw, stride, Ho, Wo):
     C, N = plane.shape[channels], plane.shape[1 - channels]
     sc, sn = plane.strides[channels], plane.strides[1 - channels]
     block = [(Ho * Wo, stride * s)] if Wo == P else [(Ho, stride * P * s), (Wo, stride * s)]
-    shape, strides = zip((C, sc), (kh, P * s), (kw, s), (N, sn), *block)
+    shape, strides = zip((C, sc), (k, P * s), (k, s), (N, sn), *block)
     return np.ndarray(shape, plane.dtype, plane, 0, strides)
 
 
 def _wrapped(taps, W, stride, pad):
-    """The slices of taps (C, kh, kw, N, Ho, Wo) whose input column stride*wo + j - pad
+    """The slices of taps (C, k, k, N, Ho, Wo) whose input column stride*wo + j - pad
     lies outside 0..W-1: for each tap column j, a prefix and a suffix of 0..Wo-1."""
     for j in range(taps.shape[2]):
         yield taps[:, :, j, ..., : max(0, -((j - pad) // stride))]
         yield taps[:, :, j, ..., max(0, -((j - pad - W) // stride)) :]
 
 
-def im2col(x, kh, kw, stride, pad, ws=None, key=None):
-    """Channel-major patch matrix of shape (C*kh*kw, N*Ho*Wo), plus Ho, Wo.
+def im2col(x, k, stride, pad, ws=None):
+    """Channel-major patch matrix of shape (C*k*k, N*Ho*Wo), plus Ho, Wo.
 
-    Row c*kh*kw + i*kw + j holds x[n, c, i + stride*ho, j + stride*wo] of
-    the zero-padded input, with columns ordered (n, ho, wo), so that
+    Row c*k*k + i*k + j holds x[n, c, i + stride*ho, j + stride*wo] of the
+    zero-padded input, with columns ordered (n, ho, wo), so that
     ``W.reshape(O, -1) @ cols`` is the output laid out as (O, N, Ho, Wo).
-    The matrix is the workspace's array `key`.
+    The matrix is the workspace's array COLS.
 
-    Every conv takes one path.  x is copied once into a TMP plane
-    (N, C, 2*lo + H*P) with row pitch P = max(W, Wo) and lo = pad*P + pad
-    zeros at each end; with pad = 0 the plane is contiguous x.  One strided view
-    holds all taps (_taps); the entries that read no input column (_wrapped),
-    whose plane entry lies in a margin or a neighbouring row, are set to +0.0,
-    the padding's value.  P >= Wo keeps each tap's addresses distinct, which
-    col2im's adds need: over-padded convs (stride 1, 2*pad >= kernel) have Wo > W.
+    Every conv, and x of any strides, takes one path.  x is copied once into a
+    TMP plane (N, C, 2*lo + H*P) with row pitch P = max(W, Wo) and lo = pad*P
+    + pad zeros at each end.  One strided view holds all taps (_taps); the
+    entries that read no input column (_wrapped), whose plane entry lies in a
+    margin or a neighbouring row, are set to +0.0, the padding's value.  P >= Wo
+    keeps each tap's addresses distinct, which col2im's adds need: over-padded
+    convs (stride 1, 2*pad >= kernel) have Wo > W.
     """
     N, C, H, W = x.shape
-    Ho = (H + 2 * pad - kh) // stride + 1
-    Wo = (W + 2 * pad - kw) // stride + 1
+    Ho = (H + 2 * pad - k) // stride + 1
+    Wo = (W + 2 * pad - k) // stride + 1
     P = max(W, Wo)
     lo = pad * P + pad
-    if pad:
-        plane = _array(ws, Workspace.TMP, (N, C, 2 * lo + H * P), x.dtype)
-        plane[:, :, :lo] = 0
-        plane[:, :, lo + H * P :] = 0
-        np.copyto(plane[:, :, lo : lo + H * P].reshape(N, C, H, P)[..., :W], x)
-    else:
-        plane = np.ascontiguousarray(x).reshape(N, C, H * W)
-    win = _taps(plane, 1, P, kh, kw, stride, Ho, Wo)
-    cols = _array(ws, key, win.shape, x.dtype)
+    plane = _array(ws, Workspace.TMP, (N, C, 2 * lo + H * P), x.dtype)
+    plane[:, :, :lo] = 0
+    plane[:, :, lo + H * P :] = 0
+    np.copyto(plane[:, :, lo : lo + H * P].reshape(N, C, H, P)[..., :W], x)
+    win = _taps(plane, 1, P, k, stride, Ho, Wo)
+    cols = _array(ws, Workspace.COLS, win.shape, x.dtype)
     np.copyto(cols, win)
-    for edge in _wrapped(cols.reshape(C, kh, kw, N, Ho, Wo), W, stride, pad):
+    for edge in _wrapped(cols.reshape(C, k, k, N, Ho, Wo), W, stride, pad):
         edge.fill(0.0)
-    return cols.reshape(C * kh * kw, N * Ho * Wo), Ho, Wo
+    return cols.reshape(C * k * k, N * Ho * Wo), Ho, Wo
 
 
-def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo, ws=None):
-    """Scatter-add inverse of im2col: (C*kh*kw, N*Ho*Wo) -> x_shape.
+def col2im(dcols, x_shape, k, stride, pad, Ho, Wo, ws=None):
+    """Scatter-add inverse of im2col: (C*k*k, N*Ho*Wo) -> x_shape.
 
     The entries of dcols that read no input column are first set to -0.0:
     x + -0.0 is x for every x, -0.0 and NaN payloads included.  Then each
@@ -146,14 +143,14 @@ def col2im(dcols, x_shape, kh, kw, stride, pad, Ho, Wo, ws=None):
     N, C, H, W = x_shape
     P = max(W, Wo)
     lo = pad * P + pad
-    for edge in _wrapped(dcols.reshape(C, kh, kw, N, Ho, Wo), W, stride, pad):
+    for edge in _wrapped(dcols.reshape(C, k, k, N, Ho, Wo), W, stride, pad):
         edge.fill(-0.0)
     plane = _array(ws, Workspace.TMP, (C, N, 2 * lo + H * P), dcols.dtype)
     plane.fill(0)
-    taps = _taps(plane, 0, P, kh, kw, stride, Ho, Wo)
+    taps = _taps(plane, 0, P, k, stride, Ho, Wo)
     blocks = dcols.reshape(taps.shape)
-    for i in range(kh):
-        for j in range(kw):
+    for i in range(k):
+        for j in range(k):
             taps[:, i, j] += blocks[:, i, j]
     return plane[:, :, lo : lo + H * P].reshape(C, N, H, P)[..., :W].transpose(1, 0, 2, 3)
 
@@ -271,10 +268,9 @@ class Conv2D(Kernel):
         N, O, Ho, Wo = out.shape
         step = 64 // math.gcd(64, Ho * Wo)
         size = max(1, CHUNK_BYTES // (w2.shape[1] * Ho * Wo * a.itemsize * step)) * step
-        k = self.kernel
         for lo in range(0, N, size):
             hi = min(lo + size, N)
-            cols, _, _ = im2col(a[lo:hi], k, k, stride, pad, ws, Workspace.COLS)
+            cols, _, _ = im2col(a[lo:hi], self.kernel, stride, pad, ws)
             y = np.matmul(w2, cols, out=_array(ws, Workspace.TMP, (O, cols.shape[1]), out.dtype))
             out[lo:hi] = y.reshape(O, hi - lo, Ho, Wo).transpose(1, 0, 2, 3)
 
@@ -290,7 +286,7 @@ class Conv2D(Kernel):
         k, O = self.kernel, self.out_channels
         N, C, H, W = x.shape
         # before dy2 takes TMP, which im2col's plane overwrites
-        cols, Ho, Wo = im2col(x, k, k, self.stride, self.pad, ws, Workspace.COLS)
+        cols, Ho, Wo = im2col(x, k, self.stride, self.pad, ws)
         dy2 = _array(ws, Workspace.TMP, (O, N, Ho, Wo), dy.dtype)
         np.copyto(dy2, dy.transpose(1, 0, 2, 3))
         dy2 = dy2.reshape(O, N * Ho * Wo)
@@ -310,7 +306,7 @@ class Conv2D(Kernel):
             w2 = w.reshape(O, -1).T
             dcols = _array(ws, Workspace.COLS, cols.shape, dx.dtype)
             np.matmul(w2, dy2, out=dcols)
-            np.copyto(dx, col2im(dcols, x.shape, k, k, self.stride, self.pad, Ho, Wo, ws))
+            np.copyto(dx, col2im(dcols, x.shape, k, self.stride, self.pad, Ho, Wo, ws))
         return dx, grads
 
 

@@ -261,11 +261,11 @@ class Network:
         skip slot, where later gradients add in place (the bits of before + dx).
         """
         if not isinstance(cache, dict) or cache.get("net") is not self:
-            raise ValueError("cache does not belong to this network's forward pass")
+            raise ConfigError("cache does not belong to this network's forward pass")
         if cache["generation"] != self._generation:
-            raise ValueError("stale cache: a later train forward or backward has reused its memory")
+            raise ConfigError("stale cache: a later train forward or backward has reused its memory")
         if dlogits.shape[0] != cache["batch"]:
-            raise ValueError("logit gradient batch size does not match the cached forward")
+            raise ConfigError("logit gradient batch size does not match the cached forward")
         cache["generation"] = None
         ws = self._workspace
         # sized before any activation is freed: an area grown later takes a freed activation's

@@ -175,11 +175,11 @@ class ResidualTrace:
     rng: ExponentRange
     quantized: np.ndarray  # (F, n), w's dtype
 
-    def replay(self, dtype=None):
-        """(residuals, values), both (k, F, n) in dtype, w's by default: each round's
-        r_j and decoded codes.  r_j is rebuilt from w as quantize_layer ran the rounds;
-        each fired r - R(r) is exact, so it has the bits seen there, widened or not."""
-        values = self.rng.decode(self.codes, self.w.dtype if dtype is None else dtype)
+    def replay(self):
+        """(residuals, values), both (k, F, n) in w's dtype: each round's r_j and
+        decoded codes.  r_j is rebuilt from w as quantize_layer ran the rounds;
+        each fired r - R(r) is exact, so it has the bits seen there."""
+        values = self.rng.decode(self.codes, self.w.dtype)
         residuals = np.empty_like(values)
         residuals[:1] = self.w
         for j in range(len(values) - 1):

@@ -28,7 +28,8 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
     and (k, F, n): the residual entering each round, its L2 norm, and
     the decoded rounding of that residual.  upstream is dL/dw^q shaped
     (F, n).  Works on either the hard forward trace (production) or a
-    soft surrogate trace (gradient checks).
+    soft surrogate trace (gradient checks).  They may be of any float dtype:
+    the sweep widens each round's to float64 as it reads them, exactly.
 
     Round l maps r_l to r_{l+1} = r_l - g_l * R(r_l), with the gate
     g_l = sigmoid((||r_l|| - t_l) / tau) and the rounding passed
@@ -48,19 +49,20 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
     # a is C-ordered whatever upstream's layout, so the einsum's summation order is fixed
     a = np.negative(upstream, dtype=np.float64, order="C").reshape(F, n)
     for l in range(k - 1, -1, -1):
-        dt = dgate[l] * np.einsum("fn,fn->f", a, values[l])  # dL/dt_l per filter
+        # dL/dt_l per filter; a float32 operand is cast in 8,192-element chunks, which splits long rows
+        dt = dgate[l] * np.einsum("fn,fn->f", a, values[l].astype(np.float64, copy=False))
         out[l] = dt.sum()
         if l == 0:
             break  # nothing reads round 0's adjoint update
         scale = np.divide(dt, norms[l], out=np.zeros(F), where=norms[l] > 0)
         a *= (1.0 - gate[l])[:, None]
-        a -= scale[:, None] * residuals[l]
+        a -= scale[:, None] * residuals[l]  # the product widens residuals[l]
     return out
 
 
 def threshold_grad_from_trace(trace: ResidualTrace, upstream, t, tau):
     """Production form: relaxed gradient evaluated on the hard forward trace,
-    its residuals rebuilt in float64 (so the trace's w must be unchanged)."""
-    residuals, values = trace.replay(np.float64)
+    its residuals rebuilt in w's dtype (so the trace's w must be unchanged)."""
+    residuals, values = trace.replay()
     return threshold_grad(residuals, trace.norms, values, upstream, t, tau)
 

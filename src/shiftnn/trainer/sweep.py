@@ -56,14 +56,14 @@ def sweep_lambda(net_config, base: TrainSettings, data, lambda_list, seeds):
     cells = []
     for lambdas in lambda_list:
         for seed in seeds:
-            settings = replace(base, lambdas=tuple(lambdas), seed=int(seed)).validate()
+            settings = replace(base, lambdas=tuple(lambdas), seed=seed).validate()
             cells.append(run_cell(net_config, settings, data))
     return cells
 
 
 def cell_to_point(cell: SweepCell, model_id: str) -> ParetoPoint:
     if not cell.ok:
-        raise ValueError(f"cell failed: {cell.error}")
+        raise ConfigError(f"cell failed: {cell.error}")
     return ParetoPoint(
         model_id=model_id,
         lambdas=cell.lambdas,

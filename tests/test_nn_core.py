@@ -583,7 +583,7 @@ def dirty_workspace(key):
 SHAPES = [(7, 6), (1, 5), (5, 1), (2, 2)]
 # (kernel, stride, pad): same convs first, where k = 7 on a 2-wide plane has
 # an edge wider than the row (pad 3 > W); then strided convs, 1x1 projections
-# (pad 0: the plane is x itself), a valid conv, and over-padded convs whose
+# (pad 0: a plane with no margin), a valid conv, and over-padded convs whose
 # output is wider than their input (pitch P = Wo > W), at strides 1 to 3
 GEOMETRIES = [(3, 1, 1), (5, 1, 2), (7, 1, 3), (3, 2, 1), (3, 2, 0), (1, 2, 0), (1, 1, 0),
               (3, 1, 0), (1, 1, 1), (1, 2, 1), (3, 1, 2), (5, 3, 2)]
@@ -609,7 +609,7 @@ class TestSamePlane:
     def test_im2col(self, k, stride, pad, H, W, N, C, dtype):
         gen = np.random.default_rng(k * 1000 + H * 100 + W * 10 + N + C)
         x = special_values(gen, (N, C, H, W), dtype)
-        cols, Ho, Wo = layers.im2col(x, k, k, stride, pad, dirty_workspace("c"), "c")
+        cols, Ho, Wo = layers.im2col(x, k, stride, pad, dirty_workspace(Workspace.COLS))
         assert (Ho, Wo) == out_size(H, W, k, stride, pad)
         assert np.array_equal(bits(cols), bits(reference_im2col(x, k, stride, pad)))
 
@@ -628,7 +628,7 @@ class TestSamePlane:
                 taps[:, :, j, :, :, wrapped] = -0.0
         with np.errstate(invalid="ignore"):  # inf + -inf
             want, meets = reference_col2im(dcols, (N, C, H, W), k, stride, pad)
-            got = layers.col2im(dcols, (N, C, H, W), k, k, stride, pad, Ho, Wo, dirty_workspace("c"))
+            got = layers.col2im(dcols, (N, C, H, W), k, stride, pad, Ho, Wo, dirty_workspace("c"))
         assert got.shape == (N, C, H, W)
         if (N, C) == (1, 2):
             assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -638,17 +638,17 @@ class TestSamePlane:
 
     @pytest.mark.parametrize("k,stride,pad", [(1, 2, 0), (3, 1, 0), (3, 1, 1)])
     def test_im2col_of_views(self, k, stride, pad):
-        # with pad 0 the plane is x itself, so a view with gaps or zero strides is copied first
+        # every pad copies x into the plane, so a view with gaps or zero strides reads as x
         x = special_values(np.random.default_rng(44), (2, 3, 8, 12), np.float32)[:, :, ::2, 1::3]
         for a in (x, np.broadcast_to(x[:1], x.shape)):
-            cols, _, _ = layers.im2col(a, k, k, stride, pad, dirty_workspace("c"), "c")
+            cols, _, _ = layers.im2col(a, k, stride, pad, dirty_workspace(Workspace.COLS))
             assert np.array_equal(bits(cols), bits(reference_im2col(a, k, stride, pad)))
 
     @pytest.mark.parametrize("preset,layer,shape", CONVS)
     def test_preset_patch_matrices(self, preset, layer, shape):
         x = special_values(np.random.default_rng(43), (2,) + shape, np.float32)
         k, stride, pad = layer.kernel, layer.stride, layer.pad
-        cols, _, _ = layers.im2col(x, k, k, stride, pad, dirty_workspace("c"), "c")
+        cols, _, _ = layers.im2col(x, k, stride, pad, dirty_workspace(Workspace.COLS))
         assert np.array_equal(bits(cols), bits(reference_im2col(x, k, stride, pad)))
 
 
@@ -1178,7 +1178,7 @@ class TestAdam:
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         grads = [0.3, -1.2, 0.7, 0.0, 2.5]
         params = {"w": np.array([0.1])}
-        state = AdamState(params, beta1=b1, beta2=b2, eps=eps)
+        state = AdamState(params)
         # hand-computed reference recurrence
         w, m, v = 0.1, 0.0, 0.0
         for t, g in enumerate(grads, start=1):

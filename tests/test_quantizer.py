@@ -501,10 +501,6 @@ class TestReplay:
         assert np.array_equal(bits(values), bits(terms))
         assert np.array_equal(bits(residuals), bits(want))
         assert np.array_equal(bits(trace.quantized), bits(w - last))
-        wide_residuals, wide_values = trace.replay(np.float64)
-        assert wide_residuals.dtype == wide_values.dtype == np.float64
-        assert np.array_equal(bits(wide_values), bits(terms.astype(np.float64)))
-        assert np.array_equal(bits(wide_residuals), bits(want.astype(np.float64)))
 
 
 class TestSpecialCases:

@@ -129,6 +129,20 @@ def test_failing_cell_is_recorded_not_raised():
         cell_to_point(cell, "bad")
 
 
+@pytest.mark.parametrize("seed", [2.7, float("nan")])
+def test_sweep_rejects_a_seed_that_is_not_an_integer(seed):
+    # 2.7 trained and recorded seed 2; NaN raised a bare ValueError from int()
+    with pytest.raises(ConfigError, match="seed"):
+        sweep_lambda(MNIST2, BASE, DATA, [(0.0, 0.0)], [seed])
+
+
+def test_sweep_takes_numpy_integer_seeds():
+    (wide,) = sweep_lambda(MNIST2, BASE, DATA, [(0.0, 0.0)], [np.int64(3)])
+    (plain,) = sweep_lambda(MNIST2, BASE, DATA, [(0.0, 0.0)], [3])
+    assert wide.ok and plain.ok
+    assert wide.seed == 3 and (wide.accuracy, wide.mean_k) == (plain.accuracy, plain.mean_k)
+
+
 def test_bad_label_cell_is_recorded_not_raised():
     train_y = DATA[1].copy()
     train_y[3] = 10  # mnist2 has 10 classes

@@ -202,3 +202,59 @@ def test_sigmoid_stable_at_extremes():
         assert got.dtype == np.float64
         # bit patterns: the sign of a NaN result and of every zero count too
         assert np.array_equal(got.view(np.uint64), two_branch_sigmoid(x).view(np.uint64))
+
+
+def wide_recursion(trace):
+    """The residuals and values of trace's rounds, rebuilt in float64 from w widened up front."""
+    values = trace.rng.decode(trace.codes, np.float64)
+    residuals = np.empty_like(values)
+    r = trace.w.astype(np.float64)
+    for j, gate in enumerate(trace.fired):
+        residuals[j] = r
+        r = np.where(gate[:, None], r - values[j], r)
+    return residuals, values
+
+
+class TestWidening:
+    """threshold_grad_from_trace replays a float32 trace in float32 and widens each
+    round as it reads it: bit for bit the gradient of the trace widened up front.
+
+    An einsum that reads float32 values casts them through numpy's 8,192-element
+    buffer, which splits a longer row into partial sums; the 12,544-weight rows
+    (a dense layer on a 64x14x14 map) are there to show that.
+    """
+
+    def case(self, gates, k, code_bits, F, n):
+        gen = np.random.default_rng([k, code_bits, F, n])
+        w = (gen.normal(size=(F, n)) * np.sqrt(2.0 / n)).astype(np.float32)  # He-scaled, as trained
+        rng = ExponentRange.for_weights(w, code_bits)
+        t = np.full(k, {"all": -np.inf, "none": np.inf, "mixed": np.inf}[gates])
+        for j in range(k):  # round j's threshold set from its own norms, once earlier rounds are set
+            norms = quantize_layer(w, t, k, rng)[1].norms[j]
+            t[j] = {"all": 0.5 * norms.min(), "none": 2.0 * norms.max(),
+                    "mixed": np.quantile(norms, [0.25, 0.75, 0.5][j])}[gates]
+        _, trace = quantize_layer(w, t, k, rng)
+        upstream = gen.normal(size=(F, n)).astype(np.float32)
+        return trace, t, upstream, float(np.median(trace.norms))  # a tau that no gate saturates
+
+    @pytest.mark.parametrize("F,n", [(8, 5), (16, 144), (128, 1152), (4, 12544)])
+    @pytest.mark.parametrize("code_bits", [3, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("gates", ["all", "none", "mixed"])
+    def test_matches_the_trace_widened_up_front(self, gates, k, code_bits, F, n):
+        trace, t, upstream, tau = self.case(gates, k, code_bits, F, n)
+        fired = {"all": trace.fired.all(), "none": not trace.fired.any(),
+                 "mixed": trace.fired.any(axis=1).all() and not trace.fired.all(axis=1).any()}
+        assert fired[gates]
+        if gates == "mixed" and k > 1:  # and some filter fires in one round and not in another
+            assert (trace.fired.any(axis=0) & ~trace.fired.all(axis=0)).any()
+        residuals, values = trace.replay()
+        assert residuals.dtype == values.dtype == np.float32
+        wide_residuals, wide_values = residuals.astype(np.float64), values.astype(np.float64)
+        want_residuals, want_values = wide_recursion(trace)
+        assert np.array_equal(wide_values.view(np.uint64), want_values.view(np.uint64))
+        assert np.array_equal(wide_residuals.view(np.uint64), want_residuals.view(np.uint64))
+        got = threshold_grad_from_trace(trace, upstream, t, tau)
+        want = threshold_grad(wide_residuals, trace.norms, wide_values, upstream, t, tau)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got.any()

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from shiftnn.errors import ConfigError, DataError, NumericError
+from shiftnn.errors import ConfigError, DataError, NumericError, ShiftNNError
 from shiftnn.nn import LayerSpec, NetworkConfig, build_network
-from shiftnn.trainer import run_cell
+from shiftnn.nn.optim import AdamState, adam_step
+from shiftnn.trainer import SweepCell, cell_to_point, run_cell
 from shiftnn.trainer.loop import TrainSettings, evaluate, init_train_state, train_batch, train_epoch
 
 
@@ -186,3 +187,38 @@ def test_bad_settings_become_cell_errors():
     # a decay that underflows the rate to 0.0 by the last epoch stopped it at the fourth
     cell = run_cell(TINY, TrainSettings(epochs=4, batch_size=2, lr_decay=1e-200), data)
     assert not cell.ok and "lr_decay" in cell.error
+
+
+def backward_on(case):
+    """Network.backward on a tiny net's train cache that is foreign, stale or of another batch."""
+    net, params, state = tiny_net()
+    x = np.zeros((2, 1, 4, 4), np.float32)
+    logits, cache = net.forward(x, params, state, train=True)
+    if case == "foreign":
+        net = tiny_net()[0]
+    elif case == "stale":
+        net.forward(x, params, state, train=True)
+    else:
+        logits = logits[:1]
+    net.backward(cache, np.zeros_like(logits), params)
+
+
+W = {"w": np.zeros(2)}
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: backward_on("foreign"), "does not belong"),
+    (lambda: backward_on("stale"), "stale cache"),
+    (lambda: backward_on("batch"), "batch size"),
+    (lambda: adam_step({**W, "u": np.zeros(1)}, {**W, "u": np.zeros(1)}, AdamState(W), 0.1),
+     "unknown parameter"),
+    (lambda: adam_step(W, {}, AdamState(W), 0.1), "missing gradient"),
+    (lambda: adam_step(W, {"w": np.zeros(3)}, AdamState(W), 0.1), "shape mismatch"),
+    (lambda: adam_step(W, W, AdamState(W), 0.0), "lr must be > 0"),
+    (lambda: cell_to_point(SweepCell((0.0,), 0, None, None, None, "diverged"), "m"), "cell failed"),
+], ids=["foreign-cache", "stale-cache", "batch", "unknown", "missing", "shape", "lr", "cell"])
+def test_checks_raise_the_package_error(call, match):
+    # each raised a bare ValueError, which a caller catching ShiftNNError let through
+    with pytest.raises(ShiftNNError, match=match) as info:
+        call()
+    assert isinstance(info.value, ConfigError) and isinstance(info.value, ValueError)
