@@ -29,8 +29,8 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, lr):
     """Bias-corrected Adam update, in place via two scratch arrays per tensor; returns (params, state)."""
-    if lr <= 0:
-        raise ConfigError(f"lr must be > 0, got {lr}")
+    if not 0 < lr < np.inf:  # NaN fails both comparisons
+        raise ConfigError(f"lr must be > 0 and finite, got {lr}")
     state.check(params, grads)
     state.t += 1
     c1 = 1.0 - BETA1**state.t

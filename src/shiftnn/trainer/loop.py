@@ -4,8 +4,9 @@ Per mini-batch: weights are hard-quantized from the full-precision
 master copy given the current thresholds, the forward/backward pass runs
 against the quantized weights, and the resulting gradients update the
 master weights (straight-through), the biases, and the thresholds (via
-the relaxed-gate gradient).  The shuffling generator is consumed exactly
-once per epoch (one permutation), which keeps runs reproducible.
+the relaxed-gate gradient); float mode steps on the master weights.  The
+shuffling generator is consumed exactly once per epoch (one permutation),
+which keeps runs reproducible.
 """
 
 from __future__ import annotations
@@ -82,9 +83,9 @@ class TrainSettings:
         dump = self.dump_dir  # a missing directory turned NumericErrors into FileNotFoundError
         if not (dump is None or isinstance(dump, (str, os.PathLike)) and os.path.isdir(dump)):
             raise ConfigError(f"dump_dir must be None or an existing directory, got {dump!r}")
-        clip = self.clip_norm
-        if not (clip is None or isinstance(clip, numbers.Real) and clip >= 0):
-            raise ConfigError(f"clip_norm must be None or >= 0, got {clip!r}")
+        clip = self.clip_norm  # None, and only None, turns clipping off
+        if not (clip is None or isinstance(clip, numbers.Real) and 0 < clip < np.inf):
+            raise ConfigError(f"clip_norm must be None or lie in (0, inf), got {clip!r}")
         return self
 
 
@@ -170,11 +171,19 @@ def quantize_weights(net: Network, params: dict, thresholds: np.ndarray, setting
     return qparams, qinfo
 
 
+def model_weights(ts: TrainState):
+    """The (params, qinfo) that a step or an evaluation of ts's model runs:
+    quantize_weights(...), or in float mode the master weights and no traces."""
+    if ts.settings.mode == "float":
+        return ts.params, {}
+    return quantize_weights(ts.net, ts.params, ts.thresholds, ts.settings)
+
+
 def k_statistics(qinfo: dict, max_k: int):
-    """Mean k_i and per-count histogram over every filter of the model."""
+    """Mean k_i (NaN with no filters) and per-count histogram over every filter of the model."""
     k_i = np.concatenate([np.zeros(0, np.int64)] + [q.k_i for q, _ in qinfo.values()])
     counts = np.bincount(k_i, minlength=max_k + 1)[: max_k + 1]
-    return (int(k_i.sum()) / k_i.size if k_i.size else 0.0), counts.tolist()
+    return (int(k_i.sum()) / k_i.size if k_i.size else float("nan")), counts.tolist()
 
 
 def lr_at(settings: TrainSettings, epoch: int) -> float:
@@ -206,10 +215,7 @@ def train_batch(ts: TrainState, xb, yb):
     net = ts.net
 
     try:
-        if s.mode == "float":
-            qparams, qinfo = ts.params, {}
-        else:
-            qparams, qinfo = quantize_weights(net, ts.params, ts.thresholds, s)
+        qparams, qinfo = model_weights(ts)
         logits, cache = net.forward(xb, qparams, ts.bn_state, train=True)
     except NumericError as exc:
         raise _dump_state(ts, str(exc)) from exc
@@ -219,6 +225,7 @@ def train_batch(ts: TrainState, xb, yb):
     # dL/dw^q applies to the master weights (straight-through).  net.param_names,
     # then thresholds: the clip norm sums in this order.
     grads = {name: net_grads[name] for name in net.param_names}
+    params = {k: ts.params[k] for k in net.param_names}
     if s.mode == "flex":  # from dL/dw^q, before the regularizer adds into it
         tgrad = np.zeros_like(ts.thresholds)
         for g, name in enumerate(net.weight_names):
@@ -226,17 +233,17 @@ def train_batch(ts: TrainState, xb, yb):
             row = _threshold_row(s, g)
             tgrad[row] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[row], s.tau)
         grads["t"] = tgrad
+        params["t"] = ts.thresholds
     reg = 0.0
-    if s.mode != "float" and any(l != 0.0 for l in s.lambdas):
-        for name in net.weight_names:
-            rng = qinfo[name][0].rng
-            reg += layer_reg_loss(ts.params[name], s.lambdas, rng)
-            grads[name] += layer_reg_grad(ts.params[name], s.lambdas, rng)
+    if any(l != 0.0 for l in s.lambdas):
+        for name, (qlayer, _) in qinfo.items():
+            reg += layer_reg_loss(ts.params[name], s.lambdas, qlayer.rng)
+            grads[name] += layer_reg_grad(ts.params[name], s.lambdas, qlayer.rng)
     total = ce + reg
     if not np.isfinite(total):
         raise _dump_state(ts, f"non-finite loss (ce={ce}, reg={reg})")
 
-    if s.clip_norm and s.clip_norm > 0:
+    if s.clip_norm is not None:
         sq = 0.0
         for name, g in grads.items():
             g = g.reshape(-1).astype(np.float64, copy=False)
@@ -247,9 +254,6 @@ def train_batch(ts: TrainState, xb, yb):
             for g in grads.values():
                 g *= np.asarray(s.clip_norm / norm, dtype=g.dtype)
 
-    params = {k: ts.params[k] for k in net.param_names}
-    if s.mode == "flex":
-        params["t"] = ts.thresholds
     adam_step(params, grads, ts.adam, lr_at(s, ts.epoch))
 
     correct = int((logits.argmax(axis=1) == yb).sum())
@@ -287,12 +291,8 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
     n = len(order)
     ts.epoch += 1
 
-    if s.mode == "float":
-        eval_params, qinfo = ts.params, {}
-        mean_k, hist = float("nan"), []
-    else:
-        eval_params, qinfo = quantize_weights(ts.net, ts.params, ts.thresholds, s)
-        mean_k, hist = k_statistics(qinfo, s.max_k)
+    eval_params, qinfo = model_weights(ts)
+    mean_k, hist = k_statistics(qinfo, s.max_k)
     if test_x is not None:
         test_acc = evaluate(ts.net, eval_params, ts.bn_state, test_x, test_y, s.batch_size)
     else:
@@ -306,7 +306,7 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
         train_acc=correct / n,
         test_acc=test_acc,
         mean_k=mean_k,
-        k_hist=hist if hist else [0] * (s.max_k + 1),
+        k_hist=hist,
         wall_time=wall,
     )
 

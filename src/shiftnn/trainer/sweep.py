@@ -12,7 +12,7 @@ from .loop import (
     evaluate,
     init_train_state,
     k_statistics,
-    quantize_weights,
+    model_weights,
     train_model,
 )
 
@@ -32,17 +32,16 @@ class SweepCell:
 
 
 def run_cell(net_config: NetworkConfig, settings: TrainSettings, data) -> SweepCell:
-    """Train one model and report quantized accuracy plus its cost."""
+    """Train one model and report the accuracy and cost of the model its mode trains."""
     train_x, train_y, test_x, test_y = data
     try:
         net, params, bn_state = build_network(net_config, settings.seed)
         ts = init_train_state(net, params, bn_state, settings)
         train_model(ts, train_x, train_y)
-        qparams, qinfo = quantize_weights(net, ts.params, ts.thresholds, settings)
-        acc = evaluate(net, qparams, ts.bn_state, test_x, test_y, settings.batch_size)
+        weights, qinfo = model_weights(ts)
+        acc = evaluate(net, weights, ts.bn_state, test_x, test_y, settings.batch_size)
         mean_k, _ = k_statistics(qinfo, settings.max_k)
-        qlayers = {name: qinfo[name][0] for name in net.weight_names}
-        cost = cost_report(net, qlayers)
+        cost = cost_report(net, {name: q for name, (q, _) in qinfo.items()}) if qinfo else cost_report(net)
         return SweepCell(tuple(settings.lambdas), settings.seed, acc, mean_k, cost)
     except (ShiftNNError, FloatingPointError) as exc:
         return SweepCell(tuple(settings.lambdas), settings.seed, None, None, None, str(exc))

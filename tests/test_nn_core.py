@@ -1198,3 +1198,16 @@ class TestAdam:
         params = {"w": np.zeros(1)}
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(1)}, AdamState(params), lr=0.0)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_lr_leaves_params_and_state_untouched(self, lr):
+        # a NaN rate wrote NaN into every parameter, and inf wrote -inf
+        params = {"w": np.array([1.0, -2.0])}
+        state = AdamState(params)
+        adam_step(params, {"w": np.array([0.5, 0.25])}, state, lr=0.1)
+        w, t, m, v = params["w"].copy(), state.t, state.m["w"].copy(), state.v["w"].copy()
+        with pytest.raises(ConfigError, match="lr must be > 0 and finite"):
+            adam_step(params, {"w": np.array([3.0, -1.0])}, state, lr)
+        assert state.t == t
+        for was, now in ((w, params["w"]), (m, state.m["w"]), (v, state.v["w"])):
+            np.testing.assert_array_equal(now, was)

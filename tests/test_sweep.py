@@ -2,8 +2,9 @@
 run_cell, sweep_lambda and cell_to_point on mnist2 with synthetic data.
 
 Every run trains on 128 class-prototype images at B=64 and max_k=2, one
-epoch unless it says otherwise, then prices the quantized model with the
-cost model.
+epoch unless it says otherwise. A cell then scores and prices the model its
+mode trains: the quantized model, or in float mode the float one, which the
+cost model prices as a 32-bit multiplier design.
 """
 
 import math
@@ -12,18 +13,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shiftnn.costmodel import pareto_front
+from shiftnn.costmodel import cost_report, pareto_front
 from shiftnn.errors import ConfigError
 from shiftnn.nn import Conv2D, build_network, get_preset
 from shiftnn.trainer import (
     TrainSettings,
     cell_to_point,
+    evaluate,
     init_train_state,
     quantize_weights,
     run_cell,
     sweep_lambda,
     train_model,
 )
+from shiftnn.trainer.loop import MODES
 
 MNIST2 = get_preset("mnist2")
 BASE = TrainSettings(epochs=1, batch_size=64, lr=3e-3, max_k=2, lambdas=(0.0, 0.0), seed=5)
@@ -98,6 +101,29 @@ def test_float_mode_leaves_thresholds_untouched():
     assert np.array_equal(ts.thresholds, start)
     assert ts.step == 2 and ts.epoch == 1
     assert math.isnan(metrics.mean_k)
+
+
+def test_float_cell_reports_the_float_model():
+    # a float cell once quantized its weights at k = max_k before it scored and priced them
+    settings = replace(BASE, mode="float", epochs=3)
+    cell = run_cell(MNIST2, settings, DATA)
+    net, params, state = build_network(MNIST2, settings.seed)
+    ts = init_train_state(net, params, state, settings)
+    train_model(ts, *DATA[:2])
+    assert cell.ok, cell.error
+    assert cell.accuracy == evaluate(net, ts.params, ts.bn_state, *DATA[2:], settings.batch_size)
+    assert cell.cost == cost_report(net)
+    cost = cell.cost
+    assert (cost.storage_bits, cost.shift_count, cost.multiply_count, cost.add_count) == (
+        290_048, 0, 290_080, 280_672)
+    assert math.isnan(cell.mean_k)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_only_the_float_model_multiplies(mode):
+    cell = run_cell(MNIST2, replace(BASE, mode=mode, fixed_k=1), DATA)
+    assert cell.ok, cell.error
+    assert (cell.cost.multiply_count == 0) == (mode != "float")
 
 
 def test_flex_mode_moves_thresholds():

@@ -7,12 +7,17 @@ import pytest
 
 from shiftnn.nn import build_network, get_preset
 from shiftnn.nn.optim import adam_step
-from shiftnn.trainer import loop
+from shiftnn.quant import ExponentRange
+from shiftnn.trainer import layer_reg_grad, loop
 from shiftnn.trainer.loop import TrainSettings, init_train_state, train_batch
 
 MNIST2 = get_preset("mnist2")
 # flex mode with thresholds inside the norms' range, so that dL/dt is not 0
 FLEX = TrainSettings(batch_size=64, max_k=2, lambdas=(1e-4, 1e-3), threshold_init=1.0, seed=3)
+# clipping scales every gradient by a factor that all of them set, so the
+# checks that compare single gradients across settings run without it
+FREE = replace(FLEX, clip_norm=None)
+NO_REG = replace(FREE, lambdas=(0.0, 0.0))
 
 
 def gradients_at_adam(monkeypatch, settings):
@@ -45,3 +50,48 @@ def test_clip_scales_every_gradient_by_one_factor(monkeypatch):
         np.testing.assert_allclose(clipped[name], scale * g, rtol=1e-6, atol=0, err_msg=name)
     clipped_norm = np.sqrt(sum(np.sum(np.square(g, dtype=np.float64)) for g in clipped.values()))
     assert clipped_norm == pytest.approx(clip, rel=1e-6)
+
+
+def assert_same_bits(got, want, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def test_per_layer_threshold_rows_sum_to_the_shared_row(monkeypatch):
+    shared = gradients_at_adam(monkeypatch, FREE)
+    rows = gradients_at_adam(monkeypatch, replace(FREE, per_layer_thresholds=True))
+    assert rows.keys() == shared.keys()
+    for name in shared.keys() - {"t"}:  # the weight, bias and BatchNorm gradients
+        assert_same_bits(rows[name], shared[name], name)
+    assert rows["t"].shape == (3, 2) and shared["t"].shape == (1, 2)
+    assert rows["t"].any(axis=1).all()  # each of mnist2's three weights fills its own row
+    # the shared row adds the layers' rows in weight order, starting from zero
+    assert_same_bits(sum(rows["t"], np.zeros(2)), shared["t"][0], "t")
+
+
+def test_regularizer_adds_its_gradient_to_the_weights_alone(monkeypatch):
+    reg = gradients_at_adam(monkeypatch, FREE)
+    plain = gradients_at_adam(monkeypatch, NO_REG)
+    net, params, _ = build_network(MNIST2, FREE.seed)
+    assert reg.keys() == plain.keys() == {*net.param_names, "t"}
+    for name, g in reg.items():
+        want = plain[name]
+        if name in net.weight_names:
+            w = params[name]
+            step = layer_reg_grad(w, FREE.lambdas, ExponentRange.for_weights(w, FREE.code_bits))
+            assert step.any(), name
+            want = want + step
+        assert_same_bits(g, want, name)
+
+
+def test_float_mode_ignores_the_regularizer(monkeypatch):
+    reg = gradients_at_adam(monkeypatch, replace(FREE, mode="float"))
+    plain = gradients_at_adam(monkeypatch, replace(NO_REG, mode="float"))
+    assert reg.keys() == plain.keys() == set(build_network(MNIST2, 0)[0].param_names)
+    for name, g in reg.items():
+        assert_same_bits(g, plain[name], name)
+
+
+def test_fixed_mode_hands_adam_no_thresholds(monkeypatch):
+    grads = gradients_at_adam(monkeypatch, replace(FREE, mode="fixed", fixed_k=1))
+    assert grads.keys() == set(build_network(MNIST2, 0)[0].param_names)

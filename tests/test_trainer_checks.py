@@ -43,6 +43,9 @@ def test_tau_must_be_positive_and_finite(tau):
     ("lambdas", (0.0, float("inf")), "coefficients"),
     # a NaN clip_norm turned clipping off; a non-finite decay poisons the learning rate
     ("clip_norm", float("nan"), "clip_norm"),
+    # 0 and inf turned clipping off as None does; None is the one value that does
+    ("clip_norm", 0.0, "clip_norm"),
+    ("clip_norm", float("inf"), "clip_norm"),
     ("lr_decay", float("inf"), "lr_decay"),
     ("lr_decay", float("nan"), "lr_decay"),
     # these validated, then raised bare ValueErrors inside a run, which run_cell does
