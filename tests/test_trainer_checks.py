@@ -43,9 +43,6 @@ def test_tau_must_be_positive_and_finite(tau):
     ("lambdas", (0.0, float("inf")), "coefficients"),
     # a NaN clip_norm turned clipping off; a non-finite decay poisons the learning rate
     ("clip_norm", float("nan"), "clip_norm"),
-    # 0 and inf turned clipping off as None does; None is the one value that does
-    ("clip_norm", 0.0, "clip_norm"),
-    ("clip_norm", float("inf"), "clip_norm"),
     ("lr_decay", float("inf"), "lr_decay"),
     ("lr_decay", float("nan"), "lr_decay"),
     # these validated, then raised bare ValueErrors inside a run, which run_cell does
@@ -64,6 +61,9 @@ def test_tau_must_be_positive_and_finite(tau):
     # one that overflowed it to inf ended in a NumericError state dump
     ("lr_decay", 1e-200, "lr_decay"),
     ("lr_decay", 1e200, "lr_decay"),
+    # 0 and inf turned clipping off as None does; None is the one value that does
+    ("clip_norm", 0.0, "clip_norm"),
+    ("clip_norm", float("inf"), "clip_norm"),
 ])
 def test_bad_settings_rejected_up_front(field, value, match):
     settings = TrainSettings(mode="fixed" if field == "fixed_k" else "flex", fixed_k=1)
