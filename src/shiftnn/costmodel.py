@@ -69,13 +69,11 @@ def op_counts(net: Network, k_map=None) -> CostReport:
             top = packing.MAX_K
             if not np.issubdtype(k_i.dtype, np.integer) or not 0 <= k_i.min() <= k_i.max() <= top:
                 raise ConfigError(f"{name}: k_i must be integers in [0, {top}], got {k_i}")
-            k_i = k_i.astype(np.int64)
-            live = k_i > 0
-            l_shift = int(P * V * k_i.sum())
-            extra = int(P * V * np.maximum(k_i - 1, 0).sum())
-            acc = int(P * (V - 1 + layer.bias) * live.sum())
-            l_mult = 0
-            l_add = extra + acc
+            filters_with = np.bincount(k_i.astype(np.intp), minlength=top + 1).tolist()  # by k
+            terms = sum(k * count for k, count in enumerate(filters_with))
+            live = F - filters_with[0]
+            l_shift, l_mult = P * V * terms, 0
+            l_add = P * V * (terms - live) + P * (V - 1 + layer.bias) * live
         per_layer.append(LayerCost(name, P, V, F, l_shift, l_add, l_mult))
         shifts += l_shift
         adds += l_add

@@ -23,7 +23,8 @@ whole ExponentRange: its e_min follows from them.
 
 The bytes before the first payload bit of each layer (global header and
 the per-layer tables) are "fixed headers"; storage accounting excludes
-them.
+them.  storage_bits packs the model to measure it, so cost_report packs it once
+more after an export has; ROADMAP item 1 sums payload_bits instead.
 """
 
 from __future__ import annotations
@@ -67,43 +68,56 @@ def payload_bits(layer: QuantizedLayer) -> int:
 def _pack_fields(values: np.ndarray, width: int) -> np.ndarray:
     """Values below 2**width as width-bit fields, MSB-first, zero-padded to a byte.
 
-    Neighbours merge pairwise until a group of g = 8 / gcd(8, width) fields
-    fills width * g / 8 whole bytes, written big-endian: 4-bit fields merge
-    once into single bytes, 2-bit fields twice, odd widths three times.
+    Neighbours merge pairwise until a group of g = 8 / gcd(8, width) fields fills
+    width * g / 8 whole bytes.  A merge views the contiguous s-byte fields as words
+    of 2s bytes, so that a pair (a, b) is the word a | b << 8s, and
+    ((word << bits) | (word >> 8s)) & mask is a << bits | b.  The views are
+    little-endian ('<u2', '<u4', '<u8') on every host: the byte order decides
+    which field of a pair is a.  Each group's low bytes go out most significant first.
     """
     count = values.size
     g = 8 // math.gcd(8, width)
-    v = np.asarray(values, dtype=np.uint8).reshape(-1)
+    v = np.ascontiguousarray(values, dtype=np.uint8).reshape(-1)
     if count % g:  # zero-pad the last group
         v = np.concatenate([v, np.zeros(g - count % g, dtype=np.uint8)])
-    bits = width
+    bits, size = width, 1
     while bits < width * g:
-        merged = v[0::2].astype(np.min_scalar_type((1 << 2 * bits) - 1))
-        merged <<= bits
-        merged |= v[1::2]
-        v, bits = merged, 2 * bits
-    words = v.astype(v.dtype.newbyteorder(">"), copy=False).view(np.uint8)
-    words = words.reshape(-1, v.itemsize)[:, v.itemsize - bits // 8 :]
-    return words.reshape(-1)[: -(-count * width // 8)]
+        word = v.astype(f"<u{size}", copy=False).view(f"<u{2 * size}")
+        v = word << bits
+        v |= word >> 8 * size
+        bits, size = 2 * bits, 2 * size
+        if bits < width * g:  # the last merge needs no mask: only its low bytes are written
+            v &= (1 << bits) - 1
+    nbytes = bits // 8
+    out = np.empty((v.size, nbytes), dtype=np.uint8)
+    for j in range(nbytes):
+        out[:, j] = v >> 8 * (nbytes - 1 - j)
+    return out.reshape(-1)[: -(-count * width // 8)]
 
 
 def _unpack_fields(data: np.ndarray, width: int, count: int) -> np.ndarray:
-    """The first `count` width-bit fields of `data`, as _pack_fields lays them out."""
+    """The first `count` width-bit fields of `data`, as _pack_fields lays them out.
+
+    Each group's bytes, most significant first, form a word of g bytes.  A split
+    turns words v of two bits-wide fields into (v >> bits) | ((v & mask) << 8 * half),
+    little-endian as in _pack_fields, whose view as '<u{half}' holds the first field,
+    then the second.  8-bit fields are the stream's own bytes, not a copy.
+    """
     g = 8 // math.gcd(8, width)
     nbytes = width * g // 8
     if count % g:  # the last group is partial: zero-pad it
         data = np.concatenate([data, np.zeros(-(-count // g) * nbytes - data.size, np.uint8)])
     groups = data.reshape(-1, nbytes)
-    v = groups[:, 0].astype(np.min_scalar_type((1 << 8 * nbytes) - 1), copy=False)
-    for j in range(1, nbytes):  # a group's big-endian bytes as one word
+    v = groups[:, 0].astype(f"<u{g}", copy=False)
+    for j in range(1, nbytes):
         v = (v << 8) | groups[:, j]
-    bits = width * g
-    while bits > width:
-        bits //= 2
-        halves = np.empty((v.size, 2), dtype=np.min_scalar_type((1 << bits) - 1))
-        np.right_shift(v, bits, out=halves[:, 0])
-        np.bitwise_and(v, (1 << bits) - 1, out=halves[:, 1])
-        v = halves.reshape(-1)
+    bits, size = width * g, g
+    while size > 1:
+        bits, size = bits // 2, size // 2
+        word = v & ((1 << bits) - 1)
+        word <<= 8 * size
+        word |= v >> bits
+        v = word.astype(f"<u{2 * size}", copy=False).view(f"<u{size}")
     return v[:count]
 
 
@@ -111,28 +125,26 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
     """Serialize quantized layers to the packed stream."""
     if len(layers) > 0xFFFF:
         raise PackingError(f"too many layers: {len(layers)}")
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<BH", VERSION, len(layers))
+    out = [MAGIC, struct.pack("<BH", VERSION, len(layers))]  # joined once, at the end
     for idx, layer in enumerate(layers):
-        rng = layer.rng
-        if not 0 <= int(layer.k_i.min(initial=0)) <= int(layer.k_i.max(initial=0)) <= MAX_K:
-            raise PackingError(f"layer {idx}: k_i outside [0, {MAX_K}] does not fit 2 bits")
-        codes = layer.codes
-        expected = layer.codes_shape
-        if codes.shape != expected:
-            raise PackingError(f"layer {idx}: codes have shape {codes.shape}, expected {expected}")
-        bad = (codes >= 1 << rng.code_bits) | (codes == 1 << (rng.code_bits - 1))
-        if bad.any():
+        rng, k_i, codes = layer.rng, layer.k_i, layer.codes
+        if k_i.dtype.kind not in "iu" or not 0 <= k_i.min(initial=0) <= k_i.max(initial=0) <= MAX_K:
+            raise PackingError(f"layer {idx}: k_i must be integers in [0, {MAX_K}] to fit 2 bits")
+        if codes.dtype != np.uint8 or codes.shape != layer.codes_shape:
+            raise PackingError(f"layer {idx}: codes are {codes.dtype} of shape {codes.shape}, "
+                               f"expected uint8 of shape {layer.codes_shape}")
+        zero = 1 << (rng.code_bits - 1)  # the sign bit alone: minus zero
+        if int(codes.max(initial=0)) >> rng.code_bits or (codes == zero).any():
+            bad = (codes >= 1 << rng.code_bits) | (codes == zero)
             raise PackingError(
                 f"layer {idx}: {int(bad.sum())} term code(s) outside the "
                 f"{rng.code_bits}-bit code set, the first is {codes[bad][0]}"
             )
         try:
-            out += _layer_header(layer)
+            out.append(_layer_header(layer))
         except struct.error as exc:  # a dim past u32, over 255 dims or e_max past i16
             raise PackingError(f"layer {idx}: header field does not fit: {exc}") from exc
-        head = _pack_fields(layer.k_i, 2)
+        head = _pack_fields(k_i, 2)
         body = _pack_fields(codes, rng.code_bits)
         shift = 2 * layer.num_filters % 8
         payload = np.zeros((payload_bits(layer) + 7) // 8, dtype=np.uint8)
@@ -142,8 +154,8 @@ def pack_model(layers: list[QuantizedLayer]) -> bytes:
             payload[head.size :] |= body[: payload.size - head.size] << (8 - shift)
         else:
             payload[head.size :] = body
-        out += payload.tobytes()
-    return bytes(out)
+        out.append(payload)
+    return b"".join(out)
 
 
 def _read(fmt: str, data: bytes, pos: int, what: str):
@@ -203,9 +215,9 @@ def unpack_model(data: bytes) -> list[QuantizedLayer]:
         else:
             body = payload[head_bytes:]
         codes = _unpack_fields(body, code_bits, total_terms * n)
-        bad = np.flatnonzero(codes == 1 << (code_bits - 1))
-        if bad.size:
-            term, elem = divmod(int(bad[0]), n)
+        zero = codes == 1 << (code_bits - 1)
+        if zero.any():
+            term, elem = divmod(int(zero.argmax()), n)
             raise PackingError(
                 f"non-canonical zero code (sign bit set) at term {term} element {elem}"
             )

@@ -211,7 +211,7 @@ class QuantizedLayer:
 
     @property
     def filter_size(self) -> int:
-        return int(np.prod(self.filter_shape)) if self.filter_shape else 1
+        return math.prod(self.filter_shape)
 
     @property
     def codes_shape(self) -> tuple:

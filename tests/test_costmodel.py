@@ -135,6 +135,14 @@ def test_k_map_shape_checked():
         cost_report(net, {})
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+def test_k_i_of_any_integer_dtype_counts_alike(dtype):
+    # k_i counts filters by their k with np.bincount, which takes no uint64 as it is
+    net = small_net()
+    k_map = {name: np.asarray(k, dtype) for name, k in K_MAP.items()}
+    assert op_counts(net, k_map) == op_counts(net, K_MAP)
+
+
 @pytest.mark.parametrize("k", [-1, 4, [1, -1, 0], [1.7] * 3, 1.0, [True] * 3])
 def test_k_i_must_be_integers_the_header_holds(k):
     # unchecked, a negative k_i would lower the shift total and 1.7 would count as 1

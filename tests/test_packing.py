@@ -92,10 +92,11 @@ def test_golden_stream():
 @pytest.mark.parametrize("width", range(1, 9))
 def test_fields_match_bit_reference(width):
     """_pack_fields and _unpack_fields against np.packbits/np.unpackbits, for every
-    count up to three whole byte-filling groups of g fields and one field more."""
+    count up to three whole byte-filling groups of g fields and one field more,
+    and for counts that span many words, one field past a power of 2."""
     g = 8 // math.gcd(8, width)
     gen = np.random.default_rng(width)
-    for count in range(3 * g + 2):
+    for count in [*range(3 * g + 2), 4097, 65537]:
         values = gen.integers(0, 1 << width, count, dtype=np.uint8)
         want = np.packbits(np.unpackbits(values[:, None], axis=1)[:, 8 - width :])
         got = packing._pack_fields(values, width)
@@ -210,6 +211,48 @@ def test_header_field_that_does_not_fit_rejected(filter_shape, e_max):
                         np.zeros((0, math.prod(filter_shape)), np.uint8))
     with pytest.raises(PackingError, match="layer 1: header"):
         pack_model(random_model(4, n_layers=1) + [ql])
+
+
+@pytest.mark.parametrize("which", [0, 2], ids=["3-bit", "5-bit"])
+def test_non_contiguous_arrays_pack_as_their_contiguous_copies(which):
+    # the codec views its input as words: a strided or Fortran-ordered array must be
+    # read in C order all the same; k_i of any integer dtype packs as int8 does
+    layer = golden_model()[which]
+    want = pack_model([layer])
+    assert want == reference_pack([layer])
+    wide = np.zeros((layer.codes.shape[0], 2 * layer.filter_size), np.uint8)
+    wide[:, 1::2] = layer.codes
+    k_wide = np.zeros(2 * layer.num_filters, np.int8)
+    k_wide[1::2] = layer.k_i
+    variants = [
+        (layer.k_i, wide[:, 1::2]),
+        (layer.k_i, np.asfortranarray(layer.codes)),
+        (k_wide[1::2], layer.codes),
+        (layer.k_i.astype(np.int64), layer.codes),
+        (layer.k_i.astype(np.uint8), layer.codes),
+    ]
+    assert not any(codes.flags.c_contiguous for _, codes in variants[:2])
+    assert not variants[2][0].flags.c_contiguous
+    for k_i, codes in variants:
+        other = QuantizedLayer(layer.filter_shape, layer.rng, k_i, codes)
+        assert other == layer and pack_model([other]) == want
+
+
+@pytest.mark.parametrize("codes", [
+    np.array([[1, -1, 2, 3]]),  # int64: -1 once packed as 0b1111, over its neighbour's field
+    np.array([[1.7, 1.0, 2.0, 3.0]]),  # floats: 1.7 once packed as 1
+], ids=["int64", "float"])
+def test_codes_that_are_not_uint8_rejected(codes):
+    ql = QuantizedLayer((4,), ExponentRange(0), np.array([1], np.int8), codes)
+    with pytest.raises(PackingError, match="codes"):
+        pack_model([ql])
+
+
+def test_k_i_that_is_not_integer_rejected():
+    # k_i [1.0, 1.9] once packed as [1, 1]
+    ql = QuantizedLayer((3,), ExponentRange(0), np.array([1.0, 1.9]), np.ones((2, 3), np.uint8))
+    with pytest.raises(PackingError, match="k_i"):
+        pack_model([ql])
 
 
 def test_oversized_k_rejected():

@@ -9,7 +9,8 @@ B=64 and net2 at B=16, then of evaluate on one eval batch of quantized
 weights, for mnist2 at B=128 and net2 at B=32 (the benchmark's batches).
 For export: of one quantize_weights -> pack_model -> unpack_model ->
 cost_report cycle of net2's weights at max_k=3, with per-filter scales
-that spread k_i over 0..3 as in the benchmark's export workload.  With no
+that spread k_i over 0..3 as in the benchmark's export workload; a second
+line gives the p50 time of each of the four phases within a cycle.  With no
 names, every probe runs.  The counts depend on what ran before in the
 process (glibc's trim threshold follows the largest block freed so far),
 so run one probe per process to read its own count.  Each line also gives
@@ -101,6 +102,9 @@ def probe(preset, batch, eval_batch, threshold, steps, warm=3):
     print(f"{preset} eval B={eval_batch}: {line}")
 
 
+EXPORT_PHASES = ("quantize_weights", "pack_model", "unpack_model", "cost_report")
+
+
 def probe_export(cycles, warm=3):
     max_k = 3
     net = Network(get_preset("net2"))
@@ -113,12 +117,25 @@ def probe_export(cycles, warm=3):
     settings = loop.TrainSettings(max_k=max_k, lambdas=(0.0,) * max_k)
     thresholds = np.full((1, max_k), 0.1)
 
+    phase_s = []  # per counted cycle, the seconds of each of EXPORT_PHASES
+
     def cycle(i):
+        t = [time.perf_counter()]
         _, qinfo = loop.quantize_weights(net, params, thresholds, settings)
-        unpacked = packing.unpack_model(packing.pack_model([qinfo[n][0] for n in net.weight_names]))
+        t.append(time.perf_counter())
+        stream = packing.pack_model([qinfo[n][0] for n in net.weight_names])
+        t.append(time.perf_counter())
+        unpacked = packing.unpack_model(stream)
+        t.append(time.perf_counter())
         costmodel.cost_report(net, dict(zip(net.weight_names, unpacked)))
+        t.append(time.perf_counter())
+        if warm <= i < warm + cycles:
+            phase_s.append(np.diff(t))
 
     print(f"net2 export max_k={max_k}: {warm_calls(cycle, warm, cycles, 'cycle')}")
+    p50 = np.median(phase_s, axis=0)
+    print("net2 export phases p50: "
+          + ", ".join(f"{name} {1e3 * s:.2f} ms" for name, s in zip(EXPORT_PHASES, p50)))
 
 
 # name -> probe; a preset's arguments are its train batch, eval batch and threshold_init
