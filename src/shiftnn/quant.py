@@ -211,7 +211,7 @@ class QuantizedLayer:
 
     @property
     def filter_size(self) -> int:
-        return math.prod(self.filter_shape)
+        return math.prod(map(int, self.filter_shape))  # numpy int32 dims would wrap
 
     @property
     def codes_shape(self) -> tuple:

@@ -137,7 +137,7 @@ def test_k_map_shape_checked():
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
 def test_k_i_of_any_integer_dtype_counts_alike(dtype):
-    # k_i counts filters by their k with np.bincount, which takes no uint64 as it is
+    # op_counts counts filters by k with np.bincount, which numpy 1.x refuses uint64 for
     net = small_net()
     k_map = {name: np.asarray(k, dtype) for name, k in K_MAP.items()}
     assert op_counts(net, k_map) == op_counts(net, K_MAP)

@@ -255,6 +255,13 @@ def test_k_i_that_is_not_integer_rejected():
         pack_model([ql])
 
 
+def test_filter_size_of_int32_dims_does_not_wrap():
+    dims = (np.int32(70_000),) * 2
+    ql = QuantizedLayer(dims, ExponentRange(0), np.zeros(1, np.int8),
+                        np.zeros((0, 4_900_000_000), np.uint8))
+    assert ql.filter_size == 4_900_000_000 and type(ql.filter_size) is int
+
+
 def test_oversized_k_rejected():
     w = np.random.default_rng(5).normal(size=(2, 4))
     rng = ExponentRange.for_weights(w)
