@@ -16,8 +16,10 @@ from ..errors import ConfigError
 
 
 def _require_int(name, what, value, least):
+    """value as a Python int, which numpy integers are not: their shape and cost sums wrap."""
     if not (isinstance(value, numbers.Integral) and value >= least):
         raise ConfigError(f"{name}: {what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class Workspace:
@@ -86,6 +88,15 @@ def _taps(plane, channels, P, k, stride, Ho, Wo):
     return np.ndarray(shape, plane.dtype, plane, 0, strides)
 
 
+def _conv_geometry(H, W, k, stride, pad):
+    """(Ho, Wo, P, lo): the output size of a k x k conv of an H x W input, and the
+    row pitch P = max(W, Wo) and margin lo of the zero-padded plane of im2col and col2im."""
+    Ho = (H + 2 * pad - k) // stride + 1
+    Wo = (W + 2 * pad - k) // stride + 1
+    P = max(W, Wo)
+    return Ho, Wo, P, pad * P + pad
+
+
 def _wrapped(taps, W, stride, pad):
     """The slices of taps (C, k, k, N, Ho, Wo) whose input column stride*wo + j - pad
     lies outside 0..W-1: for each tap column j, a prefix and a suffix of 0..Wo-1."""
@@ -95,7 +106,7 @@ def _wrapped(taps, W, stride, pad):
 
 
 def im2col(x, k, stride, pad, ws=None):
-    """Channel-major patch matrix of shape (C*k*k, N*Ho*Wo), plus Ho, Wo.
+    """Channel-major patch matrix of shape (C*k*k, N*Ho*Wo), with Ho, Wo from _conv_geometry.
 
     Row c*k*k + i*k + j holds x[n, c, i + stride*ho, j + stride*wo] of the
     zero-padded input, with columns ordered (n, ho, wo), so that
@@ -103,18 +114,16 @@ def im2col(x, k, stride, pad, ws=None):
     The matrix is the workspace's array COLS.
 
     Every conv, and x of any strides, takes one path.  x is copied once into a
-    TMP plane (N, C, 2*lo + H*P) with row pitch P = max(W, Wo) and lo = pad*P
-    + pad zeros at each end.  One strided view holds all taps (_taps); the
-    entries that read no input column (_wrapped), whose plane entry lies in a
-    margin or a neighbouring row, are set to +0.0, the padding's value.  P >= Wo
-    keeps each tap's addresses distinct, which col2im's adds need: over-padded
-    convs (stride 1, 2*pad >= kernel) have Wo > W.
+    TMP plane (N, C, 2*lo + H*P) with _conv_geometry's row pitch P = max(W, Wo)
+    and lo = pad*P + pad zeros at each end.  One strided view holds all taps
+    (_taps); the entries that read no input column (_wrapped), whose plane
+    entry lies in a margin or a neighbouring row, are set to +0.0, the
+    padding's value.  P >= Wo keeps each tap's addresses distinct, which
+    col2im's adds need: over-padded convs (stride 1, 2*pad >= kernel) have
+    Wo > W.
     """
     N, C, H, W = x.shape
-    Ho = (H + 2 * pad - k) // stride + 1
-    Wo = (W + 2 * pad - k) // stride + 1
-    P = max(W, Wo)
-    lo = pad * P + pad
+    Ho, Wo, P, lo = _conv_geometry(H, W, k, stride, pad)
     plane = _array(ws, Workspace.TMP, (N, C, 2 * lo + H * P), x.dtype)
     plane[:, :, :lo] = 0
     plane[:, :, lo + H * P :] = 0
@@ -124,11 +133,12 @@ def im2col(x, k, stride, pad, ws=None):
     np.copyto(cols, win)
     for edge in _wrapped(cols.reshape(C, k, k, N, Ho, Wo), W, stride, pad):
         edge.fill(0.0)
-    return cols.reshape(C * k * k, N * Ho * Wo), Ho, Wo
+    return cols.reshape(C * k * k, N * Ho * Wo)
 
 
-def col2im(dcols, x_shape, k, stride, pad, Ho, Wo, ws=None):
-    """Scatter-add inverse of im2col: (C*k*k, N*Ho*Wo) -> x_shape.
+def col2im(dcols, x_shape, k, stride, pad, ws=None):
+    """Scatter-add inverse of im2col: (C*k*k, N*Ho*Wo) -> x_shape, with Ho, Wo
+    from _conv_geometry.
 
     The entries of dcols that read no input column are first set to -0.0:
     x + -0.0 is x for every x, -0.0 and NaN payloads included.  Then each
@@ -141,8 +151,7 @@ def col2im(dcols, x_shape, k, stride, pad, Ho, Wo, ws=None):
     the add's run into its SIMD body and scalar tail.
     """
     N, C, H, W = x_shape
-    P = max(W, Wo)
-    lo = pad * P + pad
+    Ho, Wo, P, lo = _conv_geometry(H, W, k, stride, pad)
     for edge in _wrapped(dcols.reshape(C, k, k, N, Ho, Wo), W, stride, pad):
         edge.fill(-0.0)
     plane = _array(ws, Workspace.TMP, (C, N, 2 * lo + H * P), dcols.dtype)
@@ -240,25 +249,19 @@ class Conv2D(Kernel):
     bias = False
 
     def __init__(self, name, in_channels, out_channels, kernel, stride=1, pad=0):
-        for what, value, least in (
-            ("in_channels", in_channels, 1),
-            ("out_channels", out_channels, 1),
-            ("kernel", kernel, 1),
-            ("stride", stride, 1),
-            ("pad", pad, 0),
-        ):
-            _require_int(name, what, value, least)
-        super().__init__(name, (out_channels, in_channels, kernel, kernel))
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
-        self.pad = pad
+        self.in_channels, self.out_channels, self.kernel, self.stride, self.pad = (
+            _require_int(name, what, value, least) for what, value, least in (
+                ("in_channels", in_channels, 1),
+                ("out_channels", out_channels, 1),
+                ("kernel", kernel, 1),
+                ("stride", stride, 1),
+                ("pad", pad, 0),
+            ))
+        super().__init__(name, (self.out_channels, self.in_channels, self.kernel, self.kernel))
 
     def out_shape(self, s):
         _, H, W = s
-        Ho = (H + 2 * self.pad - self.kernel) // self.stride + 1
-        Wo = (W + 2 * self.pad - self.kernel) // self.stride + 1
+        Ho, Wo, _, _ = _conv_geometry(H, W, self.kernel, self.stride, self.pad)
         if Ho < 1 or Wo < 1:
             raise ConfigError(f"{self.name}: kernel does not fit {H}x{W} input")
         return (self.out_channels, Ho, Wo)
@@ -270,7 +273,7 @@ class Conv2D(Kernel):
         size = max(1, CHUNK_BYTES // (w2.shape[1] * Ho * Wo * a.itemsize * step)) * step
         for lo in range(0, N, size):
             hi = min(lo + size, N)
-            cols, _, _ = im2col(a[lo:hi], self.kernel, stride, pad, ws)
+            cols = im2col(a[lo:hi], self.kernel, stride, pad, ws)
             y = np.matmul(w2, cols, out=_array(ws, Workspace.TMP, (O, cols.shape[1]), out.dtype))
             out[lo:hi] = y.reshape(O, hi - lo, Ho, Wo).transpose(1, 0, 2, 3)
 
@@ -283,10 +286,10 @@ class Conv2D(Kernel):
     def backward(self, dy, cache, params, ws=None, need_dx=True):
         x = cache
         w = params[self.weight_name]
-        k, O = self.kernel, self.out_channels
-        N, C, H, W = x.shape
+        k, C = self.kernel, self.in_channels
+        N, O, Ho, Wo = dy.shape
         # before dy2 takes TMP, which im2col's plane overwrites
-        cols, Ho, Wo = im2col(x, k, self.stride, self.pad, ws)
+        cols = im2col(x, k, self.stride, self.pad, ws)
         dy2 = _array(ws, Workspace.TMP, (O, N, Ho, Wo), dy.dtype)
         np.copyto(dy2, dy.transpose(1, 0, 2, 3))
         dy2 = dy2.reshape(O, N * Ho * Wo)
@@ -306,7 +309,7 @@ class Conv2D(Kernel):
             w2 = w.reshape(O, -1).T
             dcols = _array(ws, Workspace.COLS, cols.shape, dx.dtype)
             np.matmul(w2, dy2, out=dcols)
-            np.copyto(dx, col2im(dcols, x.shape, k, self.stride, self.pad, Ho, Wo, ws))
+            np.copyto(dx, col2im(dcols, x.shape, k, self.stride, self.pad, ws))
         return dx, grads
 
 
@@ -315,19 +318,18 @@ class BatchNorm2D(Layer):
 
     Training uses batch statistics (biased variance) and updates the
     running estimates with the given momentum; evaluation uses the
-    running estimates.
+    running estimates.  eps is added to the variance: at 0 a constant
+    channel (zero variance) would turn into NaN.
     """
 
-    def __init__(self, name, channels, momentum=0.1, eps=1e-5):
-        # eps = 0 turns a constant channel (zero variance) into NaN
-        if not (isinstance(eps, numbers.Real) and 0 < eps < np.inf):
-            raise ConfigError(f"{name}: batchnorm eps must be positive and finite, got {eps!r}")
+    eps = 1e-5
+
+    def __init__(self, name, channels, momentum=0.1):
         if not (isinstance(momentum, numbers.Real) and 0 <= momentum <= 1):
             raise ConfigError(f"{name}: batchnorm momentum must lie in [0, 1], got {momentum!r}")
         super().__init__(name)
-        self.channels = channels
+        self.channels = _require_int(name, "channels", channels, 1)
         self.momentum = momentum
-        self.eps = eps
 
     def param_shapes(self):
         return {f"{self.name}.gamma": (self.channels,), f"{self.name}.beta": (self.channels,)}
@@ -386,11 +388,7 @@ class BatchNorm2D(Layer):
 
 
 class LeakyReLU(Layer):
-    def __init__(self, name, slope=0.01):
-        if not (isinstance(slope, numbers.Real) and 0 < slope < 1):
-            raise ConfigError(f"{name}: leaky-relu slope must lie in (0, 1), got {slope!r}")
-        super().__init__(name)
-        self.slope = slope
+    slope = 0.01
 
     def forward(self, x, params, state, train, ws=None):
         # For 0 < slope < 1, max(x, slope*x) is x where x >= 0 and slope*x where
@@ -422,9 +420,8 @@ class MaxPool2D(Layer):
     """
 
     def __init__(self, name, size):
-        _require_int(name, "pool size", size, 2)
         super().__init__(name)
-        self.size = size
+        self.size = _require_int(name, "pool size", size, 2)
 
     def out_shape(self, s):
         C, H, W = s
@@ -489,9 +486,8 @@ class Dense(Kernel):
     bias = True
 
     def __init__(self, name, in_features, out_features):
-        _require_int(name, "in_features", in_features, 1)
-        _require_int(name, "out_features", out_features, 1)
-        super().__init__(name, (out_features, in_features))
+        in_features = _require_int(name, "in_features", in_features, 1)
+        super().__init__(name, (_require_int(name, "out_features", out_features, 1), in_features))
 
     def out_shape(self, s):
         return self.weight_shape[:1]

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, NumericError
-from .layers import BatchNorm2D, Conv2D, Dense, Flatten, Kernel, LeakyReLU, MaxPool2D, Workspace
+from .layers import (BatchNorm2D, Conv2D, Dense, Flatten, Kernel, LeakyReLU, MaxPool2D, Workspace,
+                     _require_int)
 
 
 @dataclass
@@ -19,10 +20,12 @@ class LayerSpec:
     aside), with the defaults the class gives them, less the one argument
     the input shape fixes, which the network supplies:
 
-    - conv2d (Conv2D): in_channels, the input's channel count;
-    - batchnorm (BatchNorm2D): channels, the input's channel count;
-    - dense (Dense): in_features, the flattened input's length;
-    - leaky-relu (LeakyReLU), maxpool (MaxPool2D), flatten (Flatten): none.
+    - conv2d (Conv2D): out_channels, kernel, stride and pad; in_channels is
+      the input's channel count;
+    - batchnorm (BatchNorm2D): momentum; channels is the input's channel count;
+    - dense (Dense): out_features; in_features is the flattened input's length;
+    - maxpool (MaxPool2D): size;
+    - leaky-relu (LeakyReLU), flatten (Flatten): none.
     """
 
     kind: str
@@ -112,7 +115,8 @@ class Network:
         self.layers = []
         if not config.layers:
             raise ConfigError(f"network {config.id!r} has no layers")
-        shape = tuple(config.input_shape)
+        self.input_shape = shape = tuple(
+            _require_int(f"network {config.id!r}", "input_shape", d, 1) for d in config.input_shape)
         node_shapes = []  # node i = output of layer i
         for i, spec in enumerate(config.layers):
             layer = _build_layer(i, spec, shape)
@@ -190,23 +194,23 @@ class Network:
 
     # --- execution --------------------------------------------------------------
 
-    def forward(self, x, params, state=None, train=False):
+    def forward(self, x, params, state, train=False):
         """Run the network; returns (logits, cache) for a later backward.
 
-        Only a train forward keeps the layer caches that backward reads; an
-        eval forward builds none and returns None as its cache.  A train
-        cache serves one backward, and only until the next train forward on
-        this network: both reuse its memory.  It refers to each conv's input,
-        x among them, not a copy, so x must not change before backward, which
-        consumes the cache.  An eval forward leaves it valid; it keeps no
-        buffers, and drops those of the train steps that no cache holds.
+        state holds the batch-norm running statistics, which a train forward
+        updates in place.  Only a train forward keeps the layer caches that
+        backward reads; an eval forward builds none and returns None as its
+        cache.  A train cache serves one backward, and only until the next
+        train forward on this network: both reuse its memory.  It refers to
+        each conv's input, x among them, not a copy, so x must not change
+        before backward, which consumes the cache.  An eval forward leaves it
+        valid; it keeps no buffers, and drops those of the train steps that no
+        cache holds.
         """
         x = np.asarray(x)
-        if x.shape[1:] != tuple(self.config.input_shape):
-            raise ConfigError(
-                f"input shape {x.shape[1:]} does not match network input "
-                f"{tuple(self.config.input_shape)}"
-            )
+        if x.shape[1:] != self.input_shape:
+            raise ConfigError(f"input shape {x.shape[1:]} does not match network input "
+                              f"{self.input_shape}")
         if len(x) == 0:
             raise ConfigError("a forward needs at least one sample")
         if train:
@@ -219,7 +223,6 @@ class Network:
             # 34.7 -> 27.2 ms) but raised the benchmark's train-mnist2 peak RSS
             # 71.2 -> 101.5 MB and made net2's warm steps fault ~6,000 times.
             self._workspace, ws = Workspace(), None
-        state = state if state is not None else {}
         caches = []
         skip_caches = {}
         sources = {}  # node index -> output, for the nodes a skip reads

@@ -239,13 +239,6 @@ class QuantizedLayer:
         )
 
 
-def _as_thresholds(t, k: int) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
-    if t.shape[0] < k:
-        raise ConfigError(f"need {k} thresholds, got {t.shape[0]}")
-    return t[:k]
-
-
 def _norms(r):
     """The L2 norm of each row of r, accumulated in float64.
 
@@ -266,22 +259,25 @@ def _norms(r):
     return norms
 
 
-def quantize_layer(w, t, k: int, rng: ExponentRange):
+def quantize_layer(w, t, rng: ExponentRange):
     """Threshold-gated recursive quantization of a whole layer.
 
-    w has shape (F, ...); each leading-axis slice is one filter.  Round j
-    rounds the residual elementwise and keeps the term iff the residual's
-    L2 norm strictly exceeds t[j]; only fired rounds subtract their term
-    from the running residual, which every round rewrites in one buffer.
-    Returns (QuantizedLayer, ResidualTrace); the trace refers to w, keeps
-    no residual and holds the quantized weight w less the last residual r_k.
-    Raises NumericError when any weight is NaN or infinite, or when a
-    filter's L2 norm overflows float64.
+    w has shape (F, ...); each leading-axis slice is one filter.  t is the
+    1-D row of per-round thresholds: its length k is the number of rounds.
+    Round j rounds the residual elementwise and keeps the term iff the
+    residual's L2 norm strictly exceeds t[j]; only fired rounds subtract
+    their term from the running residual, which every round rewrites in one
+    buffer.  Returns (QuantizedLayer, ResidualTrace); the trace refers to w,
+    keeps no residual and holds the quantized weight w less the last
+    residual r_k.  Raises ConfigError when t is not 1-D, and NumericError
+    when any weight is NaN or infinite, or when a filter's L2 norm
+    overflows float64.
     """
     w = np.asarray(w)
-    if k < 0:
-        raise ConfigError(f"k must be >= 0, got {k}")
-    t = _as_thresholds(t, k)
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1:
+        raise ConfigError(f"thresholds must be one row of per-round values, got shape {t.shape}")
+    k = t.size
     F = w.shape[0]
     filter_shape = w.shape[1:]
     flat = w.reshape(F, -1)
@@ -332,5 +328,5 @@ def ungated_residual_trace(w, k: int, rng: ExponentRange) -> ResidualTrace:
 
     This is the threshold-independent recursion the regularizer penalizes.
     """
-    _, trace = quantize_layer(w, np.full(k, -np.inf), k, rng)
+    _, trace = quantize_layer(w, np.full(k, -np.inf), rng)
     return trace

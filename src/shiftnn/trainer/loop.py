@@ -107,7 +107,6 @@ class EpochMetrics:
     epoch: int
     loss_ce: float
     loss_reg: float
-    loss_total: float
     train_acc: float
     test_acc: float
     mean_k: float
@@ -163,7 +162,7 @@ def quantize_weights(net: Network, params: dict, thresholds: np.ndarray, setting
         t = thresholds[_threshold_row(settings, g)]
         try:
             rng = ExponentRange.for_weights(w, settings.code_bits)
-            qlayer, trace = quantize_layer(w, t, settings.max_k, rng)
+            qlayer, trace = quantize_layer(w, t, rng)
         except NumericError as exc:
             raise NumericError(f"{name}: {exc}") from exc
         qparams[name] = trace.quantized.reshape(w.shape)
@@ -279,14 +278,13 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
         _check_data(ts.net, test_x, test_y)
     start = time.perf_counter()
     order = ts.rng.permutation(len(train_x))
-    sum_ce = sum_reg = sum_total = 0.0
+    sum_ce = sum_reg = 0.0
     correct = 0
     for lo in range(0, len(order), s.batch_size):
         idx = order[lo : lo + s.batch_size]
-        ce, reg, total, ok = train_batch(ts, train_x[idx], train_y[idx])
+        ce, reg, _, ok = train_batch(ts, train_x[idx], train_y[idx])
         sum_ce += ce * len(idx)
         sum_reg += reg * len(idx)
-        sum_total += total * len(idx)
         correct += ok
     n = len(order)
     ts.epoch += 1
@@ -302,7 +300,6 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
         epoch=ts.epoch,
         loss_ce=sum_ce / n,
         loss_reg=sum_reg / n,
-        loss_total=sum_total / n,
         train_acc=correct / n,
         test_acc=test_acc,
         mean_k=mean_k,

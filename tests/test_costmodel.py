@@ -143,6 +143,29 @@ def test_k_i_of_any_integer_dtype_counts_alike(dtype):
     assert op_counts(net, k_map) == op_counts(net, K_MAP)
 
 
+def wide_config(integer):
+    """(3, 512, 512) -> two 3x3, pad-1, 256-channel convs -> maxpool 512 -> flatten ->
+    dense 10, with every integer of the input shape and the layer arguments as integer(value)."""
+    conv = {"out_channels": integer(256), "kernel": integer(3), "stride": integer(1),
+            "pad": integer(1)}
+    layers = [LayerSpec("conv2d", conv), LayerSpec("conv2d", dict(conv)),
+              LayerSpec("maxpool", {"size": integer(512)}), LayerSpec("flatten"),
+              LayerSpec("dense", {"out_features": integer(10)})]
+    return NetworkConfig("wide", tuple(integer(d) for d in (3, 512, 512)), 10, layers)
+
+
+def test_numpy_integer_layer_args_count_as_python_ints():
+    # np.int32 arguments were kept as given, so node shapes, fan_in and every count
+    # were int32: 1,811,941,888 multiplies, and -671,083,520 shifts at k = 2
+    net, ref = Network(wide_config(np.int32)), Network(wide_config(int))
+    assert net.node_shapes == ref.node_shapes
+    assert all(type(d) is int for shape in net.node_shapes for d in shape)
+    for k_map in (None, dict.fromkeys(ref.weight_names, 2)):
+        assert op_counts(net, k_map) == op_counts(ref, k_map)
+    assert op_counts(net).multiply_count == 156_430_764_544
+    assert op_counts(net, dict.fromkeys(net.weight_names, 2)).shift_count == 312_861_529_088
+
+
 @pytest.mark.parametrize("k", [-1, 4, [1, -1, 0], [1.7] * 3, 1.0, [True] * 3])
 def test_k_i_must_be_integers_the_header_holds(k):
     # unchecked, a negative k_i would lower the shift total and 1.7 would count as 1

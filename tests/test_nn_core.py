@@ -609,8 +609,7 @@ class TestSamePlane:
     def test_im2col(self, k, stride, pad, H, W, N, C, dtype):
         gen = np.random.default_rng(k * 1000 + H * 100 + W * 10 + N + C)
         x = special_values(gen, (N, C, H, W), dtype)
-        cols, Ho, Wo = layers.im2col(x, k, stride, pad, dirty_workspace(Workspace.COLS))
-        assert (Ho, Wo) == out_size(H, W, k, stride, pad)
+        cols = layers.im2col(x, k, stride, pad, dirty_workspace(Workspace.COLS))
         assert np.array_equal(bits(cols), bits(reference_im2col(x, k, stride, pad)))
 
     @pytest.mark.parametrize("wrapped_fill", ["special", "-0.0"])
@@ -628,7 +627,7 @@ class TestSamePlane:
                 taps[:, :, j, :, :, wrapped] = -0.0
         with np.errstate(invalid="ignore"):  # inf + -inf
             want, meets = reference_col2im(dcols, (N, C, H, W), k, stride, pad)
-            got = layers.col2im(dcols, (N, C, H, W), k, stride, pad, Ho, Wo, dirty_workspace("c"))
+            got = layers.col2im(dcols, (N, C, H, W), k, stride, pad, dirty_workspace("c"))
         assert got.shape == (N, C, H, W)
         if (N, C) == (1, 2):
             assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -641,14 +640,14 @@ class TestSamePlane:
         # every pad copies x into the plane, so a view with gaps or zero strides reads as x
         x = special_values(np.random.default_rng(44), (2, 3, 8, 12), np.float32)[:, :, ::2, 1::3]
         for a in (x, np.broadcast_to(x[:1], x.shape)):
-            cols, _, _ = layers.im2col(a, k, stride, pad, dirty_workspace(Workspace.COLS))
+            cols = layers.im2col(a, k, stride, pad, dirty_workspace(Workspace.COLS))
             assert np.array_equal(bits(cols), bits(reference_im2col(a, k, stride, pad)))
 
     @pytest.mark.parametrize("preset,layer,shape", CONVS)
     def test_preset_patch_matrices(self, preset, layer, shape):
         x = special_values(np.random.default_rng(43), (2,) + shape, np.float32)
         k, stride, pad = layer.kernel, layer.stride, layer.pad
-        cols, _, _ = layers.im2col(x, k, stride, pad, dirty_workspace(Workspace.COLS))
+        cols = layers.im2col(x, k, stride, pad, dirty_workspace(Workspace.COLS))
         assert np.array_equal(bits(cols), bits(reference_im2col(x, k, stride, pad)))
 
 
@@ -697,7 +696,7 @@ class TestGradientChecks:
     def test_leaky_relu(self):
         gen = np.random.default_rng(16)
         x = gen.normal(size=(3, 4, 5, 5))
-        layer = LeakyReLU("L0", slope=0.01)
+        layer = LeakyReLU("L0")
         self._check_layer(layer, x, {}, {}, seed=17)
 
     def test_maxpool(self):
@@ -760,7 +759,7 @@ class TestLayerProperties:
 
     def test_leaky_relu_exactness(self):
         x = np.array([-2.0, -0.5, 0.0, 0.5, 3.0])
-        layer = LeakyReLU("L0", slope=0.01)
+        layer = LeakyReLU("L0")
         y, _ = layer.forward(x, {}, {}, False)
         assert np.array_equal(y, np.array([-0.02, -0.005, 0.0, 0.5, 3.0]))
 
@@ -837,7 +836,8 @@ class TestLeakyReLUBits:
             dtype,
         )
         assert (np.asarray(slope, dtype) * x[2]) == 0  # slope*x underflows to -0.0
-        layer = LeakyReLU("L0", slope=slope)
+        layer = LeakyReLU("L0")
+        layer.slope = slope  # an instance value in place of the class constant
         y, cache = layer.forward(x, {}, {}, True)
         neg = x < 0
         assert np.array_equal(bits(y), bits(np.where(neg, np.asarray(slope, dtype) * x, x)))
@@ -847,8 +847,6 @@ class TestLeakyReLUBits:
 
     @pytest.mark.parametrize("slope", [0, 1, 2, -0.1, float("nan"), "0.1"])
     def test_slope_outside_unit_interval_rejected(self, slope):
-        with pytest.raises(ConfigError, match="slope"):
-            LeakyReLU("L0", slope=slope)
         cfg = two_conv_config()
         cfg.layers[2].args["slope"] = slope
         with pytest.raises(ConfigError, match="slope"):
@@ -1009,6 +1007,20 @@ class TestBuildNetwork:
         dense = [layer.name for layer in net.layers if isinstance(layer, Dense)]
         assert [n for n in net.param_names if n.endswith(".b")] == [f"{n}.b" for n in dense]
 
+    def test_output_must_be_classes_wide(self):
+        cfg = two_conv_config()
+        cfg.classes = 4  # the dense head still gives 3
+        with pytest.raises(ConfigError, match=r"network output shape \(3,\) does not match 4 classes"):
+            Network(cfg)
+
+    def test_check_params_names_a_missing_or_misshapen_parameter(self):
+        net, params, _ = build_network(two_conv_config(), seed=0)
+        net.check_params(params)
+        with pytest.raises(ConfigError, match="missing parameter L1.gamma"):
+            net.check_params({k: v for k, v in params.items() if k != "L1.gamma"})
+        with pytest.raises(ConfigError, match=r"parameter L8.b has shape \(4,\), expected \(3,\)"):
+            net.check_params({**params, "L8.b": np.zeros(4)})
+
     def test_equal_shapes_skip_without_projection(self):
         net = Network(self.skip_config([(1, 2)]))
         assert net.skips == {2: (1, None)}
@@ -1027,7 +1039,7 @@ class TestBuildNetwork:
         "index, key, kind",
         [(0, "strides", "conv2d"), (1, "momentun", "batchnorm"), (2, "negative_slope", "leaky-relu"),
          (3, "stride", "maxpool"), (7, "start_dim", "flatten"), (8, "use_bias", "dense"),
-         (0, "bias", "conv2d")],
+         (0, "bias", "conv2d"), (1, "eps", "batchnorm"), (2, "slope", "leaky-relu")],
     )
     def test_unknown_layer_args_rejected(self, index, key, kind):
         # a misspelled "strides" once built a stride-1 conv without a word
@@ -1065,6 +1077,7 @@ class TestBuildNetwork:
             (1, "momentum", 2, "momentum"),
             (1, "momentum", -0.1, "momentum"),
             (1, "momentum", float("nan"), "momentum"),
+            (0, "kernel", 11, "L0: kernel does not fit 8x8 input"),  # 11 > 8 + 2 * pad
         ],
     )
     def test_bad_layer_args_rejected_at_build(self, index, key, value, match):
@@ -1150,6 +1163,10 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    def test_label_count_must_match_the_batch(self):
+        with pytest.raises(DataError, match=r"labels shape \(3,\) does not match batch 2"):
+            cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
 
     @pytest.mark.parametrize("labels", [[0.5, 1.0], [0.0, 1.0], [True, False]],
                              ids=["fractional", "float", "bool"])

@@ -29,7 +29,7 @@ def random_model(seed, n_layers=3, k=2):
         w = gen.normal(size=(F,) + shape)
         rng = ExponentRange.for_weights(w)
         t = gen.uniform(0, 2, size=k)
-        ql, _ = quantize_layer(w, t, k, rng)
+        ql, _ = quantize_layer(w, t, rng)
         layers.append(ql)
     return layers
 
@@ -127,7 +127,7 @@ def test_empty_model_is_header_only():
 def test_known_size_single_term():
     # 1000 weights, k_i = 1, 4-bit codes: 4000 payload bits + one 2-bit header
     w = np.linspace(0.1, 1.0, 1000).reshape(1, 1000)
-    ql, _ = quantize_layer(w, [-np.inf], 1, ExponentRange(0))
+    ql, _ = quantize_layer(w, [-np.inf], ExponentRange(0))
     assert payload_bits(ql) == 4000 + 2
     assert storage_bits([ql]) == ((4000 + 2 + 7) // 8) * 8
 
@@ -148,9 +148,9 @@ def test_pruned_and_mixed_filters_roundtrip():
     w = np.random.default_rng(3).normal(size=(8, 6))
     rng = ExponentRange.for_weights(w)
     # norms straddle the thresholds so k_i ends up mixed
-    _, trace = quantize_layer(w, [0.0, 0.0], 2, rng)
+    _, trace = quantize_layer(w, [0.0, 0.0], rng)
     median = np.median(trace.norms[0])
-    ql, _ = quantize_layer(w, [median, 2 * median], 2, rng)
+    ql, _ = quantize_layer(w, [median, 2 * median], rng)
     assert len(set(ql.k_i.tolist())) > 1
     data = pack_model([ql])
     assert unpack_model(data)[0] == ql
@@ -190,6 +190,13 @@ def test_out_of_range_exponent_rejected():
     ql.codes = np.full_like(ql.codes, 1 << ql.rng.code_bits)
     with pytest.raises(PackingError, match="code"):
         pack_model([ql])
+
+
+def test_too_many_layers_rejected():
+    # the header holds the layer count in 16 bits
+    ql = random_model(4, n_layers=1)[0]
+    with pytest.raises(PackingError, match="too many layers: 65536"):
+        pack_model([ql] * 65_536)
 
 
 def test_non_canonical_zero_code_rejected():
@@ -265,7 +272,7 @@ def test_filter_size_of_int32_dims_does_not_wrap():
 def test_oversized_k_rejected():
     w = np.random.default_rng(5).normal(size=(2, 4))
     rng = ExponentRange.for_weights(w)
-    ql, _ = quantize_layer(w, [-np.inf] * 4, 4, rng)
+    ql, _ = quantize_layer(w, [-np.inf] * 4, rng)
     with pytest.raises(PackingError, match="k_i"):
         pack_model([ql])
 

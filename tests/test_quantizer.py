@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -96,14 +97,14 @@ def rounded(x, rng):
     return float(rng.decode(round_pow2(np.float64(x), rng)))
 
 
-def quantize_one(w_i, t, k, rng):
+def quantize_one(w_i, t, rng):
     """One filter as a one-filter layer: (QuantizedLayer, ResidualTrace)."""
-    return quantize_layer(np.asarray(w_i)[None], t, k, rng)
+    return quantize_layer(np.asarray(w_i)[None], t, rng)
 
 
-def shift_count(w_i, t, k, rng) -> int:
+def shift_count(w_i, t, rng) -> int:
     """Fired gates of one filter: sum_j 1(||r_j|| > t_j)."""
-    return int(quantize_one(w_i, t, k, rng)[0].k_i[0])
+    return int(quantize_one(w_i, t, rng)[0].k_i[0])
 
 
 class TestExponentRange:
@@ -279,14 +280,14 @@ class TestRoundPow2Exactness:
 
 class TestQuantizeFilter:
     def test_all_zero_filter(self, wide):
-        ql, _ = quantize_one(np.zeros(5), [0.0, 0.0], 2, wide)
+        ql, _ = quantize_one(np.zeros(5), [0.0, 0.0], wide)
         assert ql.k_i[0] == 0
         assert not ql.codes.any()
         assert np.array_equal(ql.dequantize()[0], np.zeros(5))
 
     def test_hand_recursion_both_gates_fire(self, wide):
         # 0.75 -> +2^0, residual -0.25 -> -2^-2, exact afterwards
-        ql, trace = quantize_one(np.array([0.75]), [0.0, 0.0], 2, wide)
+        ql, trace = quantize_one(np.array([0.75]), [0.0, 0.0], wide)
         assert ql.k_i[0] == 2
         assert wide.decode(ql.codes[:, 0]).tolist() == [1.0, -0.25]
         assert ql.dequantize()[0, 0] == 0.75
@@ -295,36 +296,50 @@ class TestQuantizeFilter:
 
     def test_hand_recursion_second_gate_closed(self, wide):
         # residual norm 0.25 <= 0.3 closes the second gate
-        ql, _ = quantize_one(np.array([0.75]), [0.0, 0.3], 2, wide)
+        ql, _ = quantize_one(np.array([0.75]), [0.0, 0.3], wide)
         assert ql.k_i[0] == 1
         assert ql.codes.shape == (1, 1)  # only the kept term is held
         assert ql.dequantize()[0, 0] == 1.0
 
     def test_independent_gates(self, wide):
         # first gate closed by a huge t0, second gate still evaluated on r0
-        ql, trace = quantize_one(np.array([0.75]), [10.0, 0.0], 2, wide)
+        ql, trace = quantize_one(np.array([0.75]), [10.0, 0.0], wide)
         assert list(trace.fired[:, 0]) == [False, True]
         assert ql.k_i[0] == 1
         assert ql.dequantize()[0, 0] == 1.0  # term is R(w), not R(w - R(w))
 
     def test_residual_contraction(self, wide):
         w = np.random.default_rng(3).normal(size=(16, 27)).astype(np.float64)
-        _, trace = quantize_layer(w, [-np.inf] * 3, 3, ExponentRange(16, 8))
+        _, trace = quantize_layer(w, [-np.inf] * 3, ExponentRange(16, 8))
         norms = trace.norms
         assert (norms[1:] <= norms[:-1] + 1e-12).all()
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_rounds_are_the_threshold_row_length(self, wide, k):
+        w = np.random.default_rng(k).normal(size=(3, 4))
+        ql, trace = quantize_layer(w, np.zeros(k), wide)
+        assert trace.codes.shape == (k, 3, 4)
+        assert trace.norms.shape == trace.fired.shape == (k, 3)
+        assert (ql.k_i == k).all()  # every nonzero residual passes a zero threshold
+
+    @pytest.mark.parametrize("t", [np.zeros((2, 3)), np.float64(0.0)], ids=["2-D", "0-D"])
+    def test_thresholds_that_are_not_one_row_rejected(self, wide, t):
+        # a 2-D t was flattened, and its first k entries read as one row
+        with pytest.raises(ConfigError, match=rf"got shape {re.escape(str(t.shape))}"):
+            quantize_layer(np.ones((3, 4)), t, wide)
 
 
 class TestEffectiveK:
     def test_infinite_thresholds_prune(self, wide):
-        assert shift_count(np.array([1.0, 2.0]), [np.inf, np.inf], 2, wide) == 0
+        assert shift_count(np.array([1.0, 2.0]), [np.inf, np.inf], wide) == 0
 
     def test_zero_thresholds_spend_all_rounds(self, wide):
         w = np.array([0.3, 0.55])  # not exactly representable in <= 2 terms
-        assert shift_count(w, [0.0, 0.0], 2, wide) == 2
+        assert shift_count(w, [0.0, 0.0], wide) == 2
 
     def test_exact_power_uses_one_round(self, wide):
         # residual after round 1 is exactly zero; strict inequality holds it closed
-        assert shift_count(np.array([0.5]), [0.0, 0.0], 2, wide) == 1
+        assert shift_count(np.array([0.5]), [0.0, 0.0], wide) == 1
 
     def test_gate_monotonicity(self, wide):
         w = np.random.default_rng(5).normal(size=12)
@@ -333,20 +348,20 @@ class TestEffectiveK:
             t = rng.uniform(0, 3, size=2)
             bumped = t.copy()
             bumped[rng.integers(2)] += rng.uniform(0, 2)
-            assert shift_count(w, bumped, 2, wide) <= shift_count(w, t, 2, wide)
+            assert shift_count(w, bumped, wide) <= shift_count(w, t, wide)
 
 
 class TestDequantize:
     def test_empty_terms(self, wide):
-        ql, _ = quantize_one(np.zeros(3), [np.inf, np.inf], 2, wide)
+        ql, _ = quantize_one(np.zeros(3), [np.inf, np.inf], wide)
         assert np.array_equal(ql.dequantize(), np.zeros((1, 3)))
-        empty, trace = quantize_layer(np.ones((2, 3)), [], 0, wide)
+        empty, trace = quantize_layer(np.ones((2, 3)), [], wide)
         assert np.array_equal(empty.dequantize(), np.zeros((2, 3)))
         # at k = 0 the weight is w - r_0 = w - w: +0.0, as dequantize gives
         assert np.array_equal(bits(trace.quantized), bits(np.zeros((2, 3))))
 
     def test_direct_sum(self, wide):
-        ql, _ = quantize_one(np.array([0.75]), [0.0, 0.0], 2, wide)
+        ql, _ = quantize_one(np.array([0.75]), [0.0, 0.0], wide)
         assert ql.dequantize()[0, 0] == 2.0**0 - 2.0**-2
 
     @pytest.mark.parametrize("shape", [(3, 2), (1, 2), (2, 3), (2,)])
@@ -357,13 +372,18 @@ class TestDequantize:
         with pytest.raises(ConfigError, match=r"codes have shape .* expected \(2, 2\)"):
             QuantizedLayer((2,), wide, k_i, np.zeros(shape, np.uint8))
 
+    def test_equality_with_a_non_layer(self, wide):
+        ql, _ = quantize_one(np.array([0.75]), [0.0], wide)
+        assert ql.__eq__(0.75) is NotImplemented
+        assert ql != 0.75
+
     def test_roundtrip_on_greedy_representable(self, wide):
         # values built by the greedy rounding order itself quantize back exactly
         gen = np.random.default_rng(11)
         raw = gen.normal(size=(40, 8))
-        ql, _ = quantize_layer(raw, [0.0, 0.0], 2, wide)
+        ql, _ = quantize_layer(raw, [0.0, 0.0], wide)
         w = ql.dequantize()
-        ql2, _ = quantize_layer(w, [0.0, 0.0], 2, wide)
+        ql2, _ = quantize_layer(w, [0.0, 0.0], wide)
         assert np.array_equal(ql2.dequantize(), w)
 
     def test_exact_representation_of_two_term_sums(self):
@@ -375,7 +395,7 @@ class TestDequantize:
         s1 = gen.choice([-1.0, 1.0], size=200)
         s2 = gen.choice([-1.0, 1.0], size=200)
         w = (s1 * np.exp2(e1) + s2 * np.exp2(e2)).reshape(-1, 1)
-        ql, _ = quantize_layer(w, [0.0, 0.0], 2, rng)
+        ql, _ = quantize_layer(w, [0.0, 0.0], rng)
         assert np.array_equal(ql.dequantize().ravel(), w.ravel())
 
 
@@ -414,7 +434,7 @@ class TestDequantizeFastPath:
         # log-uniform filter scales against one threshold spread k_i over 0..3
         w = gen.normal(size=(64, 3, 3, 3)) * np.exp(gen.uniform(-3.5, 0.7, size=(64, 1, 1, 1)))
         rng = ExponentRange.for_weights(w, 4)
-        ql, trace = quantize_layer(w.astype(dtype), np.full(3, t), 3, rng)
+        ql, trace = quantize_layer(w.astype(dtype), np.full(3, t), rng)
         assert set(ql.k_i.tolist()) == k_set
         got = ql.dequantize(dtype)
         assert got.dtype == trace.quantized.dtype == dtype
@@ -439,7 +459,7 @@ def test_trace_weight_is_the_kept_terms_sum(code_bits, dtype, k):
         # per round: gates all open, at zero, all closed, or at a norm inside the spread
         t = [[-np.inf, 0.0, np.inf, np.exp(gen.uniform(np.log(1e-6), np.log(1e4)))][c]
              for c in gen.integers(0, 4, k)]
-        ql, trace = quantize_layer(w, t, k, rng)
+        ql, trace = quantize_layer(w, t, rng)
         got = ql.dequantize(dtype).reshape(F, n)
         assert trace.quantized.dtype == dtype
         assert np.array_equal(bits(trace.quantized), bits(got))
@@ -478,8 +498,8 @@ class TestReplay:
         t = np.full(k, {"all": -np.inf, "none": np.inf, "mixed": np.inf}[gates])
         if gates == "mixed":  # round j's threshold splits its norms at a quantile of its own
             for j in range(k):
-                t[j] = np.quantile(quantize_layer(w, t, k, rng)[1].norms[j], [0.25, 0.75, 0.5][j])
-        return w, quantize_layer(w, t, k, rng)[1]
+                t[j] = np.quantile(quantize_layer(w, t, rng)[1].norms[j], [0.25, 0.75, 0.5][j])
+        return w, quantize_layer(w, t, rng)[1]
 
     @pytest.mark.parametrize("code_bits", [3, 4, 8])
     @pytest.mark.parametrize("k", range(4))
@@ -506,14 +526,14 @@ class TestReplay:
 class TestSpecialCases:
     def test_all_inf_thresholds_is_pruning(self, wide):
         w = np.random.default_rng(17).normal(size=(6, 9))
-        ql, _ = quantize_layer(w, [np.inf, np.inf], 2, wide)
+        ql, _ = quantize_layer(w, [np.inf, np.inf], wide)
         assert np.array_equal(ql.k_i, np.zeros(6, dtype=np.int8))
         assert np.array_equal(ql.dequantize(), np.zeros_like(w))
 
     def test_neg_inf_thresholds_match_unconditional_recursion(self, wide):
         # Q_k(w) = Q_{k-1}(w) + Q_1(w - Q_{k-1}(w)), all gates forced open
         w = np.random.default_rng(19).normal(size=(5, 7))
-        ql, _ = quantize_layer(w, [-np.inf, -np.inf], 2, wide)
+        ql, _ = quantize_layer(w, [-np.inf, -np.inf], wide)
 
         def q1(x):
             return np.vectorize(lambda v: oracle_round(v, wide))(x)
@@ -526,7 +546,7 @@ class TestSpecialCases:
     def test_ungated_trace_matches_neg_inf(self, wide):
         w = np.random.default_rng(23).normal(size=(4, 6))
         tr = ungated_residual_trace(w, 2, wide)
-        _, tr2 = quantize_layer(w, [-np.inf, -np.inf], 2, wide)
+        _, tr2 = quantize_layer(w, [-np.inf, -np.inf], wide)
         assert np.array_equal(tr.replay()[0], tr2.replay()[0])
         assert tr.fired.all()
 
@@ -534,10 +554,10 @@ class TestSpecialCases:
         # finite weights whose norm overflows float64 were blamed on non-finite weights
         w = np.array([[1.5e308, 1.5e308], [1.0, 2.0]])
         with pytest.raises(NumericError, match="norm of filter 0 overflows float64"):
-            quantize_layer(w, [0.0, 0.0], 2, wide)
+            quantize_layer(w, [0.0, 0.0], wide)
         w[1, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite weights, the first is filter 1"):
-            quantize_layer(w, [0.0, 0.0], 2, wide)
+            quantize_layer(w, [0.0, 0.0], wide)
 
     @pytest.mark.parametrize("shift", [-600, 600])
     def test_far_filter_norms_scale_exactly(self, shift):
@@ -550,8 +570,8 @@ class TestSpecialCases:
         t = np.exp2(gen.integers(-3, 4, size=3).astype(float))
         t[0] = 0.0
         rng = ExponentRange.for_weights(w)
-        want_ql, want = quantize_layer(w, t, 3, rng)
-        got_ql, got = quantize_layer(np.ldexp(w, shift), np.ldexp(t, shift), 3,
+        want_ql, want = quantize_layer(w, t, rng)
+        got_ql, got = quantize_layer(np.ldexp(w, shift), np.ldexp(t, shift),
                                      ExponentRange(rng.e_max + shift))
         assert np.array_equal(got_ql.k_i, want_ql.k_i) and np.array_equal(got.codes, want.codes)
         assert np.array_equal(got.norms, np.ldexp(want.norms, shift))
@@ -563,9 +583,9 @@ class TestSpecialCases:
         w = np.random.default_rng(29).normal(size=(4, 6))
         w[2, 3] = bad
         with pytest.raises(NumericError, match="filter 2"):
-            quantize_layer(w, [0.0, 0.0], 2, wide)
+            quantize_layer(w, [0.0, 0.0], wide)
         with pytest.raises(NumericError):
-            quantize_layer(w, [], 0, wide)
+            quantize_layer(w, [], wide)
 
 
 @pytest.mark.parametrize("code_bits", [3, 8])
@@ -596,7 +616,7 @@ def test_quantizer_over_every_binade(dtype, code_bits):
             overflows = any(math.isinf(math.hypot(*row)) for row in w.astype(np.float64))
             try:
                 rng = ExponentRange.for_weights(w, code_bits)
-                ql, trace = quantize_layer(w, np.zeros(3), 3, rng)
+                ql, trace = quantize_layer(w, np.zeros(3), rng)
             except NumericError as exc:
                 assert past or overflows, (e, m, str(exc))
                 cause = "largest finite power of 2" if past else "overflows float64"

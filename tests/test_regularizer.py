@@ -36,6 +36,11 @@ def test_negative_lambda_rejected():
         check_lambdas([-1e-5, 0.0], 2)
 
 
+def test_lambda_count_must_match_the_rounds():
+    with pytest.raises(ConfigError, match="need 2 regularization coefficients, got 3"):
+        check_lambdas([0.0, 1e-5, 1e-5], 2)
+
+
 def test_grad_zero_filter_subgradient():
     g = layer_reg_grad(np.zeros((2, 4)), [1.0, 1.0], WIDE)
     assert np.array_equal(g, np.zeros((2, 4)))

@@ -93,7 +93,7 @@ def test_sweep_matches_forward_mode_reference_on_hard_traces(k):
     gen = np.random.default_rng(10 + k)
     for _ in range(100):
         w, t, upstream, tau = random_case(gen, k)
-        _, trace = quantize_layer(w, t, k, WIDE)
+        _, trace = quantize_layer(w, t, WIDE)
         got = threshold_grad_from_trace(trace, upstream, t, tau)
         values = WIDE.decode(trace.codes)
         want = reference_threshold_grad(trace.replay()[0], trace.norms[:k], values, upstream, t, tau)
@@ -113,7 +113,7 @@ def test_sweep_matches_forward_mode_reference_on_soft_traces(k):
 
 def test_zero_upstream_gives_zero():
     w = np.random.default_rng(1).normal(size=(4, 6))
-    _, trace = quantize_layer(w, [0.0, 0.0], 2, WIDE)
+    _, trace = quantize_layer(w, [0.0, 0.0], WIDE)
     g = threshold_grad_from_trace(trace, np.zeros((4, 6)), [0.0, 0.0], tau=1.0)
     assert np.array_equal(g, np.zeros(2))
 
@@ -122,7 +122,7 @@ def test_k1_scalar_closed_form():
     # only the sigmoid' term survives: dQ1/dt0 = -(1/tau) * s'(( |w| - t0)/tau) * R(w)
     w = np.array([0.7])
     t0, tau = 0.2, 0.8
-    _, trace = quantize_layer(w[None], [t0], 1, WIDE)
+    _, trace = quantize_layer(w[None], [t0], WIDE)
     g = threshold_grad_from_trace(trace, np.ones((1, 1)), [t0], tau=tau)
     z = (abs(w[0]) - t0) / tau
     s = 1.0 / (1.0 + np.exp(-z))
@@ -133,7 +133,7 @@ def test_k1_scalar_closed_form():
 def test_saturated_gates_have_zero_gradient():
     w = np.random.default_rng(2).normal(size=(3, 5))
     for t in ([-np.inf, -np.inf], [np.inf, np.inf]):
-        _, trace = quantize_layer(w, t, 2, WIDE)
+        _, trace = quantize_layer(w, t, WIDE)
         g = threshold_grad_from_trace(trace, np.ones((3, 5)), t, tau=1.0)
         assert np.array_equal(g, np.zeros(2))
 
@@ -230,10 +230,10 @@ class TestWidening:
         rng = ExponentRange.for_weights(w, code_bits)
         t = np.full(k, {"all": -np.inf, "none": np.inf, "mixed": np.inf}[gates])
         for j in range(k):  # round j's threshold set from its own norms, once earlier rounds are set
-            norms = quantize_layer(w, t, k, rng)[1].norms[j]
+            norms = quantize_layer(w, t, rng)[1].norms[j]
             t[j] = {"all": 0.5 * norms.min(), "none": 2.0 * norms.max(),
                     "mixed": np.quantile(norms, [0.25, 0.75, 0.5][j])}[gates]
-        _, trace = quantize_layer(w, t, k, rng)
+        _, trace = quantize_layer(w, t, rng)
         upstream = gen.normal(size=(F, n)).astype(np.float32)
         return trace, t, upstream, float(np.median(trace.norms))  # a tau that no gate saturates
 

@@ -5,6 +5,7 @@ from shiftnn.errors import ConfigError, DataError, NumericError, ShiftNNError
 from shiftnn.nn import LayerSpec, NetworkConfig, build_network
 from shiftnn.nn.optim import AdamState, adam_step
 from shiftnn.trainer import SweepCell, cell_to_point, run_cell
+from shiftnn.trainer import loop
 from shiftnn.trainer.loop import TrainSettings, evaluate, init_train_state, train_batch, train_epoch
 
 
@@ -64,6 +65,7 @@ def test_tau_must_be_positive_and_finite(tau):
     # 0 and inf turned clipping off as None does; None is the one value that does
     ("clip_norm", 0.0, "clip_norm"),
     ("clip_norm", float("inf"), "clip_norm"),
+    ("mode", "bogus", "mode must be one of"),
 ])
 def test_bad_settings_rejected_up_front(field, value, match):
     settings = TrainSettings(mode="fixed" if field == "fixed_k" else "flex", fixed_k=1)
@@ -95,6 +97,22 @@ def test_nan_batch_dumps_reason_and_step(tmp_path):
         assert str(dump["__reason"]) == "non-finite network output"
         assert int(dump["__step"]) == 7
         assert np.array_equal(dump["L0.W"], params["L0.W"])
+
+
+def test_non_finite_loss_dumps_reason_and_step(tmp_path, monkeypatch):
+    net, params, state = tiny_net()
+    ts = init_train_state(net, params, state, TrainSettings(dump_dir=str(tmp_path)))
+    ts.step = 5
+    before = params["L0.W"].copy()
+    monkeypatch.setattr(loop, "cross_entropy", lambda logits, labels: (np.inf, np.zeros_like(logits)))
+    with pytest.raises(NumericError, match="non-finite loss .* at step 5"):
+        train_batch(ts, np.zeros((2, 1, 4, 4), np.float32), np.array([0, 1]))
+    assert ts.step == 5 and np.array_equal(params["L0.W"], before)  # no update was made
+    (path,) = tmp_path.iterdir()
+    with np.load(path) as dump:
+        assert str(dump["__reason"]).startswith("non-finite loss (ce=inf")
+        assert int(dump["__step"]) == 5
+        assert np.array_equal(dump["L0.W"], before)
 
 
 def test_nan_master_weight_dumps_reason_and_step(tmp_path):
