@@ -49,45 +49,38 @@ def op_counts(net: Network, k_map=None) -> CostReport:
     fixed-point): one multiply per MAC and no shifts.  Pruned filters
     (k_i = 0) drop both their shifts and their accumulation adds.
     Shortcut adds count one add per element of the destination map.
+    Every k_i is concatenated once, for one range check and each layer's sums.
     """
+    kernels = net.kernels()
+    F = [out_shape[0] for _, out_shape in kernels]
+    terms = live = F  # a multiplier design: one term in every filter
+    if k_map is not None:
+        ks = []
+        try:
+            for name, f in zip(net.weight_names, F):
+                if name not in k_map:
+                    raise ConfigError(f"k map has no entry for {name}")
+                k_i = np.asarray(k_map[name])
+                k_i = np.full(f, k_i) if k_i.ndim == 0 else k_i
+                if k_i.shape != (f,):
+                    raise ConfigError(f"{name}: k map has shape {k_i.shape}, expected ({f},)")
+                ks.append(k_i)
+        finally:  # a k_i of an earlier layer that does not fit is the first error
+            bad, k_all = packing._fitting_k(ks)
+            if bad < len(ks):
+                raise ConfigError(f"{net.weight_names[bad]}: k_i must be integers in "
+                                  f"[0, {packing.MAX_K}], got {ks[bad]}")
+        terms, live = packing._run_sums(k_all, F), packing._run_sums(k_all > 0, F)
     per_layer = []
-    shifts = adds = mults = 0
-    for layer, out_shape in net.kernels():
-        name = layer.weight_name
-        P, V, F = math.prod(out_shape[1:]), layer.fan_in, out_shape[0]
-        if k_map is None:
-            l_shift = 0
-            l_mult = P * V * F
-            l_add = P * F * (V - 1 + layer.bias)
-        else:
-            if name not in k_map:
-                raise ConfigError(f"k map has no entry for {name}")
-            k_i = np.asarray(k_map[name])
-            k_i = np.full(F, k_i) if k_i.ndim == 0 else k_i
-            if k_i.shape != (F,):
-                raise ConfigError(f"{name}: k map has shape {k_i.shape}, expected ({F},)")
-            top = packing.MAX_K
-            if not np.issubdtype(k_i.dtype, np.integer) or not 0 <= k_i.min() <= k_i.max() <= top:
-                raise ConfigError(f"{name}: k_i must be integers in [0, {top}], got {k_i}")
-            filters_with = np.bincount(k_i.astype(np.intp), minlength=top + 1).tolist()  # by k
-            terms = sum(k * count for k, count in enumerate(filters_with))
-            live = F - filters_with[0]
-            l_shift, l_mult = P * V * terms, 0
-            l_add = P * V * (terms - live) + P * (V - 1 + layer.bias) * live
-        per_layer.append(LayerCost(name, P, V, F, l_shift, l_add, l_mult))
-        shifts += l_shift
-        adds += l_add
-        mults += l_mult
-    # one add per destination element of each shortcut
-    for dst in net.skips:
-        adds += math.prod(net.node_shapes[dst])
-    return CostReport(
-        storage_bits=0,
-        shift_count=shifts,
-        add_count=adds,
-        multiply_count=mults,
-        per_layer=per_layer,
-    )
+    for (layer, out_shape), f, t, l in zip(kernels, F, terms, live):
+        P, V = math.prod(out_shape[1:]), layer.fan_in
+        macs, adds = P * V * t, P * V * (t - l) + P * (V - 1 + layer.bias) * l
+        shifts, mults = (0, macs) if k_map is None else (macs, 0)
+        per_layer.append(LayerCost(layer.weight_name, P, V, f, shifts, adds, mults))
+    skip_adds = sum(math.prod(net.node_shapes[dst]) for dst in net.skips)  # one per element
+    return CostReport(storage_bits=0, shift_count=sum(c.shifts for c in per_layer),
+                      add_count=sum(c.adds for c in per_layer) + skip_adds,
+                      multiply_count=sum(c.multiplies for c in per_layer), per_layer=per_layer)
 
 
 def cost_report(net: Network, qlayers_by_name: dict | None = None, bits_per_weight=32):

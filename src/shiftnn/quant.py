@@ -197,13 +197,14 @@ class QuantizedLayer:
     filter axis.  Raises ConfigError when codes is not codes_shape.
     """
 
-    def __init__(self, filter_shape, rng, k_i, codes):
+    def __init__(self, filter_shape, rng, k_i, codes, *, _terms=None):  # _terms: sum(k_i) if known
         self.filter_shape = tuple(filter_shape)
         self.rng = rng
         self.k_i = k_i  # (F,) int8
         self.codes = codes  # (sum k_i, n) uint8
-        if codes.shape != self.codes_shape:
-            raise ConfigError(f"codes have shape {codes.shape}, expected {self.codes_shape}")
+        shape = self.codes_shape if _terms is None else (_terms, self.filter_size)
+        if codes.shape != shape:
+            raise ConfigError(f"codes have shape {codes.shape}, expected {shape}")
 
     @property
     def num_filters(self) -> int:

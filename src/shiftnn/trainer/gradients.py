@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..quant import ResidualTrace
 
 
@@ -38,10 +39,12 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
         dL/dt_l = sum_f g'_l * (a . R(r_l))
         a      <- (1 - g_l) * a - g'_l * (a . R(r_l)) * r_l / ||r_l||
     where g'_l = sigmoid' / tau; a zero residual contributes no norm
-    term.  Returns a float64 vector of length k.
+    term.  Returns a float64 vector of length k; ConfigError unless t has shape (k,).
     """
     k, F, n = values.shape
-    t = np.asarray(t, dtype=np.float64).reshape(-1)[:k]
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (k,):
+        raise ConfigError(f"thresholds must be one row of {k} values, got shape {t.shape}")
     gate = sigmoid((norms - t[:, None]) / tau)
     dgate = gate * (1.0 - gate) / tau  # chain factor 1/tau applied once here
 

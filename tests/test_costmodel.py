@@ -1,11 +1,13 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shiftnn import packing
-from shiftnn.costmodel import ParetoPoint, cost_report, op_counts, pareto_front
+from shiftnn.costmodel import (CostReport, LayerCost, ParetoPoint, cost_report, op_counts,
+                               pareto_front)
 from shiftnn.errors import ConfigError
 from shiftnn.nn import PRESETS, LayerSpec, Network, NetworkConfig, SkipSpec, get_preset
 from shiftnn.quant import ExponentRange, QuantizedLayer
@@ -171,6 +173,69 @@ def test_k_i_must_be_integers_the_header_holds(k):
     # unchecked, a negative k_i would lower the shift total and 1.7 would count as 1
     with pytest.raises(ConfigError, match="L2.W"):
         op_counts(small_net(), {**K_MAP, "L2.W": k})
+
+
+def reference_op_counts(net, k_map):
+    """op_counts filter by filter in Python ints: a filter of k > 0 terms spends k shifts
+    per weight, k - 1 adds to join them and V - 1 adds (V with a bias) to accumulate."""
+    per_layer = []
+    for layer, out_shape in net.kernels():
+        F, P, V = out_shape[0], math.prod(out_shape[1:]), layer.fan_in
+        k = k_map[layer.weight_name]
+        shifts = adds = 0
+        for k_f in [int(k)] * F if np.ndim(k) == 0 else [int(x) for x in k]:
+            if k_f:
+                shifts += P * V * k_f
+                adds += P * (V * k_f - 1 + layer.bias)
+        per_layer.append(LayerCost(layer.weight_name, P, V, F, shifts, adds, 0))
+    skip_adds = sum(math.prod(net.node_shapes[dst]) for dst in net.skips)
+    return CostReport(0, sum(c.shifts for c in per_layer),
+                      sum(c.adds for c in per_layer) + skip_adds, 0, per_layer)
+
+
+def random_k_map(net, gen):
+    """Scalar and vector entries of several integer types, k_i spread over 0..MAX_K."""
+    k_map = {}
+    for layer, (F, *_) in net.kernels():
+        kind = gen.integers(4)
+        if kind == 0:
+            k_map[layer.weight_name] = int(gen.integers(packing.MAX_K + 1))
+        elif kind == 1:
+            k_map[layer.weight_name] = np.uint8(gen.integers(packing.MAX_K + 1))
+        else:
+            dtype = [np.int8, np.uint64, np.int64][int(gen.integers(3))]
+            k_i = gen.integers(0, packing.MAX_K + 1, F).astype(dtype)
+            k_map[layer.weight_name] = k_i.tolist() if kind == 2 else k_i
+    return k_map
+
+
+@pytest.mark.parametrize("preset", ["small", "mnist2", "net2"])
+def test_op_counts_match_a_per_filter_reference(preset):
+    net = small_net() if preset == "small" else Network(get_preset(preset))
+    gen = np.random.default_rng(len(preset))
+    for _ in range(10):
+        k_map = random_k_map(net, gen)
+        assert op_counts(net, k_map) == reference_op_counts(net, k_map)
+    assert op_counts(net, dict.fromkeys(net.weight_names, 0)).shift_count == 0
+
+
+@pytest.mark.parametrize("bad", [4, -1, "vector", 2.0])
+@pytest.mark.parametrize("which", [1, 10, -1], ids=["second", "middle", "last"])
+def test_bad_k_in_a_later_layer_names_that_layer(which, bad):
+    net = Network(get_preset("net2"))
+    name = net.weight_names[which]
+    F = net.param_shapes()[name][0]
+    k = np.where(np.arange(F) == F // 2, 4, 1) if bad == "vector" else bad
+    k_map = {**dict.fromkeys(net.weight_names, 1), name: k}
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: k_i must be integers"):
+        op_counts(net, k_map)
+    # a layer after it with no entry, or a misshapen one, is not the first error
+    later = net.weight_names[-1]
+    if later != name:
+        missing = {n: v for n, v in k_map.items() if n != later}
+        for other in (missing, {**k_map, later: [1, 2]}):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: k_i"):
+                op_counts(net, other)
 
 
 def point(model_id, accuracy, storage_bits):

@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 
@@ -355,15 +356,15 @@ def test_trained_weights_are_the_streams_weights(preset, max_k):
 
 
 @st.composite
-def layers(draw):
-    """A random valid layer: k_i in 0..3, each kept term any canonical codes."""
+def layers(draw, filters=st.integers(0, 6), pruned=False):
+    """A random valid layer: k_i in 0..3 (all 0 if pruned), each kept term any canonical codes."""
     code_bits = draw(st.integers(3, 8))
     rng = ExponentRange(draw(st.integers(-(1 << 15), (1 << 15) - 1)), code_bits)  # any i16
     shape = tuple(draw(st.lists(st.integers(1, 4), max_size=3)))
-    F = draw(st.integers(0, 6))
+    F = draw(filters)
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = int(np.prod(shape))
-    k_i = gen.integers(0, 4, size=F).astype(np.int8)
+    k_i = gen.integers(0, 1 if pruned else 4, size=F).astype(np.int8)
     codes = gen.integers(0, 1 << code_bits, size=(int(k_i.sum()), n)).astype(np.uint8)
     codes[codes == 1 << (code_bits - 1)] = 0  # no minus zero
     return QuantizedLayer(shape, rng, k_i, codes)
@@ -388,6 +389,74 @@ def test_random_layers_roundtrip(model):
 @given(st.lists(layers(), max_size=3))
 def test_random_layers_match_reference_pack(model):
     assert pack_model(model) == reference_pack(model)
+
+
+@st.composite
+def long_models(draw):
+    """Eight layers: zero-filter layers first, in the middle and last, an all-pruned
+    layer, and F of every residue mod 4, in a random order between the first and last."""
+    live = [draw(layers(st.integers(r == 0, 3).map(lambda q, r=r: 4 * q + r))) for r in range(4)]
+    inner = [*live, draw(layers(st.integers(1, 9), pruned=True)), draw(layers(st.just(0)))]
+    return [draw(layers(st.just(0))), *draw(st.permutations(inner)), draw(layers(st.just(0)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_models())
+def test_long_models_match_reference_pack_and_roundtrip(model):
+    # every layer's term count, k_i table and stream offset comes from the whole model's k_i
+    assert {len(q.k_i) % 4 for q in model} == {0, 1, 2, 3} and len(model[0].k_i) == 0
+    data = pack_model(model)
+    assert data == reference_pack(model)
+    back = unpack_model(data)
+    assert len(back) == len(model) and all(a == b for a, b in zip(back, model))
+    assert storage_bits(model) == 8 * (len(data) - header_length(model))
+
+
+def test_bad_k_in_a_later_layer_names_that_layer():
+    model = random_model(8, n_layers=5)
+    for bad in ([1, 4], [-1], np.array([2**64 - 1], np.uint64), [1.0]):
+        broken = copy.copy(model[3])
+        broken.k_i = np.asarray(bad)  # uint64 2**64 - 1 once cast to int64 reads as -1
+        with pytest.raises(PackingError, match=r"^layer 3: k_i"):
+            pack_model(model[:3] + [broken] + model[4:])
+    # an earlier layer's bad codes are the first error, as a layer-by-layer check finds them
+    early = model[1]
+    int16 = QuantizedLayer(early.filter_shape, early.rng, early.k_i, early.codes.astype(np.int16))
+    with pytest.raises(PackingError, match=r"^layer 1: codes are int16"):
+        pack_model([model[0], int16, model[2], broken, model[4]])
+
+
+def test_unpack_names_a_bad_range():
+    # layer 0's code_bits, byte 18, set to 2: its e_max starts at byte 16
+    data = bytearray(GOLDEN_STREAM)
+    assert data[18] == 3
+    data[18] = 2
+    with pytest.raises(PackingError, match=r"^layer 0: bad range at byte 16: code_bits"):
+        unpack_model(bytes(data))
+
+
+def test_unpack_names_a_non_canonical_zero_code():
+    # byte 20 holds layer 0's 3-bit codes 2-4 (bits 1-3 are term 0 element 1): 011 -> 100
+    data = bytearray(GOLDEN_STREAM)
+    assert data[20] == 0xB6
+    data[20] = 0xC6
+    with pytest.raises(PackingError, match=r"^non-canonical zero code \(sign bit set\) at term 0 "
+                                           r"element 1$"):
+        unpack_model(bytes(data))
+
+
+@pytest.mark.parametrize("cut, message", [
+    (10, "truncated layer 0 table at byte 7"),
+    (12, "truncated layer 0 dims at byte 12"),
+    (15, "truncated layer 0 dims at byte 12"),
+    (16, "truncated layer 0 range at byte 16"),
+    (18, "truncated layer 0 range at byte 16"),
+    (19, "truncated k_i table at byte 19"),
+    (21, "truncated term codes at byte 20"),
+])
+def test_truncation_names_the_field(cut, message):
+    with pytest.raises(PackingError, match=f"^{message}$"):
+        unpack_model(GOLDEN_STREAM[:cut])
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shiftnn.errors import ConfigError
 from shiftnn.quant import ExponentRange, quantize_layer, round_pow2
 from shiftnn.trainer.gradients import sigmoid, threshold_grad, threshold_grad_from_trace
 
@@ -136,6 +137,15 @@ def test_saturated_gates_have_zero_gradient():
         _, trace = quantize_layer(w, t, WIDE)
         g = threshold_grad_from_trace(trace, np.ones((3, 5)), t, tau=1.0)
         assert np.array_equal(g, np.zeros(2))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=["k-by-F", "k-plus-one"])
+def test_thresholds_that_are_not_the_traces_row_rejected(shape):
+    # a (k, F) t once reached the sweep flattened, and a longer t was cut to k
+    w = np.random.default_rng(4).normal(size=(3, 5))
+    _, trace = quantize_layer(w, [0.0, 0.0], WIDE)
+    with pytest.raises(ConfigError, match=rf"one row of 2 .* got shape \({shape[0]},"):
+        threshold_grad_from_trace(trace, np.ones((3, 5)), np.zeros(shape), tau=1.0)
 
 
 def test_matches_finite_differences_of_relaxed_surrogate():

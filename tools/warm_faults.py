@@ -10,7 +10,10 @@ weights, for mnist2 at B=128 and net2 at B=32 (the benchmark's batches).
 For export: of one quantize_weights -> pack_model -> unpack_model ->
 cost_report cycle of net2's weights at max_k=3, with per-filter scales
 that spread k_i over 0..3 as in the benchmark's export workload; a second
-line gives the p50 time of each of the four phases within a cycle.  With no
+line gives the p50 time of each of the four phases within a cycle; a third
+gives the p50 of pack_model, unpack_model and cost_report, called in turn,
+on the same model cut to one weight per filter: their fixed cost, which
+follows the layer count and not the weights.  With no
 names, every probe runs.  The counts depend on what ran before in the
 process (glibc's trim threshold follows the largest block freed so far),
 so run one probe per process to read its own count.  Each line also gives
@@ -36,6 +39,7 @@ import numpy as np
 from shiftnn import costmodel, packing
 from shiftnn.nn import Network, get_preset
 from shiftnn.nn.layers import Workspace
+from shiftnn.quant import QuantizedLayer
 from shiftnn.trainer import loop
 
 
@@ -103,6 +107,7 @@ def probe(preset, batch, eval_batch, threshold, steps, warm=3):
 
 
 EXPORT_PHASES = ("quantize_weights", "pack_model", "unpack_model", "cost_report")
+FIXED_COST_CALLS = 200  # of each call on the cut model, after the warm-up calls
 
 
 def probe_export(cycles, warm=3):
@@ -136,6 +141,24 @@ def probe_export(cycles, warm=3):
     p50 = np.median(phase_s, axis=0)
     print("net2 export phases p50: "
           + ", ".join(f"{name} {1e3 * s:.2f} ms" for name, s in zip(EXPORT_PHASES, p50)))
+
+    _, qinfo = loop.quantize_weights(net, params, thresholds, settings)
+    cut = [QuantizedLayer((1,), q.rng, q.k_i, np.ascontiguousarray(q.codes[:, :1]))
+           for q in (qinfo[name][0] for name in net.weight_names)]
+    stream = packing.pack_model(cut)
+    unpacked = dict(zip(net.weight_names, packing.unpack_model(stream)))
+    calls = {"pack_model": lambda: packing.pack_model(cut),
+             "unpack_model": lambda: packing.unpack_model(stream),
+             "cost_report": lambda: costmodel.cost_report(net, unpacked)}
+    call_s = {name: [] for name in calls}
+    for i in range(warm + FIXED_COST_CALLS):
+        for name, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            if i >= warm:
+                call_s[name].append(time.perf_counter() - t0)
+    print("net2 export, one weight per filter, p50: "
+          + ", ".join(f"{name} {1e3 * statistics.median(s):.3f} ms" for name, s in call_s.items()))
 
 
 # name -> probe; a preset's arguments are its train batch, eval batch and threshold_init
