@@ -316,20 +316,18 @@ class Conv2D(Kernel):
 class BatchNorm2D(Layer):
     """Per-channel batch normalization with running statistics.
 
-    Training uses batch statistics (biased variance) and updates the
-    running estimates with the given momentum; evaluation uses the
-    running estimates.  eps is added to the variance: at 0 a constant
-    channel (zero variance) would turn into NaN.
+    Training uses batch statistics (biased variance) and moves the
+    running estimates a momentum share of the way towards them;
+    evaluation uses the running estimates.  eps is added to the variance:
+    at 0 a constant channel (zero variance) would turn into NaN.
     """
 
     eps = 1e-5
+    momentum = 0.1
 
-    def __init__(self, name, channels, momentum=0.1):
-        if not (isinstance(momentum, numbers.Real) and 0 <= momentum <= 1):
-            raise ConfigError(f"{name}: batchnorm momentum must lie in [0, 1], got {momentum!r}")
+    def __init__(self, name, channels):
         super().__init__(name)
         self.channels = _require_int(name, "channels", channels, 1)
-        self.momentum = momentum
 
     def param_shapes(self):
         return {f"{self.name}.gamma": (self.channels,), f"{self.name}.beta": (self.channels,)}

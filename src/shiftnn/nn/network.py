@@ -22,7 +22,7 @@ class LayerSpec:
 
     - conv2d (Conv2D): out_channels, kernel, stride and pad; in_channels is
       the input's channel count;
-    - batchnorm (BatchNorm2D): momentum; channels is the input's channel count;
+    - batchnorm (BatchNorm2D): none; channels is the input's channel count;
     - dense (Dense): out_features; in_features is the flattened input's length;
     - maxpool (MaxPool2D): size;
     - leaky-relu (LeakyReLU), flatten (Flatten): none.

@@ -14,6 +14,8 @@ import numpy as np
 from ..errors import ConfigError
 from ..quant import ResidualTrace
 
+TAU = 1.0  # the temperature train_batch relaxes each gate with
+
 
 def sigmoid(x):
     """1 / (1 + exp(-x)) as float64, from one exp that never overflows."""

@@ -24,8 +24,8 @@ from ..nn.losses import cross_entropy
 from ..nn.network import Network
 from ..nn.optim import AdamState, adam_step
 from ..packing import MAX_K
-from ..quant import DEFAULT_CODE_BITS, ExponentRange, quantize_layer
-from .gradients import threshold_grad_from_trace
+from ..quant import ExponentRange, quantize_layer
+from .gradients import TAU, threshold_grad_from_trace
 from .regularizer import check_lambdas, layer_reg_grad, layer_reg_loss
 
 MODES = ("flex", "fixed", "float")
@@ -40,14 +40,12 @@ class TrainSettings:
     lr_milestones: tuple = (0.5, 0.75)
     max_k: int = 2
     lambdas: tuple = (0.0, 3e-5)
-    tau: float = 1.0
     clip_norm: float = 5.0
     seed: int = 0
     mode: str = "flex"
     fixed_k: int | None = None
     threshold_init: float = 0.0
     per_layer_thresholds: bool = False
-    code_bits: int = DEFAULT_CODE_BITS
     dump_dir: str | None = None
 
     def validate(self):
@@ -64,10 +62,8 @@ class TrainSettings:
         if self.mode == "fixed" and not (isinstance(self.fixed_k, numbers.Integral)
                                          and 0 <= self.fixed_k <= self.max_k):
             raise ConfigError(f"fixed mode needs an integer fixed_k in [0, {self.max_k}]")
-        ExponentRange(0, self.code_bits)  # raises ConfigError on a bad code width
-        # tau = 0 makes every threshold gradient NaN, which prunes every filter; a NaN
-        # threshold_init prunes them all at once, and a NaN clip_norm turns clipping off
-        for what, value, low in (("tau", self.tau, 0), ("lr", self.lr, 0),
+        # a NaN threshold_init prunes every filter at once
+        for what, value, low in (("lr", self.lr, 0),
                                  ("lr_decay", self.lr_decay, 0),
                                  ("threshold_init", self.threshold_init, -np.inf)):
             if not (isinstance(value, numbers.Real) and low < value < np.inf):
@@ -161,7 +157,7 @@ def quantize_weights(net: Network, params: dict, thresholds: np.ndarray, setting
         w = params[name]
         t = thresholds[_threshold_row(settings, g)]
         try:
-            rng = ExponentRange.for_weights(w, settings.code_bits)
+            rng = ExponentRange.for_weights(w)
             qlayer, trace = quantize_layer(w, t, rng)
         except NumericError as exc:
             raise NumericError(f"{name}: {exc}") from exc
@@ -230,7 +226,7 @@ def train_batch(ts: TrainState, xb, yb):
         for g, name in enumerate(net.weight_names):
             upstream = net_grads[name].reshape(net_grads[name].shape[0], -1)
             row = _threshold_row(s, g)
-            tgrad[row] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[row], s.tau)
+            tgrad[row] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[row], TAU)
         grads["t"] = tgrad
         params["t"] = ts.thresholds
     reg = 0.0

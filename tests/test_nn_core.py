@@ -1039,7 +1039,8 @@ class TestBuildNetwork:
         "index, key, kind",
         [(0, "strides", "conv2d"), (1, "momentun", "batchnorm"), (2, "negative_slope", "leaky-relu"),
          (3, "stride", "maxpool"), (7, "start_dim", "flatten"), (8, "use_bias", "dense"),
-         (0, "bias", "conv2d"), (1, "eps", "batchnorm"), (2, "slope", "leaky-relu")],
+         (0, "bias", "conv2d"), (1, "eps", "batchnorm"), (2, "slope", "leaky-relu"),
+         (1, "momentum", "batchnorm")],
     )
     def test_unknown_layer_args_rejected(self, index, key, kind):
         # a misspelled "strides" once built a stride-1 conv without a word
@@ -1100,7 +1101,7 @@ class TestBuildNetwork:
 
     @pytest.mark.parametrize(
         "index, key, value",
-        [(1, "momentum", 0.0), (1, "momentum", 1), (3, "size", np.int64(2)), (0, "stride", np.int32(1))],
+        [(3, "size", np.int64(2)), (0, "stride", np.int32(1))],
     )
     def test_edge_layer_args_accepted(self, index, key, value):
         cfg = two_conv_config()

@@ -78,7 +78,7 @@ def test_regularizer_adds_its_gradient_to_the_weights_alone(monkeypatch):
         want = plain[name]
         if name in net.weight_names:
             w = params[name]
-            step = layer_reg_grad(w, FREE.lambdas, ExponentRange.for_weights(w, FREE.code_bits))
+            step = layer_reg_grad(w, FREE.lambdas, ExponentRange.for_weights(w))
             assert step.any(), name
             want = want + step
         assert_same_bits(g, want, name)

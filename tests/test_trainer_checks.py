@@ -9,25 +9,6 @@ from shiftnn.trainer import loop
 from shiftnn.trainer.loop import TrainSettings, evaluate, init_train_state, train_batch, train_epoch
 
 
-class TestCodeBits:
-    @pytest.mark.parametrize("code_bits", [3, 8])
-    def test_accepted(self, code_bits):
-        TrainSettings(code_bits=code_bits).validate()
-
-    @pytest.mark.parametrize("code_bits", [1, 2, 9])
-    def test_rejected_up_front(self, code_bits):
-        # 9 bits do not fit a uint8 code; 2 bits hold one exponent, too few for a window
-        with pytest.raises(ConfigError, match="code_bits"):
-            TrainSettings(code_bits=code_bits).validate()
-
-
-@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
-def test_tau_must_be_positive_and_finite(tau):
-    # tau = 0 would turn every threshold into NaN and silently prune every filter
-    with pytest.raises(ConfigError, match="tau"):
-        TrainSettings(tau=tau).validate()
-
-
 @pytest.mark.parametrize("field,value,match", [
     # unchecked, a NaN threshold_init pruned every filter (mean k 0.0 after three steps)
     ("threshold_init", float("nan"), "threshold_init"),
