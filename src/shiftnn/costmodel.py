@@ -87,6 +87,7 @@ def cost_report(net: Network, qlayers_by_name: dict | None = None, bits_per_weig
     """Full report: quantized if qlayers are given, multiplier baseline otherwise.
 
     The baseline stores every quantizable weight in bits_per_weight bits.
+    ConfigError when a quantized layer does not have its weight's shape.
     """
     if qlayers_by_name is None:
         report = op_counts(net)
@@ -94,8 +95,15 @@ def cost_report(net: Network, qlayers_by_name: dict | None = None, bits_per_weig
         report.storage_bits = weights * bits_per_weight
         return report
     k_map = {name: q.k_i for name, q in qlayers_by_name.items()}
-    report = op_counts(net, k_map)
-    report.storage_bits = packing.storage_bits([qlayers_by_name[name] for name in net.weight_names])
+    report = op_counts(net, k_map)  # checks that every weight has a layer of as many filters
+    qlayers = []
+    for layer, _ in net.kernels():
+        q = qlayers_by_name[layer.weight_name]
+        if q.filter_shape != layer.weight_shape[1:]:
+            raise ConfigError(f"{layer.weight_name}: quantized filters have shape {q.filter_shape}, "
+                              f"expected {layer.weight_shape[1:]}")
+        qlayers.append(q)
+    report.storage_bits = packing.storage_bits(qlayers)
     return report
 
 

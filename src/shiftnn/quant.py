@@ -281,7 +281,7 @@ def quantize_layer(w, t, rng: ExponentRange):
     k = t.size
     F = w.shape[0]
     filter_shape = w.shape[1:]
-    flat = w.reshape(F, -1)
+    flat = w.reshape(F, math.prod(filter_shape))  # -1 cannot be inferred at F = 0
     n = flat.shape[1]
 
     # round 0's norm is w's own, also at k = 0 for the check below

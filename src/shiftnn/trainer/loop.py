@@ -57,11 +57,15 @@ class TrainSettings:
                 raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
         if self.max_k > MAX_K:
             raise ConfigError(f"max_k above {MAX_K} does not fit the packed stream: {self.max_k}")
+        if np.ndim(self.lambdas) != 1:  # train_batch iterates it in every mode
+            raise ConfigError(f"lambdas must be a one-dimensional sequence, got {self.lambdas!r}")
         if self.mode != "float":
             check_lambdas(self.lambdas, self.max_k)
         if self.mode == "fixed" and not (isinstance(self.fixed_k, numbers.Integral)
                                          and 0 <= self.fixed_k <= self.max_k):
             raise ConfigError(f"fixed mode needs an integer fixed_k in [0, {self.max_k}]")
+        if self.mode != "fixed" and self.fixed_k is not None:  # it would be ignored
+            raise ConfigError(f"fixed_k is read in fixed mode only, got {self.fixed_k!r}")
         # a NaN threshold_init prunes every filter at once
         for what, value, low in (("lr", self.lr, 0),
                                  ("lr_decay", self.lr_decay, 0),
@@ -305,10 +309,13 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
 
 
 def evaluate(net: Network, params, bn_state, x, y, batch_size=256) -> float:
-    """Top-1 accuracy in eval mode (running batch-norm statistics)."""
+    """Top-1 accuracy in eval mode (running batch-norm statistics).
+
+    ConfigError for a missing or misshapen parameter, DataError for bad data."""
     if not (isinstance(batch_size, numbers.Integral) and batch_size >= 1):
         raise ConfigError(f"batch_size must be a positive integer, got {batch_size!r}")
     _check_data(net, x, y)
+    net.check_params(params)
     correct = 0
     for lo in range(0, len(x), batch_size):
         logits, _ = net.forward(x[lo : lo + batch_size], params, bn_state, train=False)

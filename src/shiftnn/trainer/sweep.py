@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..costmodel import CostReport, ParetoPoint, cost_report
-from ..errors import ConfigError, ShiftNNError
+from ..errors import ConfigError, DataError, ShiftNNError
 from ..nn.network import NetworkConfig, build_network
 from .loop import (
     TrainSettings,
@@ -32,8 +32,13 @@ class SweepCell:
 
 
 def run_cell(net_config: NetworkConfig, settings: TrainSettings, data) -> SweepCell:
-    """Train one model and report the accuracy and cost of the model its mode trains."""
-    train_x, train_y, test_x, test_y = data
+    """Train one model and report the accuracy and cost of the model its mode trains.
+
+    data is (train_x, train_y, test_x, test_y); DataError if it is not four items."""
+    try:
+        train_x, train_y, test_x, test_y = data
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"data must be (train_x, train_y, test_x, test_y): {exc}") from exc
     try:
         net, params, bn_state = build_network(net_config, settings.seed)
         ts = init_train_state(net, params, bn_state, settings)
@@ -55,7 +60,7 @@ def sweep_lambda(net_config, base: TrainSettings, data, lambda_list, seeds):
     cells = []
     for lambdas in lambda_list:
         for seed in seeds:
-            settings = replace(base, lambdas=tuple(lambdas), seed=seed).validate()
+            settings = replace(base, lambdas=lambdas, seed=seed).validate()
             cells.append(run_cell(net_config, settings, data))
     return cells
 

@@ -5,11 +5,12 @@ strided, zero-padded cross-correlation; it shares no code with the
 patch-matrix path.  The cases cover every branch Conv2D.backward
 dispatches to: the stride-1 transposed convolution (out_channels <=
 in_channels) and the col2im scatter (strided, widening, or stride 1 with
-pad >= kernel).  im2col and col2im copy every conv's patches through one
-plane with row pitch P = max(W, Wo); the wrapped entries read +0.0 and add
--0.0.  The cases span its geometries: same convs (P = W = Wo, one run per
-tap), strided and valid convs (Wo < W), 1x1 convs (pad 0: x is the plane)
-and (1, 1, 1), whose output is wider than its input (P = Wo > W).  Each
+pad >= kernel).  im2col copies x, of every conv, into one plane with row
+pitch P = max(W, Wo), and col2im adds into such a plane; the wrapped entries
+read +0.0 and add -0.0.  The cases span its geometries: same convs
+(P = W = Wo, one run per tap), strided and valid convs (Wo < W), 1x1 convs
+(pad 0: a plane with no margin) and (1, 1, 1), whose output is wider than
+its input (P = Wo > W).  Each
 case runs with and without a Workspace; backward runs on train caches only,
 since an eval forward keeps none.
 """

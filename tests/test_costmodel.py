@@ -137,6 +137,19 @@ def test_k_map_shape_checked():
         cost_report(net, {})
 
 
+@pytest.mark.parametrize("filter_shape", [(2, 5, 5), (9,), (1, 3, 3, 1)])
+def test_cost_report_checks_filter_shape(filter_shape):
+    # an (8, 2, 5, 5) layer for mnist2's (8, 1, 3, 3) L0.W was priced at 75,208 storage
+    # bits, not 72,584, beside op counts taken from the network
+    net = Network(get_preset("mnist2"))
+    qlayers = qlayers_for(net, dict.fromkeys(net.weight_names, 2))
+    assert cost_report(net, qlayers).storage_bits == 72_584
+    qlayers["L0.W"] = QuantizedLayer(filter_shape, ExponentRange(0), np.full(8, 2, np.int8),
+                                     np.zeros((16, math.prod(filter_shape)), np.uint8))
+    with pytest.raises(ConfigError, match=r"L0.W: quantized filters have shape"):
+        cost_report(net, qlayers)
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
 def test_k_i_of_any_integer_dtype_counts_alike(dtype):
     # op_counts counts filters by k with np.bincount, which numpy 1.x refuses uint64 for

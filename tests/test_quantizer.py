@@ -285,6 +285,13 @@ class TestQuantizeFilter:
         assert not ql.codes.any()
         assert np.array_equal(ql.dequantize()[0], np.zeros(5))
 
+    def test_zero_filter_layer(self, wide):
+        # the reshape to (F, -1) raised a bare ValueError; pack_model takes such layers
+        ql, trace = quantize_layer(np.zeros((0, 3, 3, 3)), [0.0, 0.0], wide)
+        assert ql.k_i.shape == (0,) and ql.codes.shape == (0, 27) and trace.quantized.shape == (0, 27)
+        assert ql.dequantize().shape == (0, 3, 3, 3)
+        assert unpack_model(pack_model([ql])) == [ql]
+
     def test_hand_recursion_both_gates_fire(self, wide):
         # 0.75 -> +2^0, residual -0.25 -> -2^-2, exact afterwards
         ql, trace = quantize_one(np.array([0.75]), [0.0, 0.0], wide)
@@ -404,49 +411,30 @@ def bits(x):
     return x.view(f"u{x.itemsize}")
 
 
-def gather_dequantize(ql, dtype):
-    """dequantize with every round gathered and scattered through its live filters."""
+def kept_terms_sum(ql, dtype):
+    """Each filter's kept terms decoded one at a time and summed in firing order."""
     out = np.zeros((ql.num_filters, ql.filter_size), dtype=dtype)
-    table = ql.rng.decode(np.arange(1 << ql.rng.code_bits), dtype)
-    k_i = ql.k_i.astype(np.int64)
-    first = np.cumsum(k_i) - k_i
-    for j in range(int(k_i.max(initial=0))):
-        live = np.flatnonzero(k_i > j)
-        out[live] += table.take(ql.codes[first[live] + j])
+    first = 0
+    for f, k in enumerate(ql.k_i.tolist()):
+        for code in ql.codes[first : first + k]:
+            out[f] += ql.rng.decode(code, dtype)
+        first += k
     return out.reshape((ql.num_filters,) + ql.filter_shape)
 
 
-class TestDequantizeFastPath:
-    """dequantize, its gather-loop mirror and the trace's w - r_k agree bit for bit.
-
-    dequantize once skipped the gather for rounds that every filter kept;
-    the cases still spread k_i from all live to all pruned.
-    """
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "t, k_set",
-        [(-np.inf, {3}), (0.1, {1, 2, 3}), (0.2, {0, 1, 2, 3}), (np.inf, {0})],
-        ids=["all live", "round 0 live", "mixed", "all pruned"],
-    )
-    def test_matches_gather_path(self, t, k_set, dtype):
-        gen = np.random.default_rng(17)
-        # log-uniform filter scales against one threshold spread k_i over 0..3
-        w = gen.normal(size=(64, 3, 3, 3)) * np.exp(gen.uniform(-3.5, 0.7, size=(64, 1, 1, 1)))
-        rng = ExponentRange.for_weights(w, 4)
-        ql, trace = quantize_layer(w.astype(dtype), np.full(3, t), rng)
-        assert set(ql.k_i.tolist()) == k_set
-        got = ql.dequantize(dtype)
-        assert got.dtype == trace.quantized.dtype == dtype
-        assert np.array_equal(bits(got), bits(gather_dequantize(ql, dtype)))
-        assert np.array_equal(bits(trace.quantized), bits(got.reshape(64, -1)))
+def assert_dequantize_is_the_kept_terms_sum(ql, trace, dtype):
+    """dequantize, the reference sum and the trace's w - r_k agree bit for bit."""
+    got = ql.dequantize(dtype)
+    assert got.dtype == trace.quantized.dtype == dtype
+    assert np.array_equal(bits(got), bits(kept_terms_sum(ql, dtype)))
+    assert np.array_equal(bits(trace.quantized), bits(got.reshape(ql.num_filters, -1)))
 
 
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("code_bits", range(3, 9))
 def test_trace_weight_is_the_kept_terms_sum(code_bits, dtype, k):
-    # every code width the settings accept, up to the stream's 3 terms
+    # every code width the stream holds, up to its 3 terms
     gen = np.random.default_rng([code_bits, k, np.dtype(dtype).itemsize])
     for _ in range(25):
         F, n = gen.integers(1, 40), gen.integers(1, 30)
@@ -459,11 +447,17 @@ def test_trace_weight_is_the_kept_terms_sum(code_bits, dtype, k):
         # per round: gates all open, at zero, all closed, or at a norm inside the spread
         t = [[-np.inf, 0.0, np.inf, np.exp(gen.uniform(np.log(1e-6), np.log(1e4)))][c]
              for c in gen.integers(0, 4, k)]
-        ql, trace = quantize_layer(w, t, rng)
-        got = ql.dequantize(dtype).reshape(F, n)
-        assert trace.quantized.dtype == dtype
-        assert np.array_equal(bits(trace.quantized), bits(got))
-        assert np.array_equal(bits(got), bits(gather_dequantize(ql, dtype).reshape(F, n)))
+        assert_dequantize_is_the_kept_terms_sum(*quantize_layer(w, t, rng), dtype)
+    if k == 3:
+        # conv filters with log-uniform scales, one threshold for every round: k_i spreads
+        # from all live to all pruned, except at 3 bits, whose window keeps the spread narrower
+        gen = np.random.default_rng(17)
+        w = gen.normal(size=(64, 3, 3, 3)) * np.exp(gen.uniform(-3.5, 0.7, size=(64, 1, 1, 1)))
+        rng = ExponentRange.for_weights(w, code_bits)
+        for t, k_set in [(-np.inf, {3}), (0.1, {1, 2, 3}), (0.2, {0, 1, 2, 3}), (np.inf, {0})]:
+            ql, trace = quantize_layer(w.astype(dtype), np.full(3, t), rng)
+            assert code_bits == 3 or set(ql.k_i.tolist()) == k_set
+            assert_dequantize_is_the_kept_terms_sum(ql, trace, dtype)
 
 
 def reference_recursion(w, fired, rng):

@@ -121,7 +121,7 @@ def test_float_cell_reports_the_float_model():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_only_the_float_model_multiplies(mode):
-    cell = run_cell(MNIST2, replace(BASE, mode=mode, fixed_k=1), DATA)
+    cell = run_cell(MNIST2, replace(BASE, mode=mode, fixed_k=1 if mode == "fixed" else None), DATA)
     assert cell.ok, cell.error
     assert (cell.cost.multiply_count == 0) == (mode != "float")
 
@@ -159,6 +159,12 @@ def test_sweep_rejects_a_seed_that_is_not_an_integer(seed):
     # 2.7 trained and recorded seed 2; NaN raised a bare ValueError from int()
     with pytest.raises(ConfigError, match="seed"):
         sweep_lambda(MNIST2, BASE, DATA, [(0.0, 0.0)], [seed])
+
+
+def test_sweep_rejects_a_scalar_lambda_entry():
+    # tuple(0.1) raised a bare TypeError
+    with pytest.raises(ConfigError, match="lambdas"):
+        sweep_lambda(MNIST2, replace(BASE, max_k=1, lambdas=(0.0,)), DATA, [0.1], [1])
 
 
 def test_sweep_takes_numpy_integer_seeds():

@@ -49,8 +49,23 @@ from shiftnn.trainer.loop import TrainSettings, evaluate, init_train_state, trai
     ("mode", "bogus", "mode must be one of"),
 ])
 def test_bad_settings_rejected_up_front(field, value, match):
-    settings = TrainSettings(mode="fixed" if field == "fixed_k" else "flex", fixed_k=1)
+    settings = TrainSettings(mode="fixed", fixed_k=1) if field == "fixed_k" else TrainSettings()
     setattr(settings, field, value)
+    with pytest.raises(ConfigError, match=match):
+        settings.validate()
+
+
+@pytest.mark.parametrize("settings, match", [
+    # these validated, then train_batch raised TypeError: 'float' object is not iterable
+    (TrainSettings(max_k=1, lambdas=0.1), "lambdas"),
+    (TrainSettings(mode="float", lambdas=0.1), "lambdas"),
+    # this validated (two coefficients once flattened), then layer_reg_loss asked for one
+    (TrainSettings(lambdas=((0.0, 3e-5),)), "lambdas"),
+    # these trained in their own mode and ignored fixed_k without a word
+    (TrainSettings(fixed_k=1), "fixed_k"),
+    (TrainSettings(mode="float", fixed_k=0), "fixed_k"),
+], ids=["scalar-flex", "scalar-float", "nested", "flex-fixed_k", "float-fixed_k"])
+def test_settings_that_cannot_train_rejected_up_front(settings, match):
     with pytest.raises(ConfigError, match=match):
         settings.validate()
 
@@ -138,6 +153,26 @@ def test_evaluate_checks_label_shape(y):
     x = np.zeros((4, 1, 4, 4), dtype=np.float32)
     with pytest.raises(DataError, match="labels"):
         evaluate(net, params, state, x, y)
+
+
+@pytest.mark.parametrize("case", ["missing", "misshapen"])
+def test_evaluate_checks_params(case):
+    # a missing parameter raised KeyError, a misshapen one numpy's ValueError
+    net, params, state = tiny_net()
+    if case == "missing":
+        del params["L2.W"]
+    else:
+        params["L2.W"] = params["L2.W"][:, :-1]
+    with pytest.raises(ConfigError, match="parameter L2.W"):
+        evaluate(net, params, state, np.zeros((4, 1, 4, 4), np.float32), np.zeros(4, int))
+
+
+@pytest.mark.parametrize("data", [(np.zeros((4, 1, 4, 4), np.float32), np.zeros(4, int)), None],
+                         ids=["two arrays", "none"])
+def test_run_cell_needs_four_arrays(data):
+    # a bare ValueError or TypeError, raised outside the cell's error capture
+    with pytest.raises(DataError, match="train_x, train_y, test_x, test_y"):
+        run_cell(TINY, TrainSettings(epochs=1, batch_size=2), data)
 
 
 @pytest.mark.parametrize("batch_size", [-1, 0, 2.5, None])

@@ -11,9 +11,10 @@ For export: of one quantize_weights -> pack_model -> unpack_model ->
 cost_report cycle of net2's weights at max_k=3, with per-filter scales
 that spread k_i over 0..3 as in the benchmark's export workload; a second
 line gives the p50 time of each of the four phases within a cycle; a third
-gives the p50 of pack_model, unpack_model and cost_report, called in turn,
-on the same model cut to one weight per filter: their fixed cost, which
-follows the layer count and not the weights.  With no
+gives the p50 of pack_model, unpack_model, and op_counts with storage_bits
+(cost_report less its shape check), called in turn, on the same model cut
+to one weight per filter: their fixed cost, which follows the layer count
+and not the weights.  With no
 names, every probe runs.  The counts depend on what ran before in the
 process (glibc's trim threshold follows the largest block freed so far),
 so run one probe per process to read its own count.  Each line also gives
@@ -146,10 +147,13 @@ def probe_export(cycles, warm=3):
     cut = [QuantizedLayer((1,), q.rng, q.k_i, np.ascontiguousarray(q.codes[:, :1]))
            for q in (qinfo[name][0] for name in net.weight_names)]
     stream = packing.pack_model(cut)
-    unpacked = dict(zip(net.weight_names, packing.unpack_model(stream)))
+    unpacked = packing.unpack_model(stream)
+    k_map = {name: q.k_i for name, q in zip(net.weight_names, unpacked)}
+    # cost_report rejects filters of another shape than the network's: time what it runs past that
     calls = {"pack_model": lambda: packing.pack_model(cut),
              "unpack_model": lambda: packing.unpack_model(stream),
-             "cost_report": lambda: costmodel.cost_report(net, unpacked)}
+             "op_counts + storage_bits": lambda: (costmodel.op_counts(net, k_map),
+                                                  packing.storage_bits(unpacked))}
     call_s = {name: [] for name in calls}
     for i in range(warm + FIXED_COST_CALLS):
         for name, call in calls.items():
