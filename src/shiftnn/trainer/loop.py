@@ -57,10 +57,12 @@ class TrainSettings:
                 raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
         if self.max_k > MAX_K:
             raise ConfigError(f"max_k above {MAX_K} does not fit the packed stream: {self.max_k}")
-        if np.ndim(self.lambdas) != 1:  # train_batch iterates it in every mode
-            raise ConfigError(f"lambdas must be a one-dimensional sequence, got {self.lambdas!r}")
+        lam = self.lambdas  # train_batch iterates it in every mode
+        flat = isinstance(lam, (tuple, list)) or isinstance(lam, np.ndarray) and lam.ndim == 1
+        if not (flat and all(isinstance(l, numbers.Real) for l in lam)):
+            raise ConfigError(f"lambdas must be a one-dimensional sequence of numbers, got {lam!r}")
         if self.mode != "float":
-            check_lambdas(self.lambdas, self.max_k)
+            check_lambdas(lam, self.max_k)
         if self.mode == "fixed" and not (isinstance(self.fixed_k, numbers.Integral)
                                          and 0 <= self.fixed_k <= self.max_k):
             raise ConfigError(f"fixed mode needs an integer fixed_k in [0, {self.max_k}]")

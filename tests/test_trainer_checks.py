@@ -61,10 +61,12 @@ def test_bad_settings_rejected_up_front(field, value, match):
     (TrainSettings(mode="float", lambdas=0.1), "lambdas"),
     # this validated (two coefficients once flattened), then layer_reg_loss asked for one
     (TrainSettings(lambdas=((0.0, 3e-5),)), "lambdas"),
+    # this raised numpy's ValueError from validate
+    (TrainSettings(lambdas=((0.0,), (0.0, 3e-5))), "lambdas"),
     # these trained in their own mode and ignored fixed_k without a word
     (TrainSettings(fixed_k=1), "fixed_k"),
     (TrainSettings(mode="float", fixed_k=0), "fixed_k"),
-], ids=["scalar-flex", "scalar-float", "nested", "flex-fixed_k", "float-fixed_k"])
+], ids=["scalar-flex", "scalar-float", "nested", "ragged", "flex-fixed_k", "float-fixed_k"])
 def test_settings_that_cannot_train_rejected_up_front(settings, match):
     with pytest.raises(ConfigError, match=match):
         settings.validate()
