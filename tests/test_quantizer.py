@@ -430,6 +430,28 @@ def assert_dequantize_is_the_kept_terms_sum(ql, trace, dtype):
     assert np.array_equal(bits(trace.quantized), bits(got.reshape(ql.num_filters, -1)))
 
 
+class TestDequantizeFastPath:
+    """dequantize agrees with the kept-terms sum as k_i spreads from all live to all pruned.
+
+    dequantize once skipped the gather for rounds that every filter kept.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "t, k_set",
+        [(-np.inf, {3}), (0.1, {1, 2, 3}), (0.2, {0, 1, 2, 3}), (np.inf, {0})],
+        ids=["all live", "round 0 live", "mixed", "all pruned"],
+    )
+    def test_matches_gather_path(self, t, k_set, dtype):
+        gen = np.random.default_rng(17)
+        # log-uniform filter scales against one threshold spread k_i over 0..3
+        w = gen.normal(size=(64, 3, 3, 3)) * np.exp(gen.uniform(-3.5, 0.7, size=(64, 1, 1, 1)))
+        rng = ExponentRange.for_weights(w, 4)
+        ql, trace = quantize_layer(w.astype(dtype), np.full(3, t), rng)
+        assert set(ql.k_i.tolist()) == k_set
+        assert_dequantize_is_the_kept_terms_sum(ql, trace, dtype)
+
+
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("code_bits", range(3, 9))
@@ -448,16 +470,6 @@ def test_trace_weight_is_the_kept_terms_sum(code_bits, dtype, k):
         t = [[-np.inf, 0.0, np.inf, np.exp(gen.uniform(np.log(1e-6), np.log(1e4)))][c]
              for c in gen.integers(0, 4, k)]
         assert_dequantize_is_the_kept_terms_sum(*quantize_layer(w, t, rng), dtype)
-    if k == 3:
-        # conv filters with log-uniform scales, one threshold for every round: k_i spreads
-        # from all live to all pruned, except at 3 bits, whose window keeps the spread narrower
-        gen = np.random.default_rng(17)
-        w = gen.normal(size=(64, 3, 3, 3)) * np.exp(gen.uniform(-3.5, 0.7, size=(64, 1, 1, 1)))
-        rng = ExponentRange.for_weights(w, code_bits)
-        for t, k_set in [(-np.inf, {3}), (0.1, {1, 2, 3}), (0.2, {0, 1, 2, 3}), (np.inf, {0})]:
-            ql, trace = quantize_layer(w.astype(dtype), np.full(3, t), rng)
-            assert code_bits == 3 or set(ql.k_i.tolist()) == k_set
-            assert_dequantize_is_the_kept_terms_sum(ql, trace, dtype)
 
 
 def reference_recursion(w, fired, rng):
