@@ -162,13 +162,15 @@ class ResidualTrace:
     """One layer's gated rounds, its filters flattened to (F, n); replay rebuilds the residuals.
 
     w is the layer's weight, not a copy: the trace holds while w is unchanged.
-    norms[j] is the L2 norm of the residual r_j entering round j (r_0 = w),
-    in float64, and fired[j, f] the round-j gate of filter f.  codes[j]
-    holds R(r_j) for every filter, whether or not the gate fired; rng
-    decodes them.  quantized is the quantized weight w - r_k.
+    t is a copy of the thresholds that gated it (-inf when ungated).  norms[j]
+    is the L2 norm of the residual r_j entering round j (r_0 = w), in float64,
+    and fired[j] = norms[j] > t[j] the round-j gates.  codes[j] holds R(r_j)
+    for every filter, whether or not the gate fired; rng decodes them.
+    quantized is the quantized weight w - r_k.
     """
 
     w: np.ndarray  # (F, n)
+    t: np.ndarray  # (k,) float64
     norms: np.ndarray  # (k, F) float64
     fired: np.ndarray  # (k, F) bool
     codes: np.ndarray  # (k, F, n) uint8
@@ -269,13 +271,13 @@ def quantize_layer(w, t, rng: ExponentRange):
     residual's L2 norm strictly exceeds t[j]; only fired rounds subtract
     their term from the running residual, which every round rewrites in one
     buffer.  Returns (QuantizedLayer, ResidualTrace); the trace refers to w,
-    keeps no residual and holds the quantized weight w less the last
-    residual r_k.  Raises ConfigError when t is not 1-D, and NumericError
+    keeps no residual and holds a copy of t and the quantized weight
+    w - r_k.  Raises ConfigError when t is not 1-D, and NumericError
     when any weight is NaN or infinite, or when a filter's L2 norm
     overflows float64.
     """
     w = np.asarray(w)
-    t = np.asarray(t, dtype=np.float64)
+    t = np.array(t, dtype=np.float64)  # the trace's own copy
     if t.ndim != 1:
         raise ConfigError(f"thresholds must be one row of per-round values, got shape {t.shape}")
     k = t.size
@@ -318,7 +320,7 @@ def quantize_layer(w, t, rng: ExponentRange):
     # (|r_j| <= |w| - 2**e_max where |w| >= 2**e_max): adding the terms rounds nowhere.
     np.subtract(flat, r, out=term)
 
-    trace = ResidualTrace(flat, norms[:k], fired, codes, rng, term)
+    trace = ResidualTrace(flat, t, norms[:k], fired, codes, rng, term)
     # each filter's fired terms, filter by filter, as the packed stream holds them
     kept = codes.transpose(1, 0, 2)[fired.T]
     return QuantizedLayer(filter_shape, rng, fired.sum(axis=0).astype(np.int8), kept), trace

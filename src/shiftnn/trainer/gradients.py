@@ -65,9 +65,9 @@ def threshold_grad(residuals, norms, values, upstream, t, tau):
     return out
 
 
-def threshold_grad_from_trace(trace: ResidualTrace, upstream, t, tau):
-    """Production form: relaxed gradient evaluated on the hard forward trace,
-    its residuals rebuilt in w's dtype (so the trace's w must be unchanged)."""
+def threshold_grad_from_trace(trace: ResidualTrace, upstream, tau):
+    """Production form: relaxed gradient at the thresholds that gated the hard forward
+    trace, its residuals rebuilt in w's dtype (so the trace's w must be unchanged)."""
     residuals, values = trace.replay()
-    return threshold_grad(residuals, trace.norms, values, upstream, t, tau)
+    return threshold_grad(residuals, trace.norms, values, upstream, trace.t, tau)
 

@@ -98,7 +98,7 @@ class TrainState:
     bn_state: dict
     thresholds: np.ndarray  # (groups, max_k) float64
     settings: TrainSettings
-    adam: AdamState  # weights, biases and "t", the thresholds, which step only in flex mode
+    adam: AdamState  # weights and biases, and in flex mode "t", the thresholds
     rng: np.random.Generator
     epoch: int = 0
     step: int = 0
@@ -144,7 +144,7 @@ def init_train_state(net, params, bn_state, settings: TrainSettings) -> TrainSta
         bn_state=bn_state,
         thresholds=thresholds,
         settings=settings,
-        adam=AdamState({**trained, "t": thresholds}),
+        adam=AdamState({**trained, "t": thresholds} if settings.mode == "flex" else trained),
         rng=np.random.default_rng(settings.seed),
     )
 
@@ -230,9 +230,7 @@ def train_batch(ts: TrainState, xb, yb):
     if s.mode == "flex":  # from dL/dw^q, before the regularizer adds into it
         tgrad = np.zeros_like(ts.thresholds)
         for g, name in enumerate(net.weight_names):
-            upstream = net_grads[name].reshape(net_grads[name].shape[0], -1)
-            row = _threshold_row(s, g)
-            tgrad[row] += threshold_grad_from_trace(qinfo[name][1], upstream, ts.thresholds[row], TAU)
+            tgrad[_threshold_row(s, g)] += threshold_grad_from_trace(qinfo[name][1], net_grads[name], TAU)
         grads["t"] = tgrad
         params["t"] = ts.thresholds
     reg = 0.0
@@ -246,10 +244,9 @@ def train_batch(ts: TrainState, xb, yb):
 
     if s.clip_norm is not None:
         sq = 0.0
-        for name, g in grads.items():
+        for g in grads.values():
             g = g.reshape(-1).astype(np.float64, copy=False)
-            # thresholds sum pairwise, the rest by einsum: the two round differently
-            sq += float((g * g).sum()) if name == "t" else float(np.einsum("i,i->", g, g))
+            sq += float(np.einsum("i,i->", g, g))
         norm = np.sqrt(sq)
         if norm > s.clip_norm:
             for g in grads.values():

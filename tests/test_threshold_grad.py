@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftnn.errors import ConfigError
-from shiftnn.quant import ExponentRange, quantize_layer, round_pow2
+from shiftnn.quant import ExponentRange, quantize_layer, round_pow2, ungated_residual_trace
 from shiftnn.trainer.gradients import sigmoid, threshold_grad, threshold_grad_from_trace
 
 WIDE = ExponentRange(e_max=16, code_bits=8)
@@ -95,7 +95,7 @@ def test_sweep_matches_forward_mode_reference_on_hard_traces(k):
     for _ in range(100):
         w, t, upstream, tau = random_case(gen, k)
         _, trace = quantize_layer(w, t, WIDE)
-        got = threshold_grad_from_trace(trace, upstream, t, tau)
+        got = threshold_grad_from_trace(trace, upstream, tau)
         values = WIDE.decode(trace.codes)
         want = reference_threshold_grad(trace.replay()[0], trace.norms[:k], values, upstream, t, tau)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
@@ -115,7 +115,7 @@ def test_sweep_matches_forward_mode_reference_on_soft_traces(k):
 def test_zero_upstream_gives_zero():
     w = np.random.default_rng(1).normal(size=(4, 6))
     _, trace = quantize_layer(w, [0.0, 0.0], WIDE)
-    g = threshold_grad_from_trace(trace, np.zeros((4, 6)), [0.0, 0.0], tau=1.0)
+    g = threshold_grad_from_trace(trace, np.zeros((4, 6)), tau=1.0)
     assert np.array_equal(g, np.zeros(2))
 
 
@@ -124,7 +124,7 @@ def test_k1_scalar_closed_form():
     w = np.array([0.7])
     t0, tau = 0.2, 0.8
     _, trace = quantize_layer(w[None], [t0], WIDE)
-    g = threshold_grad_from_trace(trace, np.ones((1, 1)), [t0], tau=tau)
+    g = threshold_grad_from_trace(trace, np.ones((1, 1)), tau=tau)
     z = (abs(w[0]) - t0) / tau
     s = 1.0 / (1.0 + np.exp(-z))
     expected = -(1.0 / tau) * s * (1 - s) * 0.5  # R(0.7) = 2^-1 (log2 0.7 ~ -0.51)
@@ -135,7 +135,7 @@ def test_saturated_gates_have_zero_gradient():
     w = np.random.default_rng(2).normal(size=(3, 5))
     for t in ([-np.inf, -np.inf], [np.inf, np.inf]):
         _, trace = quantize_layer(w, t, WIDE)
-        g = threshold_grad_from_trace(trace, np.ones((3, 5)), t, tau=1.0)
+        g = threshold_grad_from_trace(trace, np.ones((3, 5)), tau=1.0)
         assert np.array_equal(g, np.zeros(2))
 
 
@@ -144,8 +144,24 @@ def test_thresholds_that_are_not_the_traces_row_rejected(shape):
     # a (k, F) t once reached the sweep flattened, and a longer t was cut to k
     w = np.random.default_rng(4).normal(size=(3, 5))
     _, trace = quantize_layer(w, [0.0, 0.0], WIDE)
+    residuals, values = trace.replay()
     with pytest.raises(ConfigError, match=rf"one row of 2 .* got shape \({shape[0]},"):
-        threshold_grad_from_trace(trace, np.ones((3, 5)), np.zeros(shape), tau=1.0)
+        threshold_grad(residuals, trace.norms, values, np.ones((3, 5)), np.zeros(shape), tau=1.0)
+
+
+def test_trace_keeps_the_thresholds_that_gated_it():
+    # the caller passed t twice, once to the quantizer and once to the sweep
+    w = np.random.default_rng(5).normal(size=(3, 5))
+    t = np.array([0.5, 1.0])
+    _, trace = quantize_layer(w, t, WIDE)
+    want = threshold_grad_from_trace(trace, np.ones((3, 5)), tau=1.0)
+    t[:] = np.nan  # the caller's array, edited after the call
+    assert trace.t.dtype == np.float64 and trace.t.tolist() == [0.5, 1.0]
+    assert np.array_equal(threshold_grad_from_trace(trace, np.ones((3, 5)), tau=1.0), want)
+    residuals, values = trace.replay()
+    assert np.array_equal(want, threshold_grad(residuals, trace.norms, values, np.ones((3, 5)),
+                                               [0.5, 1.0], tau=1.0))
+    assert ungated_residual_trace(w, 2, WIDE).t.tolist() == [-np.inf, -np.inf]
 
 
 def test_matches_finite_differences_of_relaxed_surrogate():
@@ -264,7 +280,7 @@ class TestWidening:
         want_residuals, want_values = wide_recursion(trace)
         assert np.array_equal(wide_values.view(np.uint64), want_values.view(np.uint64))
         assert np.array_equal(wide_residuals.view(np.uint64), want_residuals.view(np.uint64))
-        got = threshold_grad_from_trace(trace, upstream, t, tau)
+        got = threshold_grad_from_trace(trace, upstream, tau)
         want = threshold_grad(wide_residuals, trace.norms, wide_values, upstream, t, tau)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert got.any()

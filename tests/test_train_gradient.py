@@ -9,7 +9,7 @@ from shiftnn.nn import build_network, get_preset
 from shiftnn.nn.optim import adam_step
 from shiftnn.quant import ExponentRange
 from shiftnn.trainer import layer_reg_grad, loop
-from shiftnn.trainer.loop import TrainSettings, init_train_state, train_batch
+from shiftnn.trainer.loop import MODES, TrainSettings, init_train_state, train_batch
 
 MNIST2 = get_preset("mnist2")
 # flex mode with thresholds inside the norms' range, so that dL/dt is not 0
@@ -95,3 +95,13 @@ def test_float_mode_ignores_the_regularizer(monkeypatch):
 def test_fixed_mode_hands_adam_no_thresholds(monkeypatch):
     grads = gradients_at_adam(monkeypatch, replace(FREE, mode="fixed", fixed_k=1))
     assert grads.keys() == set(build_network(MNIST2, 0)[0].param_names)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_adam_holds_the_thresholds_only_in_flex_mode(mode):
+    # fixed and float mode never step the thresholds, so their moments are not kept
+    settings = replace(FREE, mode=mode, fixed_k=1 if mode == "fixed" else None)
+    net, params, state = build_network(MNIST2, settings.seed)
+    ts = init_train_state(net, params, state, settings)
+    want = set(net.param_names) | ({"t"} if mode == "flex" else set())
+    assert ts.adam.m.keys() == ts.adam.v.keys() == want
