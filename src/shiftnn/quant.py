@@ -6,7 +6,7 @@ the residual's L2 norm exceeds the threshold ``t[j]`` (strict).  The
 number of kept terms is the filter's shift count ``k_i``.
 
 Every term is held as one uint8 code per element, in the packed
-stream's format; ExponentRange.decode turns codes into values.
+stream's format; _decode_table gives their values.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class ExponentRange:
         return cls(e_max, code_bits)
 
     def decode(self, codes, dtype=np.float64) -> np.ndarray:
-        """Values of term codes: the one definition of the code format."""
+        """Values of term codes, looked up in _decode_table, the one definition of the
+        code format; quantize_layer and dequantize read that table directly."""
         return _decode_table(self, np.dtype(dtype)).take(codes)
 
 
@@ -273,13 +274,16 @@ def quantize_layer(w, t, rng: ExponentRange):
     buffer.  Returns (QuantizedLayer, ResidualTrace); the trace refers to w,
     keeps no residual and holds a copy of t and the quantized weight
     w - r_k.  Raises ConfigError when t is not 1-D, and NumericError
-    when any weight is NaN or infinite, or when a filter's L2 norm
-    overflows float64.
+    when a threshold or any weight is NaN, a weight is infinite, or a
+    filter's L2 norm overflows float64.
     """
     w = np.asarray(w)
     t = np.array(t, dtype=np.float64)  # the trace's own copy
     if t.ndim != 1:
         raise ConfigError(f"thresholds must be one row of per-round values, got shape {t.shape}")
+    nan = np.isnan(t)
+    if nan.any():  # no norm exceeds NaN: its round would close every gate
+        raise NumericError(f"threshold of round {nan.argmax()} is NaN")
     k = t.size
     F = w.shape[0]
     filter_shape = w.shape[1:]

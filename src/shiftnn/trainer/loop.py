@@ -63,6 +63,8 @@ class TrainSettings:
             raise ConfigError(f"lambdas must be a one-dimensional sequence of numbers, got {lam!r}")
         if self.mode != "float":
             check_lambdas(lam, self.max_k)
+        if not isinstance(self.per_layer_thresholds, (bool, np.bool_)):  # "no" was truthy
+            raise ConfigError(f"per_layer_thresholds must be a bool, got {self.per_layer_thresholds!r}")
         if self.mode == "fixed" and not (isinstance(self.fixed_k, numbers.Integral)
                                          and 0 <= self.fixed_k <= self.max_k):
             raise ConfigError(f"fixed mode needs an integer fixed_k in [0, {self.max_k}]")

@@ -34,11 +34,13 @@ class SweepCell:
 def run_cell(net_config: NetworkConfig, settings: TrainSettings, data) -> SweepCell:
     """Train one model and report the accuracy and cost of the model its mode trains.
 
-    data is (train_x, train_y, test_x, test_y); DataError if it is not four items."""
+    data is (train_x, train_y, test_x, test_y); DataError if it is not four items.
+    A float-mode cell records lambdas (): no regularizer acts in float mode."""
     try:
         train_x, train_y, test_x, test_y = data
     except (TypeError, ValueError) as exc:
         raise DataError(f"data must be (train_x, train_y, test_x, test_y): {exc}") from exc
+    lambdas = () if settings.mode == "float" else tuple(settings.lambdas)
     try:
         net, params, bn_state = build_network(net_config, settings.seed)
         ts = init_train_state(net, params, bn_state, settings)
@@ -47,9 +49,9 @@ def run_cell(net_config: NetworkConfig, settings: TrainSettings, data) -> SweepC
         acc = evaluate(net, weights, ts.bn_state, test_x, test_y, settings.batch_size)
         mean_k, _ = k_statistics(qinfo, settings.max_k)
         cost = cost_report(net, {name: q for name, (q, _) in qinfo.items()}) if qinfo else cost_report(net)
-        return SweepCell(tuple(settings.lambdas), settings.seed, acc, mean_k, cost)
+        return SweepCell(lambdas, settings.seed, acc, mean_k, cost)
     except (ShiftNNError, FloatingPointError) as exc:
-        return SweepCell(tuple(settings.lambdas), settings.seed, None, None, None, str(exc))
+        return SweepCell(lambdas, settings.seed, None, None, None, str(exc))
 
 
 def sweep_lambda(net_config, base: TrainSettings, data, lambda_list, seeds):

@@ -335,6 +335,16 @@ class TestQuantizeFilter:
         with pytest.raises(ConfigError, match=rf"got shape {re.escape(str(t.shape))}"):
             quantize_layer(np.ones((3, 4)), t, wide)
 
+    @pytest.mark.parametrize("j", [0, 1], ids=["round-0", "round-1"])
+    def test_nan_threshold_rejected(self, wide, j):
+        # no norm exceeds NaN, so the round closed every gate without a word
+        t = [0.0, 0.0]
+        t[j] = np.nan
+        with pytest.raises(NumericError, match=f"threshold of round {j} is NaN"):
+            quantize_layer(np.ones((4, 3)), t, wide)
+        ql, _ = quantize_layer(np.ones((4, 3)), [-np.inf, np.inf], wide)  # fixed mode's rows stay valid
+        assert (ql.k_i == 1).all()
+
 
 class TestEffectiveK:
     def test_infinite_thresholds_prune(self, wide):

@@ -144,6 +144,15 @@ def test_epoch_metrics():
     assert 0.0 <= with_test.test_acc <= 1.0
 
 
+def test_float_cells_carry_no_lambdas():
+    # float cells were labelled with lambdas that did not act: these two were equal
+    cells = sweep_lambda(MNIST2, replace(BASE, mode="float"), DATA, [(0.0, 0.0), (1.0, 10.0)], [1])
+    assert [c.lambdas for c in cells] == [(), ()]
+    assert cells[0].ok and cells[1].ok
+    assert (cells[0].accuracy, cells[0].cost) == (cells[1].accuracy, cells[1].cost)
+    assert cell_to_point(cells[0], "float").lambdas == ()
+
+
 def test_failing_cell_is_recorded_not_raised():
     wrong = (DATA[0][:, :, :27], *DATA[1:])
     (cell,) = sweep_lambda(MNIST2, BASE, wrong, [(0.0, 0.0)], [1])

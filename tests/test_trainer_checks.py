@@ -47,12 +47,20 @@ from shiftnn.trainer.loop import TrainSettings, evaluate, init_train_state, trai
     ("clip_norm", 0.0, "clip_norm"),
     ("clip_norm", float("inf"), "clip_norm"),
     ("mode", "bogus", "mode must be one of"),
+    # any truthy value trained one threshold row per layer, and None one shared row
+    ("per_layer_thresholds", "no", "per_layer_thresholds"),
+    ("per_layer_thresholds", 2, "per_layer_thresholds"),
+    ("per_layer_thresholds", None, "per_layer_thresholds"),
 ])
 def test_bad_settings_rejected_up_front(field, value, match):
     settings = TrainSettings(mode="fixed", fixed_k=1) if field == "fixed_k" else TrainSettings()
     setattr(settings, field, value)
     with pytest.raises(ConfigError, match=match):
         settings.validate()
+
+
+def test_numpy_bool_per_layer_thresholds_accepted():
+    assert TrainSettings(per_layer_thresholds=np.bool_(True)).validate().per_layer_thresholds
 
 
 @pytest.mark.parametrize("settings, match", [
@@ -126,6 +134,20 @@ def test_nan_master_weight_dumps_reason_and_step(tmp_path):
         assert "NaN" in str(dump["__reason"])
         assert int(dump["__step"]) == 4
         assert np.isnan(dump["L2.W"][1, 5])
+
+
+def test_nan_threshold_dumps_reason_and_step(tmp_path):
+    # a NaN row closed every gate of its round and trained on, its dL/dt NaN
+    net, params, state = tiny_net()
+    ts = init_train_state(net, params, state, TrainSettings(dump_dir=str(tmp_path)))
+    ts.thresholds[0, 1] = np.nan
+    x = np.zeros((2, 1, 4, 4), dtype=np.float32)
+    with pytest.raises(NumericError, match="L0.W: threshold of round 1 is NaN at step 0"):
+        train_batch(ts, x, np.array([0, 1]))
+    (path,) = tmp_path.iterdir()
+    with np.load(path) as dump:
+        assert str(dump["__reason"]) == "L0.W: threshold of round 1 is NaN"
+        assert np.isnan(dump["__thresholds"][0, 1])
 
 
 def test_nan_weight_error_names_its_tensor(tmp_path):
