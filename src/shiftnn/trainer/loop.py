@@ -63,7 +63,7 @@ class TrainSettings:
             raise ConfigError(f"lambdas must be a one-dimensional sequence of numbers, got {lam!r}")
         if self.mode != "float":
             check_lambdas(lam, self.max_k)
-        if not isinstance(self.per_layer_thresholds, (bool, np.bool_)):  # "no" was truthy
+        if not isinstance(self.per_layer_thresholds, (bool, np.bool_)):  # a truthy "no" is not False
             raise ConfigError(f"per_layer_thresholds must be a bool, got {self.per_layer_thresholds!r}")
         if self.mode == "fixed" and not (isinstance(self.fixed_k, numbers.Integral)
                                          and 0 <= self.fixed_k <= self.max_k):
