@@ -73,16 +73,15 @@ def _grad(ws, dy, shape, dtype):
     return ws.array(Workspace.GRADS[np.may_share_memory(dy, first)], shape, dtype)
 
 
-def _taps(plane, channels, P, k, stride, Ho, Wo):
-    """The view (C, k, k, N, Ho, Wo) of a contiguous plane (N, C, L) or (C, N, L).
+def _taps(plane, P, k, stride, Ho, Wo):
+    """The view (C, k, k, N, Ho, Wo) of a contiguous plane (N, C, L).
 
-    Entry (c, i, j, n, ho, wo) lies at offset (stride*ho + i)*P + stride*wo + j
-    of plane row (n, c), whose C axis is `channels`; when Wo == P, (Ho, Wo) is
-    one run.  np.ndarray checks that the view stays inside the plane.
+    Entry (c, i, j, n, ho, wo) lies at offset (stride*ho + i)*P + stride*wo + j of
+    plane row (n, c); when Wo == P, (Ho, Wo) is one run.  np.ndarray checks the bounds.
     """
     s = plane.itemsize
-    C, N = plane.shape[channels], plane.shape[1 - channels]
-    sc, sn = plane.strides[channels], plane.strides[1 - channels]
+    N, C = plane.shape[:2]
+    sn, sc = plane.strides[:2]
     block = [(Ho * Wo, stride * s)] if Wo == P else [(Ho, stride * P * s), (Wo, stride * s)]
     shape, strides = zip((C, sc), (k, P * s), (k, s), (N, sn), *block)
     return np.ndarray(shape, plane.dtype, plane, 0, strides)
@@ -119,8 +118,8 @@ def im2col(x, k, stride, pad, ws=None):
     (_taps); the entries that read no input column (_wrapped), whose plane
     entry lies in a margin or a neighbouring row, are set to +0.0, the
     padding's value.  P >= Wo keeps each tap's addresses distinct, which
-    col2im's adds need: over-padded convs (stride 1, 2*pad >= kernel) have
-    Wo > W.
+    col2im's adds into this same plane need: over-padded convs (stride 1,
+    2*pad >= kernel) have Wo > W.
     """
     N, C, H, W = x.shape
     Ho, Wo, P, lo = _conv_geometry(H, W, k, stride, pad)
@@ -128,7 +127,7 @@ def im2col(x, k, stride, pad, ws=None):
     plane[:, :, :lo] = 0
     plane[:, :, lo + H * P :] = 0
     np.copyto(plane[:, :, lo : lo + H * P].reshape(N, C, H, P)[..., :W], x)
-    win = _taps(plane, 1, P, k, stride, Ho, Wo)
+    win = _taps(plane, P, k, stride, Ho, Wo)
     cols = _array(ws, Workspace.COLS, win.shape, x.dtype)
     np.copyto(cols, win)
     for edge in _wrapped(cols.reshape(C, k, k, N, Ho, Wo), W, stride, pad):
@@ -143,25 +142,25 @@ def col2im(dcols, x_shape, k, stride, pad, ws=None):
     The entries of dcols that read no input column are first set to -0.0:
     x + -0.0 is x for every x, -0.0 and NaN payloads included.  Then each
     kernel tap, in order, adds its block into the taps view of im2col's plane,
-    laid out (C, N, 2*lo + H*P) in the TMP area and started at +0.0.  The
-    result is an NCHW view of the plane.  When Wo == P (a same conv) a block
-    is one run per (c, n), which numpy adds about twice as fast as (Ho, Wo).
-    Every sum keeps its bits, except where two NaNs meet: the result is a NaN
-    with one of their payloads, and which one depends on where numpy splits
-    the add's run into its SIMD body and scalar tail.
+    started at +0.0 in the TMP area; the result is the plane's NCHW interior,
+    which im2col copies x into.  When Wo == P (a same conv) a block is one run
+    per (c, n), which numpy adds about twice as fast as (Ho, Wo).  Every sum
+    keeps its bits, except where two NaNs meet: the result is a NaN with one of
+    their payloads, and which one depends on where numpy splits the add's run
+    into its SIMD body and scalar tail.
     """
     N, C, H, W = x_shape
     Ho, Wo, P, lo = _conv_geometry(H, W, k, stride, pad)
     for edge in _wrapped(dcols.reshape(C, k, k, N, Ho, Wo), W, stride, pad):
         edge.fill(-0.0)
-    plane = _array(ws, Workspace.TMP, (C, N, 2 * lo + H * P), dcols.dtype)
+    plane = _array(ws, Workspace.TMP, (N, C, 2 * lo + H * P), dcols.dtype)
     plane.fill(0)
-    taps = _taps(plane, 0, P, k, stride, Ho, Wo)
+    taps = _taps(plane, P, k, stride, Ho, Wo)
     blocks = dcols.reshape(taps.shape)
     for i in range(k):
         for j in range(k):
             taps[:, i, j] += blocks[:, i, j]
-    return plane[:, :, lo : lo + H * P].reshape(C, N, H, P)[..., :W].transpose(1, 0, 2, 3)
+    return plane[:, :, lo : lo + H * P].reshape(N, C, H, P)[..., :W]
 
 
 class Layer:
