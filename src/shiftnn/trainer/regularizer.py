@@ -27,8 +27,6 @@ def check_lambdas(lambdas, k: int) -> np.ndarray:
 def layer_reg_loss(w, lambdas, rng: ExponentRange) -> float:
     """sum_j lambda_j * sum_i ||r_{i,j}||_2 for one layer's filters."""
     lam = check_lambdas(lambdas, len(np.atleast_1d(lambdas)))
-    if not lam.any():
-        return 0.0
     trace = ungated_residual_trace(np.asarray(w), len(lam), rng)
     return float((lam[:, None] * trace.norms).sum())
 
@@ -43,8 +41,6 @@ def layer_reg_grad(w, lambdas, rng: ExponentRange) -> np.ndarray:
     """
     w = np.asarray(w)
     lam = check_lambdas(lambdas, len(np.atleast_1d(lambdas)))
-    if not lam.any():
-        return np.zeros_like(w)
     trace = ungated_residual_trace(w, len(lam), rng)
     norms = trace.norms
     scale = np.divide(lam[:, None], norms, out=np.zeros_like(norms), where=norms > 0)
