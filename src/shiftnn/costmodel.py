@@ -117,7 +117,7 @@ class ParetoPoint:
     shifts: int
     adds: int
     multiplies: int
-    mean_k: float
+    mean_k: float | None  # None for a float model, which has no k_i
 
     def __post_init__(self):
         if not 0.0 <= self.accuracy <= 1.0:

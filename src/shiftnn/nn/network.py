@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +131,9 @@ class Network:
             )
         self.skips = {}
         for j, skip in enumerate(config.skips):
-            if not (0 <= skip.src < skip.dst < len(self.layers)):
+            # integers only: a float end can pass the range check, then index a list
+            if not (all(isinstance(e, numbers.Integral) for e in (skip.src, skip.dst))
+                    and 0 <= skip.src < skip.dst < len(self.layers)):
                 raise ConfigError(f"skip {j}: invalid endpoints {skip.src}->{skip.dst}")
             if skip.dst in self.skips:
                 raise ConfigError(f"skip {j}: layer {skip.dst} already receives a skip")
@@ -148,6 +151,7 @@ class Network:
         self.weight_names = [layer.weight_name for layer, _ in self.kernels()]
         weights = set(self.weight_names)
         self.param_names = self.weight_names + [n for n in self.param_shapes() if n not in weights]
+        self._state_shapes = {name: a.shape for name, a in self.init_state().items()}
         self._workspace = Workspace()
         self._generation = 0  # train forwards so far; a cache records its own
 
@@ -184,13 +188,11 @@ class Network:
         return state
 
     def check_params(self, params):
-        for name, shape in self.param_shapes().items():
-            if name not in params:
-                raise ConfigError(f"missing parameter {name}")
-            if tuple(params[name].shape) != shape:
-                raise ConfigError(
-                    f"parameter {name} has shape {params[name].shape}, expected {shape}"
-                )
+        _check_shapes("parameter", self.param_shapes(), params)
+
+    def check_state(self, state):
+        """ConfigError unless state holds every running statistic of init_state, in its shape."""
+        _check_shapes("running statistic", self._state_shapes, state)
 
     # --- execution --------------------------------------------------------------
 
@@ -301,6 +303,16 @@ class Network:
                 before = node_grads[i - 1]
                 node_grads[i - 1] = dx if before is None else np.add(before, dx, out=before)
         return grads
+
+
+def _check_shapes(what, shapes, arrays):
+    """ConfigError unless arrays maps each name of shapes to an array of that shape."""
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise ConfigError(f"missing {what} {name}")
+        got = getattr(arrays[name], "shape", None)
+        if got != shape:
+            raise ConfigError(f"{what} {name} has shape {got}, expected {shape}")
 
 
 def build_network(config: NetworkConfig, seed):

@@ -37,6 +37,8 @@ class ExponentRange:
     code_bits: int = DEFAULT_CODE_BITS
 
     def __post_init__(self):
+        if not isinstance(self.e_max, numbers.Integral):  # decode's table takes ldexp of it
+            raise ConfigError(f"e_max must be an integer, got {self.e_max!r}")
         # codes are held in uint8; 2-bit codes would name a single exponent
         if not (isinstance(self.code_bits, numbers.Integral) and 3 <= self.code_bits <= 8):
             raise ConfigError(f"code_bits must be an integer in [3, 8], got {self.code_bits!r}")

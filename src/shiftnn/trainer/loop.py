@@ -138,6 +138,7 @@ def initial_thresholds(net: Network, settings: TrainSettings) -> np.ndarray:
 def init_train_state(net, params, bn_state, settings: TrainSettings) -> TrainState:
     settings.validate()
     net.check_params(params)
+    net.check_state(bn_state)
     thresholds = initial_thresholds(net, settings)
     trained = {k: params[k] for k in net.param_names}
     return TrainState(
@@ -312,11 +313,13 @@ def train_epoch(ts: TrainState, train_x, train_y, test_x=None, test_y=None):
 def evaluate(net: Network, params, bn_state, x, y, batch_size=256) -> float:
     """Top-1 accuracy in eval mode (running batch-norm statistics).
 
-    ConfigError for a missing or misshapen parameter, DataError for bad data."""
+    ConfigError for a missing or misshapen parameter or running statistic (the
+    entries of net.init_state()), DataError for bad data."""
     if not (isinstance(batch_size, numbers.Integral) and batch_size >= 1):
         raise ConfigError(f"batch_size must be a positive integer, got {batch_size!r}")
     _check_data(net, x, y)
     net.check_params(params)
+    net.check_state(bn_state)
     correct = 0
     for lo in range(0, len(x), batch_size):
         logits, _ = net.forward(x[lo : lo + batch_size], params, bn_state, train=False)

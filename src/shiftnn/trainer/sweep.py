@@ -35,7 +35,8 @@ def run_cell(net_config: NetworkConfig, settings: TrainSettings, data) -> SweepC
     """Train one model and report the accuracy and cost of the model its mode trains.
 
     data is (train_x, train_y, test_x, test_y); DataError if it is not four items.
-    A float-mode cell records lambdas (): no regularizer acts in float mode."""
+    A float-mode cell records lambdas (): no regularizer acts in float mode, and
+    mean_k None, as it has no k_i (a NaN would keep two equal cells unequal)."""
     try:
         train_x, train_y, test_x, test_y = data
     except (TypeError, ValueError) as exc:
@@ -47,7 +48,7 @@ def run_cell(net_config: NetworkConfig, settings: TrainSettings, data) -> SweepC
         train_model(ts, train_x, train_y)
         weights, qinfo = model_weights(ts)
         acc = evaluate(net, weights, ts.bn_state, test_x, test_y, settings.batch_size)
-        mean_k, _ = k_statistics(qinfo, settings.max_k)
+        mean_k = k_statistics(qinfo, settings.max_k)[0] if qinfo else None
         cost = cost_report(net, {name: q for name, (q, _) in qinfo.items()}) if qinfo else cost_report(net)
         return SweepCell(lambdas, settings.seed, acc, mean_k, cost)
     except (ShiftNNError, FloatingPointError) as exc:

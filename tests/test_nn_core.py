@@ -980,9 +980,11 @@ class TestBuildNetwork:
          ([(0, 7)], 8, r"skip 0: invalid endpoints 0->7"),
          ([(0, 2), (1, 2)], 8, r"skip 1: layer 2 already receives a skip"),
          ([(1, 5)], 8, r"skip 0: endpoints must be feature maps"),
-         ([(1, 4)], 7, r"skip 0: shapes \(4, 7, 7\) -> \(6, 4, 4\) are incompatible")],
+         ([(1, 4)], 7, r"skip 0: shapes \(4, 7, 7\) -> \(6, 4, 4\) are incompatible"),
+         # this passed the range check, then raised TypeError indexing the node shapes
+         ([(1.5, 4)], 8, r"skip 0: invalid endpoints 1.5->4")],
         ids=["src-is-dst", "src-after-dst", "dst-past-the-end", "second-skip-into-a-layer",
-             "dst-after-flatten", "7x7-to-4x4"],
+             "dst-after-flatten", "7x7-to-4x4", "float-src"],
     )
     def test_bad_skip_rejected(self, skips, size, message):
         with pytest.raises(ConfigError, match=message):
@@ -1025,6 +1027,10 @@ class TestBuildNetwork:
         net = Network(self.skip_config([(1, 2)]))
         assert net.skips == {2: (1, None)}
         assert net.weight_names == ["L0.W", "L2.W", "L3.W", "L4.W", "L6.W"]
+
+    def test_numpy_integer_skip_endpoints_accepted(self):
+        net = Network(self.skip_config([(np.int64(1), np.uint8(2))]))
+        assert net.skips == {2: (1, None)}
 
     def test_unknown_preset_rejected(self):
         # once a KeyError

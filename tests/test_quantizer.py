@@ -124,6 +124,13 @@ class TestExponentRange:
         with pytest.raises(ConfigError, match="code_bits"):
             ExponentRange(e_max=0, code_bits=code_bits)
 
+    # 1.5 built a window with e_min -4.5, on which quantize_layer raised ldexp's TypeError
+    @pytest.mark.parametrize("e_max", [1.5, "3", None])
+    def test_rejects_an_e_max_that_is_not_an_integer(self, e_max):
+        with pytest.raises(ConfigError, match="e_max must be an integer"):
+            ExponentRange(e_max)
+        assert ExponentRange(np.int16(3)).e_min == -3  # numpy integers stay valid
+
     def test_decode_table(self):
         # 1 sign bit above 3 value bits: 0 is zero, c >= 1 is 2**(e_max - c + 1)
         r = ExponentRange(2, code_bits=4)

@@ -116,7 +116,7 @@ def test_float_cell_reports_the_float_model():
     cost = cell.cost
     assert (cost.storage_bits, cost.shift_count, cost.multiply_count, cost.add_count) == (
         290_048, 0, 290_080, 280_672)
-    assert math.isnan(cell.mean_k)
+    assert cell.mean_k is None
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -151,6 +151,14 @@ def test_float_cells_carry_no_lambdas():
     assert cells[0].ok and cells[1].ok
     assert (cells[0].accuracy, cells[0].cost) == (cells[1].accuracy, cells[1].cost)
     assert cell_to_point(cells[0], "float").lambdas == ()
+
+
+def test_equal_float_cells_compare_equal():
+    # each float cell's mean_k was NaN, so two cells equal in every figure compared unequal
+    a, b = (run_cell(MNIST2, replace(BASE, mode="float"), DATA) for _ in range(2))
+    assert a.ok and a.mean_k is None
+    assert a == b
+    assert cell_to_point(a, "float") == cell_to_point(b, "float")
 
 
 def test_failing_cell_is_recorded_not_raised():

@@ -91,6 +91,26 @@ def tiny_net():
     return build_network(TINY, seed=0)
 
 
+# TINY with a BatchNorm2D, whose two running statistics have shape (2,)
+TINY_BN = NetworkConfig("tiny-bn", (1, 4, 4), 3, [TINY.layers[0], LayerSpec("batchnorm"), *TINY.layers[1:]])
+BAD_STATES = pytest.mark.parametrize("case, match", [
+    ("empty", "missing running statistic L1.running_mean"),
+    ("missing", "missing running statistic L1.running_var"),
+    ("misshapen", r"running statistic L1.running_mean has shape \(3,\), expected \(2,\)"),
+], ids=["empty", "missing", "misshapen"])
+
+
+def bad_state(case):
+    net, params, state = build_network(TINY_BN, seed=0)
+    if case == "empty":
+        state = {}
+    elif case == "missing":
+        del state["L1.running_var"]
+    else:
+        state["L1.running_mean"] = np.zeros(3, np.float32)
+    return net, params, state
+
+
 def test_nan_batch_dumps_reason_and_step(tmp_path):
     net, params, state = tiny_net()
     ts = init_train_state(net, params, state, TrainSettings(dump_dir=str(tmp_path)))
@@ -189,6 +209,26 @@ def test_evaluate_checks_params(case):
         params["L2.W"] = params["L2.W"][:, :-1]
     with pytest.raises(ConfigError, match="parameter L2.W"):
         evaluate(net, params, state, np.zeros((4, 1, 4, 4), np.float32), np.zeros(4, int))
+
+
+@BAD_STATES
+def test_evaluate_checks_running_statistics(case, match, monkeypatch):
+    # a missing entry raised a bare KeyError, a misshapen one numpy's broadcast ValueError
+    net, params, state = bad_state(case)
+    x, y = np.zeros((4, 1, 4, 4), np.float32), np.zeros(4, int)
+    with pytest.raises(ConfigError, match=match):
+        evaluate(net, params, state, x, y, 4)
+    # the expected shapes are the network's own, not built again per call
+    monkeypatch.setattr(net, "init_state", None)
+    evaluate(net, params, build_network(TINY_BN, seed=0)[2], x, y, 4)
+
+
+@BAD_STATES
+def test_init_train_state_checks_running_statistics(case, match):
+    # an empty bn_state was accepted, and the first train_batch raised a bare KeyError
+    net, params, state = bad_state(case)
+    with pytest.raises(ConfigError, match=match):
+        init_train_state(net, params, state, TrainSettings())
 
 
 @pytest.mark.parametrize("data", [(np.zeros((4, 1, 4, 4), np.float32), np.zeros(4, int)), None],
